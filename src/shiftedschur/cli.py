@@ -11,7 +11,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .comult import coproduct_power_polynomial, verify_primitivity
+from .comult import PowerPolynomial, coproduct_power_polynomial, verify_primitivity
 from .errors import (
     DegenerateSpecializationError,
     DomainError,
@@ -75,7 +75,7 @@ def parse_yspec(text: str) -> YSpec:
             return YSpec.torus(int(opts["shift"]))
         if kind == "circle":
             return _parse_circle(rest)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, ZeroDivisionError) as e:
         raise UsageError(f"malformed yspec {text!r}: {e}") from None
     raise UsageError(f"unknown yspec kind {kind!r}")
 
@@ -130,7 +130,7 @@ def _x_values(text: str) -> list[Fraction]:
         return []
     try:
         return [Fraction(tok) for tok in text.split(",")]
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"malformed x values {text!r}: {e}") from None
 
 
@@ -226,18 +226,8 @@ def _cmd_schur(args) -> str:
     lam = _partition_flag(args.lam)
     yspec = parse_yspec(args.y)
     method = args.method.replace("-", "_")
-    if args.shifted:
-        poly = shifted_double_schur(lam, args.n, yspec)
-        if method == "det_ratio":
-            # The shifted function is method-independent; honor the flag by
-            # computing through the requested determinant anyway.
-            base = double_schur(lam, args.n, method="det_ratio").shift_y(args.n + 1)
-            poly = base.substitute(
-                {x(i): x(i) + y(-i) for i in range(1, args.n + 1)}
-            ).specialize_y(yspec)
-    else:
-        poly = double_schur(lam, args.n, yspec, method)
-    return _poly_output(poly, args.format)
+    schur = shifted_double_schur if args.shifted else double_schur
+    return _poly_output(schur(lam, args.n, yspec, method), args.format)
 
 
 def _cmd_eval(args) -> str:
@@ -311,16 +301,23 @@ def _cmd_restrict(args) -> str:
 
 
 def _cmd_coproduct(args) -> str:
-    tensor = coproduct_power_polynomial(args.expr)
-    if args.format == "json":
-        obj = {
-            "summands": [
-                {"weight": str(w), "left": str(l), "right": str(r)}
-                for l, r, w in tensor.summands
-            ]
-        }
-        return dumps_canonical(obj)
-    return f"{tensor}\n"
+    try:
+        expr = PowerPolynomial.parse(args.expr)
+    except ZeroDivisionError as e:
+        raise UsageError(f"malformed expression {args.expr!r}: {e}") from None
+    tensor = coproduct_power_polynomial(expr)
+    try:
+        if args.format == "json":
+            obj = {
+                "summands": [
+                    {"weight": str(w), "left": str(l), "right": str(r)}
+                    for l, r, w in tensor.summands
+                ]
+            }
+            return dumps_canonical(obj)
+        return f"{tensor}\n"
+    except ValueError as e:  # an int past sys.get_int_max_str_digits()
+        raise DomainError(f"coefficient too large to print: {e}") from None
 
 
 def _cmd_verify(args) -> tuple[str, bool]:
@@ -341,6 +338,8 @@ def _cmd_verify(args) -> tuple[str, bool]:
         if ok:
             lines.append(f"PASS (all {cases} cases)")
     elif suite == "denominator":
+        if args.n < 2:
+            raise UsageError(f"the denominator suite needs --n >= 2, got {args.n}")
         for n in range(2, args.n + 1):
             if alternant_denominator(n) != vandermonde(n):
                 ok = False
@@ -421,6 +420,7 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else int(e.code)
+    ok = True
     try:
         if args.verb == "schur":
             text = _cmd_schur(args)
@@ -438,10 +438,9 @@ def run(argv=None) -> int:
             text = _cmd_coproduct(args)
         elif args.verb == "verify":
             text, ok = _cmd_verify(args)
-            _emit(args, text)
-            return 0 if ok else 3
         else:  # pragma: no cover - argparse enforces the verb set
             raise UsageError(f"unknown verb {args.verb!r}")
+        _emit(args, text)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -451,14 +450,16 @@ def run(argv=None) -> int:
     except InternalInconsistencyError as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return 3
-    _emit(args, text)
-    return 0
+    return 0 if ok else 3
 
 
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write --output {args.output!r}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

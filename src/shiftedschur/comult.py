@@ -23,6 +23,7 @@ from .polyring import (
     ZERO,
     Poly,
     YSpec,
+    render_terms,
     useq,
     var_code,
     var_family,
@@ -44,16 +45,17 @@ def shifted_power_sum(k: int, n: int, yspec: YSpec = SYMBOLIC) -> Poly:
     return total.specialize_y(yspec)
 
 
+def _torus_power_sum(k: int, indices) -> Poly:
+    return sum((x(i) ** k - useq(-i) ** k for i in indices), ZERO)
+
+
 def power_sum_torus(k: int, l: int) -> Poly:
     """Sum of x_i^k - u_{-i}^k over i = 1..l (the torus-weight coordinates)."""
     if k < 1:
         raise DomainError(f"power sum index must be >= 1, got {k}")
     if l < 1:
         raise DomainError(f"need l >= 1, got {l}")
-    total = ZERO
-    for i in range(1, l + 1):
-        total = total + (x(i) ** k - useq(-i) ** k)
-    return total
+    return _torus_power_sum(k, range(1, l + 1))
 
 
 def rho_pullback_power_sum(k: int, l: int) -> tuple[Poly, Poly]:
@@ -68,13 +70,7 @@ def rho_pullback_power_sum(k: int, l: int) -> tuple[Poly, Poly]:
         raise DomainError(f"power sum index must be >= 1, got {k}")
     if l < 2:
         raise DomainError(f"need l >= 2, got {l}")
-    even = ZERO
-    for i in range(1, l // 2 + 1):
-        even = even + (x(2 * i) ** k - useq(-2 * i) ** k)
-    odd = ZERO
-    for i in range(1, (l - 1) // 2 + 2):
-        odd = odd + (x(2 * i - 1) ** k - useq(-2 * i + 1) ** k)
-    return even, odd
+    return _torus_power_sum(k, range(2, l + 1, 2)), _torus_power_sum(k, range(1, l + 1, 2))
 
 
 def _relabel(p: Poly, parity: int) -> Poly:
@@ -200,34 +196,25 @@ class TensorElement:
 _GEN_RE = re.compile(r"^p(\d+)(?:\^(\d+))?$")
 
 
-class PowerPolynomial:
+class PowerPolynomial(Poly):
     """A formal polynomial with rational coefficients in generators p_1, p_2, ...
 
-    Monomials are flat tuples (k1, e1, k2, e2, ...) with generator indices
-    strictly increasing.
+    The sparse core is Poly's: monomials are flat tuples (k1, e1, k2, e2, ...)
+    whose generator indices play the part of variable codes, strictly
+    increasing.  Only construction and rendering are specific.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if isinstance(c, Fraction) and c.denominator == 1:
-                    c = int(c)
-                if c:
-                    clean[tuple(m)] = c
-        self.terms = clean
+    # An own class entry, so that the product can be looked up (and timed)
+    # on this class separately from Poly's.
+    __mul__ = __rmul__ = Poly.__mul__
 
     @classmethod
     def generator(cls, k: int) -> "PowerPolynomial":
         if k < 1:
             raise DomainError(f"generator index must be >= 1, got {k}")
-        return cls({(k, 1): 1})
-
-    @classmethod
-    def constant(cls, c) -> "PowerPolynomial":
-        return cls({(): c})
+        return cls._raw({(k, 1): 1})
 
     @classmethod
     def parse(cls, text: str) -> "PowerPolynomial":
@@ -277,125 +264,44 @@ class PowerPolynomial:
             pos = end + 1
         return total
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def constant_term(self):
         return self.terms.get((), 0)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PowerPolynomial):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({(): other} if other else {})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "PowerPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = PowerPolynomial.constant(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return PowerPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PowerPolynomial":
-        return PowerPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "PowerPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = PowerPolynomial.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "PowerPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return PowerPolynomial({m: c * other for m, c in self.terms.items()})
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _merge_flat(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return PowerPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "PowerPolynomial":
-        if e < 0:
-            raise DomainError("negative power")
-        result = PowerPolynomial.constant(1)
-        for _ in range(e):
-            result = result * self
-        return result
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        def mono_key(m):
+        # Ascending total degree, then generator index, higher powers first.
+        def mono_key(item):
+            m = item[0]
             return (sum(m[1::2]), tuple((m[i], -m[i + 1]) for i in range(0, len(m), 2)))
-        chunks = []
-        for m in sorted(self.terms, key=mono_key):
-            c = self.terms[m]
-            neg = c < 0
-            mag = -c if neg else c
-            factors = [
-                f"p{m[i]}" + (f"^{m[i+1]}" if m[i + 1] > 1 else "")
-                for i in range(0, len(m), 2)
-            ]
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not chunks:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f" - {body}" if neg else f" + {body}")
-        return "".join(chunks)
+
+        items = sorted(self.terms.items(), key=mono_key)
+        return render_terms(items, _generator_str, str, "*")
 
     def __repr__(self) -> str:
         return f"PowerPolynomial({self})"
 
 
-def _merge_flat(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        if m1[i] == m2[j]:
-            out.extend((m1[i], m1[i + 1] + m2[j + 1]))
-            i += 2
-            j += 2
-        elif m1[i] < m2[j]:
-            out.extend((m1[i], m1[i + 1]))
-            i += 2
-        else:
-            out.extend((m2[j], m2[j + 1]))
-            j += 2
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+def _generator_str(k: int, e: int) -> str:
+    return f"p{k}" if e == 1 else f"p{k}^{e}"
 
 
 _PP_ONE = PowerPolynomial.constant(1)
+
+
+def _binomial_power(k: int, e: int) -> "TensorElement":
+    """(p_k (x) 1 + 1 (x) p_k)^e, summed by the binomial theorem.
+
+    Each binomial coefficient is taken from the one before it: one
+    multiplication and one exact division per term, not a fresh comb().
+    """
+    summands = []
+    c = 1
+    for j in range(e + 1):
+        if j:
+            c = c * (e - j + 1) // j
+        left = PowerPolynomial._raw({(k, j): 1}) if j else _PP_ONE
+        right = PowerPolynomial._raw({(k, e - j): 1}) if j < e else _PP_ONE
+        summands.append((left, right, c))
+    return TensorElement(summands)
 
 
 def coproduct_power_polynomial(expr) -> TensorElement:
@@ -406,11 +312,7 @@ def coproduct_power_polynomial(expr) -> TensorElement:
     for m, c in expr.terms.items():
         term = TensorElement([(_PP_ONE, _PP_ONE, c)])
         for i in range(0, len(m), 2):
-            k, e = m[i], m[i + 1]
-            pk = PowerPolynomial.generator(k)
-            primitive = TensorElement([(pk, _PP_ONE), (_PP_ONE, pk)])
-            for _ in range(e):
-                term = term * primitive
+            term = term * _binomial_power(m[i], m[i + 1])
         total = total + term
     return total
 

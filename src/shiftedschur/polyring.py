@@ -122,10 +122,6 @@ def _mono_sort_key(m: tuple):
     return (-_mono_degree(m), tuple(lex))
 
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def _parse_coeff(text: str):
     f = Fraction(text)
     return int(f) if f.denominator == 1 else f
@@ -161,6 +157,13 @@ class Poly:
         p._terms = terms
         p._hash = None
         return p
+
+    @classmethod
+    def constant(cls, value) -> "Poly":
+        """The constant polynomial with the given int or Fraction value."""
+        if isinstance(value, Fraction) and value.denominator == 1:
+            value = int(value)
+        return cls._raw({(): value} if value else {})
 
     # -- basic queries ----------------------------------------------------
 
@@ -223,9 +226,12 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------------
 
+    # Results are built with self._raw so that subclasses (PowerPolynomial)
+    # keep their class through arithmetic.
+
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = const(other)
+            other = self.constant(other)
         elif not isinstance(other, Poly):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -244,16 +250,16 @@ class Poly:
                     out[m] = s
                 else:
                     del out[m]
-        return Poly._raw(out)
+        return self._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._raw({m: -c for m, c in self._terms.items()})
+        return self._raw({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = const(other)
+            other = self.constant(other)
         elif not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
@@ -264,15 +270,15 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             if not other:
-                return ZERO
+                return self._raw({})
             if other == 1:
                 return self
-            return Poly._raw({m: c * other for m, c in self._terms.items()})
+            return self._raw({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
-            return ZERO
+            return self._raw({})
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
@@ -289,14 +295,14 @@ class Poly:
                         out[m] = c
                     else:
                         del out[m]
-        return Poly._raw(out)
+        return self._raw(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise DomainError(f"polynomial power must be a nonnegative integer, got {e}")
-        result = ONE
+        result = self.constant(1)
         base = self
         while e:
             if e & 1:
@@ -467,7 +473,7 @@ class Poly:
                 fam = var_family(m[i])
                 idx = None if fam == FAMILY_U else var_index(m[i])
                 mono.append([_FAMILY_NAMES[fam], idx, m[i + 1]])
-            out.append({"coeff": _coeff_str(c), "monomial": mono})
+            out.append({"coeff": str(c), "monomial": mono})
         return out
 
     @classmethod
@@ -490,11 +496,11 @@ class Poly:
         return cls(terms)
 
     def __reduce__(self):
-        return (_unpickle_poly, (self._terms,))
+        return (_unpickle_poly, (self._terms, type(self)))
 
 
-def _unpickle_poly(terms: dict) -> Poly:
-    return Poly._raw(terms)
+def _unpickle_poly(terms: dict, cls: type) -> Poly:
+    return cls._raw(terms)
 
 
 def _single_variable_code(p: Poly) -> int:
@@ -509,10 +515,7 @@ def _single_variable_code(p: Poly) -> int:
 # -- factories -----------------------------------------------------------------
 
 
-def const(value) -> Poly:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = int(value)
-    return Poly._raw({(): value}) if value else ZERO
+const = Poly.constant
 
 
 def x(i: int) -> Poly:
@@ -534,75 +537,48 @@ ONE = Poly._raw({(): 1})
 u = Poly._raw({(_U_CODE, 1): 1})
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def shift_y(p: Poly, k: int) -> Poly:
-    return p.shift_y(k)
-
-
-def substitute(p: Poly, assignment: Mapping[Poly, object]) -> Poly:
-    return p.substitute(assignment)
-
-
-def specialize_y(p: Poly, spec: "YSpec") -> Poly:
-    return p.specialize_y(spec)
-
-
 # -- canonical rendering ---------------------------------------------------------
 
 
-def _var_str(code: int, exp: int) -> str:
-    fam = var_family(code)
-    if fam == FAMILY_U:
-        base = "u"
-    elif fam == FAMILY_USEQ:
-        base = f"u[{var_index(code)}]"
-    elif fam == FAMILY_Y:
-        base = f"y[{var_index(code)}]"
-    else:
-        base = f"x{var_index(code)}"
-    return base if exp == 1 else f"{base}^{exp}"
+def _spelling(bases: tuple, power: str):
+    """A factor formatter: bases[family] spells a variable from its index."""
+
+    def factor_str(code: int, exp: int) -> str:
+        base = bases[var_family(code)].format(var_index(code))
+        return base if exp == 1 else power.format(base, exp)
+
+    return factor_str
+
+
+_var_str = _spelling(("u", "u[{}]", "y[{}]", "x{}"), "{}^{}")
+_latex_var = _spelling(("u", "u_{{{}}}", "y_{{{}}}", "x_{{{}}}"), "{}^{{{}}}")
+
+
+def render_terms(items, factor_str, coeff_str, sep: str) -> str:
+    """Join sorted (monomial, coefficient) items into "a + b - c" form.
+
+    factor_str(code, exp) spells one factor of a flat monomial, coeff_str
+    spells a positive coefficient, and sep joins a term's coefficient and
+    factors; a unit coefficient is left out unless the term is constant.
+    """
+    chunks = []
+    for m, c in items:
+        neg = c < 0
+        mag = -c if neg else c
+        factors = [factor_str(m[i], m[i + 1]) for i in range(0, len(m), 2)]
+        if mag != 1 or not factors:
+            factors.insert(0, coeff_str(mag))
+        if chunks:
+            chunks.append(" - " if neg else " + ")
+        elif neg:
+            chunks.append("-")
+        chunks.append(sep.join(factors))
+    return "".join(chunks) or "0"
 
 
 def canonical_string(p: Poly) -> str:
     """Deterministic text form; equal strings iff structurally equal polynomials."""
-    if not p._terms:
-        return "0"
-    chunks = []
-    for m, c in p.sorted_terms():
-        neg = c < 0
-        mag = -c if neg else c
-        factors = [_var_str(m[i], m[i + 1]) for i in range(0, len(m), 2)]
-        if not factors:
-            body = _coeff_str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_coeff_str(mag)] + factors)
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f" - {body}" if neg else f" + {body}")
-    return "".join(chunks)
-
-
-def _latex_var(code: int, exp: int) -> str:
-    fam = var_family(code)
-    if fam == FAMILY_U:
-        base = "u"
-    elif fam == FAMILY_USEQ:
-        base = f"u_{{{var_index(code)}}}"
-    elif fam == FAMILY_Y:
-        base = f"y_{{{var_index(code)}}}"
-    else:
-        base = f"x_{{{var_index(code)}}}"
-    return base if exp == 1 else f"{base}^{{{exp}}}"
+    return render_terms(p.sorted_terms(), _var_str, str, "*")
 
 
 def _latex_coeff(c) -> str:
@@ -613,24 +589,7 @@ def _latex_coeff(c) -> str:
 
 
 def _latex_string(p: Poly) -> str:
-    if not p._terms:
-        return "0"
-    chunks = []
-    for m, c in p.sorted_terms():
-        neg = c < 0
-        mag = -c if neg else c
-        factors = [_latex_var(m[i], m[i + 1]) for i in range(0, len(m), 2)]
-        if not factors:
-            body = _latex_coeff(mag)
-        elif mag == 1:
-            body = " ".join(factors)
-        else:
-            body = " ".join([_latex_coeff(mag)] + factors)
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f" - {body}" if neg else f" + {body}")
-    return "".join(chunks)
+    return render_terms(p.sorted_terms(), _latex_var, _latex_coeff, " ")
 
 
 # -- leading terms and division ---------------------------------------------------

@@ -43,16 +43,20 @@ def _falling_factorial(i: int, p: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _h(p: int, m: int, s: int) -> Poly:
+def _h(p: int, m: int, s: int, yspec: YSpec) -> Poly:
     # h_p in variables x_1..x_m with sequence argument tau^s y, built by
-    # splitting the chain sum on whether x_m participates.
+    # splitting the chain sum on whether x_m participates.  The
+    # y-specialization is applied as factors are introduced, so a
+    # specialized h never passes through the symbolic one; the zero rule
+    # gives the classical complete homogeneous polynomial.
     if p < 0:
         return ZERO
     if p == 0:
         return ONE
     if m == 0:
         return ZERO
-    return _h(p, m - 1, s) + (x(m) - y(m + p - 1 - s)) * _h(p - 1, m, s)
+    factor = x(m) - yspec.value(m + p - 1 - s)
+    return _h(p, m - 1, s, yspec) + factor * _h(p - 1, m, s, yspec)
 
 
 def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
@@ -63,57 +67,43 @@ def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
     """
     if n < 1:
         raise DomainError(f"double_h needs n >= 1, got {n}")
-    return _h(p, n, y_shift)
+    return _h(p, n, y_shift, SYMBOLIC)
 
 
 @lru_cache(maxsize=None)
-def _double_schur_symbolic(lam: Partition, n: int, method: str) -> Poly:
-    if method == "jacobi_trudi":
-        # Rows below l(lam) of the full n x n matrix are unit rows (h_0 on
-        # the diagonal, zeros to the left), so the determinant collapses to
-        # its top-left l(lam) x l(lam) block.
-        r = len(lam)
-        rows = [
-            [_h(lam.part(i) + j - i, n, j - 1) for j in range(1, r + 1)]
-            for i in range(1, r + 1)
-        ]
-        return poly_det(rows)
-    if method == "det_ratio":
-        rows = [
-            [_falling_factorial(i, lam.part(j) + n - j) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        numerator = poly_det(rows)
-        quotient = numerator
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                quotient = divide_linear(quotient, i, j)
-        return quotient
-    raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
-
-
-@lru_cache(maxsize=None)
-def _h_spec(p: int, m: int, s: int, yspec: YSpec) -> Poly:
-    # The h recurrence with the y-specialization applied as factors are
-    # introduced; avoids ever materializing the symbolic polynomial.
-    if p < 0:
-        return ZERO
-    if p == 0:
-        return ONE
-    if m == 0:
-        return ZERO
-    factor = x(m) - yspec.value(m + p - 1 - s)
-    return _h_spec(p, m - 1, s, yspec) + factor * _h_spec(p - 1, m, s, yspec)
-
-
-@lru_cache(maxsize=None)
-def _double_schur_specialized(lam: Partition, n: int, yspec: YSpec) -> Poly:
+def _jacobi_trudi(lam: Partition, n: int, yspec: YSpec) -> Poly:
+    # Rows below l(lam) of the full n x n matrix are unit rows (h_0 on the
+    # diagonal, zeros to the left), so the determinant collapses to its
+    # top-left l(lam) x l(lam) block.  Column j takes the sequence shift
+    # j-1, which the zero rule cannot see; its columns share shift 0.
     r = len(lam)
+    step = 0 if yspec.kind == "zero" else 1
     rows = [
-        [_h_spec(lam.part(i) + j - i, n, j - 1, yspec) for j in range(1, r + 1)]
+        [_h(lam.part(i) + j - i, n, (j - 1) * step, yspec) for j in range(1, r + 1)]
         for i in range(1, r + 1)
     ]
     return poly_det(rows)
+
+
+def _det_ratio(lam: Partition, n: int) -> Poly:
+    rows = [
+        [_falling_factorial(i, lam.part(j) + n - j) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    quotient = poly_det(rows)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            quotient = divide_linear(quotient, i, j)
+    return quotient
+
+
+def _check_args(name: str, lam: Partition, n: int, method: str) -> None:
+    if n < len(lam):
+        raise RankTooSmallError(f"need n >= l(lambda) = {len(lam)}, got n = {n}")
+    if n < 1:
+        raise DomainError(f"{name} needs n >= 1, got {n}")
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def double_schur(
@@ -121,40 +111,38 @@ def double_schur(
 ) -> Poly:
     """The double Schur function of lam in x_1..x_n, then specialized."""
     lam = Partition(lam)
-    if n < len(lam):
-        raise RankTooSmallError(f"need n >= l(lambda) = {len(lam)}, got n = {n}")
-    if n < 1:
-        raise DomainError(f"double_schur needs n >= 1, got {n}")
-    if yspec.kind != "symbolic" and method == "jacobi_trudi":
-        return _double_schur_specialized(lam, n, yspec)
-    return _specialized(_double_schur_symbolic(lam, n, method), yspec)
+    _check_args("double_schur", lam, n, method)
+    if method == "jacobi_trudi":
+        return _jacobi_trudi(lam, n, yspec)
+    return _det_ratio(lam, n).specialize_y(yspec)
+
+
+def _shift(base: Poly, n: int, yspec: YSpec, delta: Partition | None = None) -> Poly:
+    # Shift the sequence argument by n+1 and pass to the shifted coordinates
+    # x_i -> x_i + y_{-i}; at the fixed point labeled by delta these are
+    # x'_i = y_{delta_i - i}, so x_i -> y_{delta_i - i} instead.  Then
+    # specialize y.
+    values = {
+        x(i): x(i) + y(-i) if delta is None else y(delta.part(i) - i)
+        for i in range(1, n + 1)
+    }
+    return base.shift_y(n + 1).substitute(values).specialize_y(yspec)
 
 
 @lru_cache(maxsize=None)
-def _shifted_symbolic(lam: Partition, n: int) -> Poly:
-    s = _double_schur_symbolic(lam, n, "jacobi_trudi").shift_y(n + 1)
-    return s.substitute({x(i): x(i) + y(-i) for i in range(1, n + 1)})
+def _shifted(lam: Partition, n: int, yspec: YSpec) -> Poly:
+    return _shift(_jacobi_trudi(lam, n, SYMBOLIC), n, yspec)
 
 
-@lru_cache(maxsize=None)
-def _specialized_cache(p: Poly, yspec: YSpec) -> Poly:
-    return p.specialize_y(yspec)
-
-
-def _specialized(p: Poly, yspec: YSpec) -> Poly:
-    if yspec.kind == "symbolic":
-        return p
-    return _specialized_cache(p, yspec)
-
-
-def shifted_double_schur(lam: Partition, n: int, yspec: YSpec = SYMBOLIC) -> Poly:
+def shifted_double_schur(
+    lam: Partition, n: int, yspec: YSpec = SYMBOLIC, method: str = "jacobi_trudi"
+) -> Poly:
     """The shifted double Schur function of lam in x_1..x_n, then specialized."""
     lam = Partition(lam)
-    if n < len(lam):
-        raise RankTooSmallError(f"need n >= l(lambda) = {len(lam)}, got n = {n}")
-    if n < 1:
-        raise DomainError(f"shifted_double_schur needs n >= 1, got {n}")
-    return _specialized(_shifted_symbolic(lam, n), yspec)
+    _check_args("shifted_double_schur", lam, n, method)
+    if method == "jacobi_trudi":
+        return _shifted(lam, n, yspec)
+    return _shift(_det_ratio(lam, n), n, yspec)
 
 
 def shifted_schur_stable(lam: Partition, x_values, yspec: YSpec = SYMBOLIC) -> Poly:
@@ -173,11 +161,8 @@ def shifted_schur_stable(lam: Partition, x_values, yspec: YSpec = SYMBOLIC) -> P
 
 
 @lru_cache(maxsize=None)
-def _restrict_symbolic(lam: Partition, delta: Partition, n: int) -> Poly:
-    s = _double_schur_symbolic(lam, n, "jacobi_trudi").shift_y(n + 1)
-    # In shifted coordinates the fixed point labeled by delta has
-    # x'_i = y_{delta_i - i}; equivalently x_i -> y_{delta_i - i} - y_{-i}.
-    return s.substitute({x(i): y(delta.part(i) - i) for i in range(1, n + 1)})
+def _restrict(lam: Partition, delta: Partition, n: int, yspec: YSpec) -> Poly:
+    return _shift(_jacobi_trudi(lam, n, SYMBOLIC), n, yspec, delta)
 
 
 def restrict_to_fixed_point(
@@ -191,7 +176,7 @@ def restrict_to_fixed_point(
         raise RankTooSmallError(
             f"need n >= l(lambda) = {len(lam)} and n >= l(delta) = {len(delta)}, got n = {n}"
         )
-    return _specialized(_restrict_symbolic(lam, delta, n), yspec)
+    return _restrict(lam, delta, n, yspec)
 
 
 def vandermonde(n: int) -> Poly:

@@ -51,9 +51,15 @@ from .polyring import (
     var_index,
     x,
 )
-from .schur import double_schur, restrict_to_fixed_point, shifted_double_schur
+from .schur import (
+    _jacobi_trudi,
+    double_schur,
+    restrict_to_fixed_point,
+    shifted_double_schur,
+)
 
 TABLE_METHODS = ("expand", "localize", "molev")
+_ZERO_SPEC = YSpec.zero()
 
 
 class SchurExpansion:
@@ -105,17 +111,6 @@ class SchurExpansion:
 
 
 @lru_cache(maxsize=None)
-def _h_classical(p: int, m: int) -> Poly:
-    if p < 0:
-        return ZERO
-    if p == 0:
-        return ONE
-    if m == 0:
-        return ZERO
-    return _h_classical(p, m - 1) + x(m) * _h_classical(p - 1, m)
-
-
-@lru_cache(maxsize=None)
 def _e_classical(p: int, m: int) -> Poly:
     if p < 0 or p > m:
         return ZERO
@@ -127,20 +122,16 @@ def _e_classical(p: int, m: int) -> Poly:
 @lru_cache(maxsize=None)
 def _classical_schur(nu: Partition, n: int) -> Poly:
     # Determinant blocks collapse to l(nu) x l(nu) (complete homogeneous
-    # form) or nu_1 x nu_1 (elementary form); take the smaller.
-    r = len(nu)
-    if nu and nu[0] < r:
+    # form: the double Schur function at y = 0) or nu_1 x nu_1 (elementary
+    # form); take the smaller.
+    if nu and nu[0] < len(nu):
         cj = conjugate(nu)
         rows = [
             [_e_classical(cj.part(i) + j - i, n) for j in range(1, nu[0] + 1)]
             for i in range(1, nu[0] + 1)
         ]
         return poly_det(rows)
-    rows = [
-        [_h_classical(nu.part(i) + j - i, n) for j in range(1, r + 1)]
-        for i in range(1, r + 1)
-    ]
-    return poly_det(rows)
+    return _jacobi_trudi(nu, n, _ZERO_SPEC)
 
 
 def _xmono_to_partition(xm: tuple, n: int) -> Partition:

@@ -211,6 +211,51 @@ def test_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coproduct", "--expr", "1/0"),
+        ("coproduct", "--expr", "p1 + 3/0*p2"),
+        ("eval", "--lambda", "1", "--x", "1/0"),
+        ("eval", "--lambda", "1", "--y", "affine:a=1/0,b=1"),
+    ],
+)
+def test_zero_denominator_is_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_coproduct_too_large_to_print(capsys):
+    # C(20000, 10000) has about 6,000 digits, past the int-to-str limit.
+    code, out, err = invoke(capsys, "coproduct", "--expr", "p1^20000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_output_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = invoke(
+        capsys, "molev", "--lambda", "1", "--mu", "1", "--nu", "1", "--output", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_denominator_suite_needs_two_variables(capsys):
+    code, out, err = invoke(capsys, "verify", "--suite", "denominator", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert "--n >= 2" in err
+    code, out, _ = invoke(capsys, "verify", "--suite", "denominator", "--n", "2")
+    assert code == 0
+    assert out == "PASS (all 1 cases)\n"
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import shiftedschur.cli as cli_mod
 

@@ -150,6 +150,34 @@ def test_power_polynomial_str():
     assert str(PP()) == "0"
 
 
+def test_power_polynomial_arithmetic_keeps_class():
+    p, q = PP.parse("p1^2 - 1/2*p3"), PP.parse("p2 + 4")
+    for value in (p + q, p * q, p - q, p**3, -p, p + 1, 2 * p, 1 - p, p * 0, p**0):
+        assert type(value) is PP
+    p2 = PP.generator(2)
+    seven = p2
+    for _ in range(6):
+        seven = seven * p2
+    assert p2**7 == seven == PP.parse("p2^7")
+    assert str(p2**7) == "p2^7"
+
+
+def test_coproduct_matches_repeated_primitive_products():
+    one = PP.constant(1)
+    for expr in ("p1^9", "p2^3*p1^4", "-2/3*p3^5 + p1^2*p2 - 7"):
+        expected = TensorElement()
+        for m, c in PP.parse(expr).terms.items():
+            term = TensorElement([(one, one, c)])
+            for i in range(0, len(m), 2):
+                pk = PP.generator(m[i])
+                for _ in range(m[i + 1]):
+                    term = term * TensorElement([(pk, one), (one, pk)])
+            expected = expected + term
+        got = coproduct_power_polynomial(expr)
+        assert got == expected
+        assert str(got) == str(expected)
+
+
 def test_coproduct_examples():
     one = PP.constant(1)
     p1 = PP.generator(1)

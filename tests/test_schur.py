@@ -135,11 +135,14 @@ def test_stability_small():
 def test_top_degree_is_classical_schur():
     from shiftedschur.structconst import _classical_schur
 
-    for lam in (P([1]), P([2]), P([2, 1]), P([3, 1])):
+    # (1,1), (2,1,1) and (1,1,1) take the elementary (conjugate) determinant,
+    # the others the complete homogeneous one; both must give s_lam(x).
+    for lam in (P([1]), P([2]), P([2, 1]), P([3, 1]), P([1, 1]), P([2, 1, 1]), P([1, 1, 1])):
         n = 4
         s = shifted_double_schur(lam, n)
         top = s.x_homogeneous_split()[lam.weight]
         assert top == _classical_schur(lam, n)
+        assert top == double_schur(lam, n, ZSPEC)
 
 
 # ---- stable evaluation ---------------------------------------------------------------
