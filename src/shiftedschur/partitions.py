@@ -9,8 +9,7 @@ descending lexicographic among equal weights.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -122,25 +121,31 @@ class SkewShape:
         return f"SkewShape({tuple(self.outer)!r}, {tuple(self.inner)!r})"
 
 
-@lru_cache(maxsize=None)
-def _dim_skew(outer: Partition, inner: Partition) -> int:
-    # Chains in Young's lattice from inner to outer, counted by peeling
-    # corner cells off the outer shape.
-    if outer == inner:
-        return 1
-    total = 0
-    for r in range(len(outer)):
-        below = outer[r + 1] if r + 1 < len(outer) else 0
-        if outer[r] > below and outer[r] - 1 >= inner.part(r + 1):
-            reduced = list(outer)
-            reduced[r] -= 1
-            total += _dim_skew(Partition(reduced), inner)
-    return total
-
-
 def count_standard_tableaux(shape: SkewShape) -> int:
-    """Number of standard tableaux of the skew shape (1 for the empty shape)."""
-    return _dim_skew(shape.outer, shape.inner)
+    """Number of standard tableaux of the skew shape (1 for the empty shape).
+
+    Aitken's determinant |shape|! * det[1/(outer_i - inner_j - i + j)!]
+    (1/k! = 0 for k < 0).  Row i is scaled by (outer_i - i + r)! to make
+    the entries integers, and the determinant is taken by Bareiss's
+    fraction-free elimination.
+    """
+    outer, inner = shape.outer, shape.inner
+    r = len(outer)
+    tops = [factorial(outer.part(i) - i + r) for i in range(1, r + 1)]
+    rows = []
+    for i in range(1, r + 1):
+        ks = [outer.part(i) - inner.part(j) - i + j for j in range(1, r + 1)]
+        rows.append([tops[i - 1] // factorial(k) if k >= 0 else 0 for k in ks])
+    prev = 1
+    for c in range(r):
+        # The pivot is the leading (c+1)-minor: the scaled determinant for
+        # the first c+1 rows of the shape, which is positive.
+        head = rows[c]
+        for k in range(c + 1, r):
+            row = rows[k]
+            rows[k] = [(row[j] * head[c] - row[c] * head[j]) // prev for j in range(r)]
+        prev = head[c]
+    return factorial(shape.size) * prev // prod(tops)
 
 
 def hook_h(shape: SkewShape) -> Fraction:

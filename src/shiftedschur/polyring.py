@@ -193,14 +193,6 @@ class Poly:
             return -1
         return max(_mono_x_degree(m) for m in self._terms)
 
-    def constant_value(self):
-        """The value of a constant polynomial as int/Fraction."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
-        raise DomainError(f"polynomial is not constant: {self}")
-
     def variables(self) -> set[int]:
         codes = set()
         for m in self._terms:
@@ -847,24 +839,6 @@ class YSpec:
         if self.kind == "torus":
             return useq(j + self.shift)
         raise DomainError(f"unknown yspec kind {self.kind!r}")
-
-    def shifted(self, s: int) -> "YSpec":
-        """The rule for the sequence tau^s y: new value at j is value(j - s).
-
-        Not defined for the symbolic rule (callers shift the polynomial
-        instead, via shift_y).
-        """
-        if self.kind == "zero":
-            return self
-        if self.kind == "affine":
-            return YSpec.affine(self.a, self.b - self.a * s)
-        if self.kind == "standard":
-            return YSpec.standard(self.d - s)
-        if self.kind == "circle":
-            return YSpec.circle(self.window, self.d - s)
-        if self.kind == "torus":
-            return YSpec.torus(self.shift - s)
-        raise DomainError(f"cannot shift yspec kind {self.kind!r}")
 
     def to_json_obj(self) -> dict:
         obj: dict = {"kind": self.kind}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, RankTooSmallError
+from .errors import DomainError, RankTooSmallError, UnresolvableIndexError
 from .partitions import Partition
 from .polyring import (
     ONE,
@@ -43,11 +43,11 @@ def _falling_factorial(i: int, p: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _h(p: int, m: int, s: int, yspec: YSpec) -> Poly:
-    # h_p in variables x_1..x_m with sequence argument tau^s y, built by
-    # splitting the chain sum on whether x_m participates.  The
-    # y-specialization is applied as factors are introduced, so a
-    # specialized h never passes through the symbolic one; the zero rule
+def _h(p: int, m: int, s: int, yspec: YSpec, point: tuple) -> Poly:
+    # h_p(x_1..x_m | tau^s y) at x_i = point[i-1], built by splitting the
+    # chain sum on whether x_m participates.  Evaluation is a ring map, so
+    # the point and the y-specialization enter as the factors are built,
+    # never applied to a finished polynomial; the zero rule at the point x
     # gives the classical complete homogeneous polynomial.
     if p < 0:
         return ZERO
@@ -55,8 +55,12 @@ def _h(p: int, m: int, s: int, yspec: YSpec) -> Poly:
         return ONE
     if m == 0:
         return ZERO
-    factor = x(m) - yspec.value(m + p - 1 - s)
-    return _h(p, m - 1, s, yspec) + factor * _h(p - 1, m, s, yspec)
+    factor = point[m - 1] - yspec.value(m + p - 1 - s)
+    return _h(p, m - 1, s, yspec, point) + factor * _h(p - 1, m, s, yspec, point)
+
+
+def _xs(n: int) -> tuple:
+    return tuple(x(i) for i in range(1, n + 1))
 
 
 def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
@@ -67,19 +71,23 @@ def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
     """
     if n < 1:
         raise DomainError(f"double_h needs n >= 1, got {n}")
-    return _h(p, n, y_shift, SYMBOLIC)
+    return _h(p, n, y_shift, SYMBOLIC, _xs(n))
 
 
 @lru_cache(maxsize=None)
-def _jacobi_trudi(lam: Partition, n: int, yspec: YSpec) -> Poly:
+def _jacobi_trudi(lam: Partition, point: tuple, shift: int, yspec: YSpec) -> Poly:
     # Rows below l(lam) of the full n x n matrix are unit rows (h_0 on the
     # diagonal, zeros to the left), so the determinant collapses to its
     # top-left l(lam) x l(lam) block.  Column j takes the sequence shift
-    # j-1, which the zero rule cannot see; its columns share shift 0.
+    # shift+j-1, which the zero rule cannot see; its columns share shift 0.
     r = len(lam)
+    n = len(point)
     step = 0 if yspec.kind == "zero" else 1
     rows = [
-        [_h(lam.part(i) + j - i, n, (j - 1) * step, yspec) for j in range(1, r + 1)]
+        [
+            _h(lam.part(i) + j - i, n, (shift + j - 1) * step, yspec, point)
+            for j in range(1, r + 1)
+        ]
         for i in range(1, r + 1)
     ]
     return poly_det(rows)
@@ -113,25 +121,26 @@ def double_schur(
     lam = Partition(lam)
     _check_args("double_schur", lam, n, method)
     if method == "jacobi_trudi":
-        return _jacobi_trudi(lam, n, yspec)
+        return _jacobi_trudi(lam, _xs(n), 0, yspec)
     return _det_ratio(lam, n).specialize_y(yspec)
 
 
-def _shift(base: Poly, n: int, yspec: YSpec, delta: Partition | None = None) -> Poly:
-    # Shift the sequence argument by n+1 and pass to the shifted coordinates
-    # x_i -> x_i + y_{-i}; at the fixed point labeled by delta these are
-    # x'_i = y_{delta_i - i}, so x_i -> y_{delta_i - i} instead.  Then
-    # specialize y.
-    values = {
-        x(i): x(i) + y(-i) if delta is None else y(delta.part(i) - i)
-        for i in range(1, n + 1)
-    }
-    return base.shift_y(n + 1).substitute(values).specialize_y(yspec)
+def _shifted_at(lam: Partition, yspec: YSpec, base, labels) -> Poly:
+    # The shifted function is the double Schur function with sequence
+    # argument tau^{n+1} y in the shifted coordinates x_i + y_{-i}; here
+    # they take the values base_i + y_{labels_i}.
+    n = len(base)
 
+    def point(spec: YSpec) -> tuple:
+        return tuple(b + spec.value(j) for b, j in zip(base, labels))
 
-@lru_cache(maxsize=None)
-def _shifted(lam: Partition, n: int, yspec: YSpec) -> Poly:
-    return _shift(_jacobi_trudi(lam, n, SYMBOLIC), n, yspec)
+    try:
+        return _jacobi_trudi(lam, point(yspec), n + 1, yspec)
+    except UnresolvableIndexError:
+        # A window without a tail rule defines only some y_j, and only the
+        # y_j left in the value need one: evaluate symbolically, then
+        # specialize the result.
+        return _jacobi_trudi(lam, point(SYMBOLIC), n + 1, SYMBOLIC).specialize_y(yspec)
 
 
 def shifted_double_schur(
@@ -141,8 +150,10 @@ def shifted_double_schur(
     lam = Partition(lam)
     _check_args("shifted_double_schur", lam, n, method)
     if method == "jacobi_trudi":
-        return _shifted(lam, n, yspec)
-    return _shift(_det_ratio(lam, n), n, yspec)
+        return _shifted_at(lam, yspec, _xs(n), range(-1, -n - 1, -1))
+    # The determinant-ratio reference route: shift and substitute afterwards.
+    values = {x(i): x(i) + y(-i) for i in range(1, n + 1)}
+    return _det_ratio(lam, n).shift_y(n + 1).substitute(values).specialize_y(yspec)
 
 
 def shifted_schur_stable(lam: Partition, x_values, yspec: YSpec = SYMBOLIC) -> Poly:
@@ -155,28 +166,25 @@ def shifted_schur_stable(lam: Partition, x_values, yspec: YSpec = SYMBOLIC) -> P
     lam = Partition(lam)
     values = list(x_values)
     n = max(len(values), len(lam) + 1)
-    p = shifted_double_schur(lam, n, yspec)
-    assignment = {x(i): (values[i - 1] if i <= len(values) else 0) for i in range(1, n + 1)}
-    return p.substitute(assignment)
-
-
-@lru_cache(maxsize=None)
-def _restrict(lam: Partition, delta: Partition, n: int, yspec: YSpec) -> Poly:
-    return _shift(_jacobi_trudi(lam, n, SYMBOLIC), n, yspec, delta)
+    values += [0] * (n - len(values))
+    return _shifted_at(lam, yspec, values, range(-1, -n - 1, -1))
 
 
 def restrict_to_fixed_point(
     lam: Partition, delta: Partition, n: int, yspec: YSpec = SYMBOLIC
 ) -> Poly:
     """Evaluate the shifted double Schur function of lam at the fixed point
-    labeled by delta, then specialize y."""
+    labeled by delta, then specialize y.
+
+    There the shifted coordinates x_i + y_{-i} equal y_{delta_i - i}.
+    """
     lam = Partition(lam)
     delta = Partition(delta)
     if n < len(lam) or n < len(delta):
         raise RankTooSmallError(
             f"need n >= l(lambda) = {len(lam)} and n >= l(delta) = {len(delta)}, got n = {n}"
         )
-    return _restrict(lam, delta, n, yspec)
+    return _shifted_at(lam, yspec, (ZERO,) * n, [delta.part(i) - i for i in range(1, n + 1)])
 
 
 def vandermonde(n: int) -> Poly:

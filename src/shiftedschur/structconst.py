@@ -14,6 +14,7 @@ Three independent routes to the same numbers:
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
@@ -51,12 +52,7 @@ from .polyring import (
     var_index,
     x,
 )
-from .schur import (
-    _jacobi_trudi,
-    double_schur,
-    restrict_to_fixed_point,
-    shifted_double_schur,
-)
+from .schur import restrict_to_fixed_point, shifted_double_schur
 
 TABLE_METHODS = ("expand", "localize", "molev")
 _ZERO_SPEC = YSpec.zero()
@@ -122,8 +118,8 @@ def _e_classical(p: int, m: int) -> Poly:
 @lru_cache(maxsize=None)
 def _classical_schur(nu: Partition, n: int) -> Poly:
     # Determinant blocks collapse to l(nu) x l(nu) (complete homogeneous
-    # form: the double Schur function at y = 0) or nu_1 x nu_1 (elementary
-    # form); take the smaller.
+    # form: the shifted double Schur function at y = 0, the zero-spec basis
+    # element itself) or nu_1 x nu_1 (elementary form); take the smaller.
     if nu and nu[0] < len(nu):
         cj = conjugate(nu)
         rows = [
@@ -131,7 +127,7 @@ def _classical_schur(nu: Partition, n: int) -> Poly:
             for i in range(1, nu[0] + 1)
         ]
         return poly_det(rows)
-    return _jacobi_trudi(nu, n, _ZERO_SPEC)
+    return shifted_double_schur(nu, n, _ZERO_SPEC)
 
 
 def _xmono_to_partition(xm: tuple, n: int) -> Partition:
@@ -229,19 +225,8 @@ def multiply_schubert(
             f"stable interpretation needs n > l(lam)+l(mu) = {len(lam) + len(mu)}, "
             f"got n = {n}"
         )
-    # Work in the shifted coordinates x'_i = x_i + y_{-i}, where the basis
-    # elements are plain double Schur functions with sequence argument
-    # tau^{n+1}y; the expansion coefficients transport back by the same
-    # substitution.
-    if yspec.kind == "symbolic":
-        wspec = SYMBOLIC
-    else:
-        wspec = yspec.shifted(n + 1)
-    product = double_schur(lam, n, wspec) * double_schur(mu, n, wspec)
-    coeffs = _peel_expand(product, n, lambda nu: double_schur(nu, n, wspec))
-    if yspec.kind == "symbolic":
-        coeffs = {nu: c.shift_y(n + 1) for nu, c in coeffs.items()}
-    return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
+    product = shifted_double_schur(lam, n, yspec) * shifted_double_schur(mu, n, yspec)
+    return expand_in_shifted_basis(product, n, yspec)
 
 
 def molev_coefficient(lam, mu, nu) -> Fraction:
@@ -385,6 +370,9 @@ def multiplication_table(
         for a in range(len(parts))
         for b in range(a, len(parts))
     ]
+    # The fork-started pool starts every worker at once; more workers than
+    # CPUs only add processes.
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_table_entry, tasks, chunksize=4))

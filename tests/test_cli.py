@@ -90,6 +90,12 @@ def test_molev_command(capsys):
     assert out == "1\n"
 
 
+def test_molev_long_row(capsys):
+    # 1200 boxes in one row: tableau counting must not recurse per cell.
+    code, out, err = invoke(capsys, "molev", "--lambda", "1200", "--mu", "1", "--nu", "1201")
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_restrict_command(capsys):
     code, out, _ = invoke(
         capsys,

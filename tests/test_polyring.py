@@ -140,21 +140,6 @@ def test_tau_compatibility():
         assert lhs == rhs
 
 
-def test_yspec_shifted_matches_pointwise():
-    specs = [
-        YSpec.zero(),
-        YSpec.affine(Fraction(2), Fraction(-1, 2)),
-        YSpec.standard(3),
-        YSpec.torus(-2),
-        YSpec.circle(IntSeqWindow(lo=0, values=(), tail=(1, 4)), d=1),
-    ]
-    for spec in specs:
-        for s in (-2, 0, 3):
-            shifted = spec.shifted(s)
-            for j in (-4, 0, 5):
-                assert shifted.value(j) == spec.value(j - s)
-
-
 # ---- substitution -----------------------------------------------------------------
 
 

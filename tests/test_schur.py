@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from oracles import oo_shifted_schur_value
@@ -7,8 +8,10 @@ from shiftedschur import (
     ONE,
     ZERO,
     DomainError,
+    IntSeqWindow,
     Partition,
     RankTooSmallError,
+    UnresolvableIndexError,
     YSpec,
     alternant_denominator,
     const,
@@ -208,3 +211,56 @@ def test_restrict_diagonal_nonzero_symbolic():
     for delta in partitions_up_to(3, 3):
         n = len(delta) + 1
         assert restrict_to_fixed_point(delta, delta, n) != ZERO
+
+
+# ---- evaluation at the point against the symbolic route ------------------------------
+
+SPECS = (
+    SYM,
+    ZSPEC,
+    YSpec.affine(Fraction(2), Fraction(-1, 2)),
+    YSpec.standard(3),
+    YSpec.circle(IntSeqWindow(lo=0, values=(), tail=(1, 4)), d=1),
+    YSpec.torus(-2),
+)
+
+
+def test_point_evaluation_matches_symbolic_route():
+    # The shifted function, the fixed-point restriction and the stable
+    # evaluation each evaluate the Jacobi-Trudi entries at their point;
+    # each must equal the symbolic shifted function substituted and
+    # specialized afterwards.
+    for n in (3, 4):
+        parts = partitions_up_to(3, n)
+        values = [Fraction(2 * i - 5, 3) for i in range(1, n + 1)]
+        for lam in parts:
+            shifted = {x(i): x(i) + y(-i) for i in range(1, n + 1)}
+            symbolic = double_schur(lam, n).shift_y(n + 1).substitute(shifted)
+            m = max(n, len(lam) + 1)
+            at_values = {x(i): values[i - 1] if i <= n else 0 for i in range(1, m + 1)}
+            for spec in SPECS:
+                assert shifted_double_schur(lam, n, spec) == symbolic.specialize_y(spec)
+                stable = symbolic if m == n else shifted_double_schur(lam, m)
+                assert shifted_schur_stable(lam, values, spec) == (
+                    stable.substitute(at_values).specialize_y(spec)
+                )
+            for delta in parts:
+                at = {x(i): y(delta.part(i) - i) - y(-i) for i in range(1, n + 1)}
+                restricted = symbolic.substitute(at)
+                for spec in SPECS:
+                    got = restrict_to_fixed_point(lam, delta, n, spec)
+                    assert got == restricted.specialize_y(spec)
+
+
+def test_window_without_tail_specializes_the_value():
+    # Only y_0 and y_1 have values.  A value in which no other y_j is left
+    # is defined even where the Jacobi-Trudi entries need other y_j.
+    spec = YSpec.circle(IntSeqWindow(lo=0, values=(1, 2), tail=None), d=0)
+    assert shifted_double_schur(P(), 3, spec) == ONE
+    assert shifted_double_schur(P([1]), 3, spec) == x(1) + x(2) + x(3)
+    assert restrict_to_fixed_point(P([2]), P([1]), 3, spec) == ZERO
+    assert shifted_schur_stable(P([2, 1]), [], spec) == ZERO
+    with pytest.raises(UnresolvableIndexError):
+        shifted_double_schur(P([2]), 3, spec)
+    with pytest.raises(UnresolvableIndexError):
+        restrict_to_fixed_point(P([1]), P([1]), 3, spec)

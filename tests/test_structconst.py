@@ -271,3 +271,32 @@ def test_table_jobs_parallel_identical():
     assert [(l, m, e.coefficients) for l, m, e in seq] == [
         (l, m, e.coefficients) for l, m, e in par
     ]
+
+
+def test_table_jobs_capped_at_cpu_count(monkeypatch):
+    import shiftedschur.structconst as sc
+
+    requested = []
+
+    class RecordingPool:
+        # Records the worker count and maps in-process, so nothing is spawned.
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
+    seq = multiplication_table(1, 3, STD0, jobs=1)
+    assert multiplication_table(1, 3, STD0, jobs=64) == seq
+    assert requested == [2]
+    monkeypatch.setattr(sc.os, "cpu_count", lambda: 1)
+    assert multiplication_table(1, 3, STD0, jobs=64) == seq
+    assert requested == [2]
