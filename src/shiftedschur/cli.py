@@ -307,6 +307,7 @@ def _cmd_coproduct(args) -> str:
         raise UsageError(f"malformed expression {args.expr!r}: {e}") from None
     tensor = coproduct_power_polynomial(expr)
     try:
+        tensor.check_printable()
         if args.format == "json":
             obj = {
                 "summands": [

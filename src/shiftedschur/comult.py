@@ -9,6 +9,7 @@ power-sum polynomials extends this multiplicatively.
 from __future__ import annotations
 
 import re
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,8 +109,8 @@ def relabel_even_odd(even: Poly, odd: Poly) -> "TensorElement":
 class TensorElement:
     """A finite sum of weighted left (x) right pairs over a commutative ring.
 
-    Works for any element type exposing .terms (monomial -> coefficient),
-    *, + and a string form; both Poly and PowerPolynomial qualify.
+    Works for any Poly (PowerPolynomial included): it needs the sparse
+    term dict, *, + and a string form.
     Equality is true bilinear equality, decided on the fully expanded
     coefficient table, not on how the summands happen to be grouped.
     """
@@ -142,8 +143,8 @@ class TensorElement:
     def _expanded(self) -> dict:
         out: dict = {}
         for (left, right), w in self._table.items():
-            for ml, cl in left.terms.items():
-                for mr, cr in right.terms.items():
+            for ml, cl in left._terms.items():
+                for mr, cr in right._terms.items():
                     key = (ml, mr)
                     c = out.get(key, 0) + w * cl * cr
                     if c:
@@ -178,6 +179,31 @@ class TensorElement:
     def is_zero(self) -> bool:
         return not self._expanded()
 
+    def check_printable(self) -> None:
+        """Raise ValueError, as str() would, if a weight or coefficient has
+        more decimal digits than sys.get_int_max_str_digits() allows.
+
+        Converting a huge int to text takes time quadratic in its length, so
+        the digit count is bounded from bit_length() first; str() decides
+        only when the bounds straddle the limit.
+        """
+        # Interpreters older than the limit (before 3.10.7) have no getter.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            return
+        for (left, right), w in self._table.items():
+            for c in (w, *left._terms.values(), *right._terms.values()):
+                for v in (c.numerator, c.denominator):
+                    b = abs(v).bit_length()
+                    # 0.30102 < log10(2) < 0.30104, and 2^(b-1) <= |v| < 2^b.
+                    if (b - 1) * 30102 // 100000 + 1 > limit:
+                        raise ValueError(
+                            f"Exceeds the limit ({limit} digits) for integer string "
+                            "conversion; use sys.set_int_max_str_digits() to increase the limit"
+                        )
+                    if b * 30104 // 100000 + 1 > limit:
+                        str(v)
+
     def __str__(self) -> str:
         if not self._table:
             return "0"
@@ -199,9 +225,10 @@ _GEN_RE = re.compile(r"^p(\d+)(?:\^(\d+))?$")
 class PowerPolynomial(Poly):
     """A formal polynomial with rational coefficients in generators p_1, p_2, ...
 
-    The sparse core is Poly's: monomials are flat tuples (k1, e1, k2, e2, ...)
-    whose generator indices play the part of variable codes, strictly
-    increasing.  Only construction and rendering are specific.
+    The sparse core is Poly's, packed monomials and slot registry included:
+    generator indices play the part of variable codes, so the flat form of
+    a monomial is (k1, e1, k2, e2, ...) with k1 < k2 < ...  Only
+    construction and rendering are specific.
     """
 
     __slots__ = ()
@@ -214,7 +241,7 @@ class PowerPolynomial(Poly):
     def generator(cls, k: int) -> "PowerPolynomial":
         if k < 1:
             raise DomainError(f"generator index must be >= 1, got {k}")
-        return cls._raw({(k, 1): 1})
+        return cls({(k, 1): 1})
 
     @classmethod
     def parse(cls, text: str) -> "PowerPolynomial":
@@ -265,7 +292,7 @@ class PowerPolynomial(Poly):
         return total
 
     def constant_term(self):
-        return self.terms.get((), 0)
+        return self._terms.get(0, 0)
 
     def __str__(self) -> str:
         # Ascending total degree, then generator index, higher powers first.
@@ -298,8 +325,8 @@ def _binomial_power(k: int, e: int) -> "TensorElement":
     for j in range(e + 1):
         if j:
             c = c * (e - j + 1) // j
-        left = PowerPolynomial._raw({(k, j): 1}) if j else _PP_ONE
-        right = PowerPolynomial._raw({(k, e - j): 1}) if j < e else _PP_ONE
+        left = PowerPolynomial({(k, j): 1}) if j else _PP_ONE
+        right = PowerPolynomial({(k, e - j): 1}) if j < e else _PP_ONE
         summands.append((left, right, c))
     return TensorElement(summands)
 

@@ -8,11 +8,20 @@ The variable universe consists of four families:
   * a single parameter u           (spelled  u)
 
 Coefficients are exact rationals (Python int where possible, Fraction
-otherwise).  A monomial is a flat tuple (code, exp, code, exp, ...) with
-variable codes strictly increasing and exponents positive; codes encode
-(family, index) so that ascending integer order is the canonical variable
-order u < u_j < y_j < x_i (indices ascending within a family).  Terms are
-stored as a dict from monomial to nonzero coefficient.
+otherwise).  Terms are stored as a dict from monomial to nonzero
+coefficient.  A variable code encodes (family, index) so that ascending
+integer order is the canonical variable order u < u_j < y_j < x_i (indices
+ascending within a family).
+
+Inside the core a monomial is one packed int: a registry gives each
+variable code a slot on first use, and the exponent of slot s sits in bits
+[W*s, W*s + W).  The top bit of each field is a guard bit that a valid
+monomial never sets, so a monomial multiply is one integer add, and an
+exponent that outgrows its field sets a guard bit instead of carrying into
+the next field.  At the boundary (Poly(terms), Poly.terms, leading_term,
+rendering, JSON and pickling) a monomial is a flat tuple
+(code, exp, code, exp, ...) with codes strictly increasing and exponents
+positive.
 
 The doubly infinite y sequence is never materialized: a YSpec describes a
 substitution rule finitely and is asked only for the indices a polynomial
@@ -24,6 +33,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Mapping
 
 from .errors import (
@@ -56,70 +67,109 @@ def var_index(code: int) -> int:
     return (code & _INDEX_MASK) - _INDEX_BIAS
 
 
-_U_CODE = var_code(FAMILY_U, 0)
-# All x codes are larger than every u/u_j/y code, so the x-part of a
-# monomial is always a suffix of its flat tuple.
-_X_BAND_START = FAMILY_X << _FAMILY_SHIFT
+# -- packed monomials -------------------------------------------------------------
+
+_W = 16
+_FIELD = (1 << _W) - 1
+MAX_EXPONENT = (1 << (_W - 1)) - 1
+
+# The slot registry: it grows with the number of distinct variables a
+# process uses, never with the number of results.  _GUARD holds the guard
+# bit of every slot in use and _X_MASK the fields of the x variables.
+_slot_of: dict[int, int] = {}
+_code_of: list[int] = []
+_GUARD = 0
+_X_MASK = 0
 
 
-def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1 = len(m1)
-    n2 = len(m2)
-    while i < n1 and j < n2:
-        c1 = m1[i]
-        c2 = m2[j]
-        if c1 == c2:
-            out.append(c1)
-            out.append(m1[i + 1] + m2[j + 1])
-            i += 2
-            j += 2
-        elif c1 < c2:
-            out.append(c1)
-            out.append(m1[i + 1])
-            i += 2
-        else:
-            out.append(c2)
-            out.append(m2[j + 1])
-            j += 2
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+def _slot(code: int) -> int:
+    """The slot of a variable code, assigned on first use."""
+    s = _slot_of.get(code)
+    if s is None:
+        global _GUARD, _X_MASK
+        s = len(_code_of)
+        _code_of.append(code)
+        _slot_of[code] = s
+        _GUARD |= 1 << (_W * s + _W - 1)
+        if var_family(code) == FAMILY_X:
+            _X_MASK |= _FIELD << (_W * s)
+    return s
 
 
-def _mono_degree(m: tuple) -> int:
-    return sum(m[1::2])
+def _overflow(what: str = "an exponent") -> DomainError:
+    return DomainError(f"{what} exceeds the largest supported exponent {MAX_EXPONENT}")
 
 
-def _mono_x_degree(m: tuple) -> int:
+def _encode(flat) -> int:
+    """The packed form of a flat (code, exp, ...) monomial."""
+    m = 0
+    for i in range(0, len(flat), 2):
+        e = flat[i + 1]
+        if not 0 <= e <= MAX_EXPONENT:
+            raise _overflow(f"exponent {e}")
+        m += e << (_W * _slot(flat[i]))
+        if m & _GUARD:
+            raise _overflow()
+    return m
+
+
+def _fields(m: int):
+    """The (slot, exponent) pairs of a packed monomial, slots ascending."""
+    while m:
+        s = ((m & -m).bit_length() - 1) // _W
+        e = (m >> (_W * s)) & _FIELD
+        yield s, e
+        m -= e << (_W * s)
+
+
+def _decode(m: int) -> tuple:
+    """The flat (code, exp, ...) form of a packed monomial."""
+    pairs = sorted((_code_of[s], e) for s, e in _fields(m))
+    return tuple(v for pair in pairs for v in pair)
+
+
+def _check_exponents(monomials) -> None:
+    """Raise if a sum of two valid monomials set a guard bit.
+
+    Each field of such a sum is below 2^W, so nothing has carried into a
+    neighbouring field yet; one OR over a result's monomials finds any
+    overflow.
+    """
+    if reduce(or_, monomials, 0) & _GUARD:
+        raise _overflow()
+
+
+def _mono_degree(m: int) -> int:
     d = 0
-    for i in range(len(m) - 2, -1, -2):
-        if m[i] < _X_BAND_START:
-            break
-        d += m[i + 1]
+    while m:
+        shift = ((m & -m).bit_length() - 1) // _W * _W
+        e = (m >> shift) & _FIELD
+        d += e
+        m -= e << shift
     return d
 
 
-def _mono_split_x(m: tuple) -> tuple[tuple, tuple]:
-    """Split a monomial into (non-x part, x part)."""
-    cut = len(m)
-    while cut >= 2 and m[cut - 2] >= _X_BAND_START:
-        cut -= 2
-    return m[:cut], m[cut:]
-
-
-def _mono_sort_key(m: tuple):
+def _flat_sort_key(flat: tuple):
     # Ascending in this key == descending graded-lexicographic order.
     lex = []
-    for i in range(0, len(m), 2):
-        lex.append(m[i])
-        lex.append(-m[i + 1])
-    return (-_mono_degree(m), tuple(lex))
+    for i in range(0, len(flat), 2):
+        lex.append(flat[i])
+        lex.append(-flat[i + 1])
+    return (-sum(flat[1::2]), tuple(lex))
+
+
+def _mono_sort_key(m: int):
+    return _flat_sort_key(_decode(m))
+
+
+def _x_split(terms: dict) -> dict[int, dict]:
+    """Group packed terms by x part: {x part: {non-x part: coefficient}}."""
+    groups: dict[int, dict] = {}
+    mask = _X_MASK
+    for m, c in terms.items():
+        xm = m & mask
+        groups.setdefault(xm, {})[m ^ xm] = c
+    return groups
 
 
 def _parse_coeff(text: str):
@@ -138,21 +188,20 @@ class Poly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple, object] | None = None):
+        clean = {}
         if terms:
-            clean = {}
             for m, c in terms.items():
                 if isinstance(c, Fraction) and c.denominator == 1:
                     c = int(c)
                 if c:
-                    clean[tuple(m)] = c
-            self._terms = clean
-        else:
-            self._terms = {}
+                    clean[_encode(m)] = c
+        self._terms = clean
         self._hash = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "Poly":
-        # Internal fast path: `terms` is already canonical and owned by us.
+        # Internal fast path: `terms` is already canonical, packed and owned
+        # by us.
         p = object.__new__(cls)
         p._terms = terms
         p._hash = None
@@ -163,14 +212,14 @@ class Poly:
         """The constant polynomial with the given int or Fraction value."""
         if isinstance(value, Fraction) and value.denominator == 1:
             value = int(value)
-        return cls._raw({(): value} if value else {})
+        return cls._raw({0: value} if value else {})
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def terms(self) -> dict:
-        """The monomial -> coefficient map.  Treat as read-only."""
-        return self._terms
+        """The monomial -> coefficient map, monomials as flat tuples."""
+        return {_decode(m): c for m, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -191,13 +240,10 @@ class Poly:
         """Total degree in the x variables only; -1 for zero."""
         if not self._terms:
             return -1
-        return max(_mono_x_degree(m) for m in self._terms)
+        return max(_mono_degree(m & _X_MASK) for m in self._terms)
 
     def variables(self) -> set[int]:
-        codes = set()
-        for m in self._terms:
-            codes.update(m[0::2])
-        return codes
+        return {_code_of[s] for m in self._terms for s, _ in _fields(m)}
 
     def y_indices(self) -> set[int]:
         return {var_index(c) for c in self.variables() if var_family(c) == FAMILY_Y}
@@ -208,7 +254,7 @@ class Poly:
         if isinstance(other, Poly):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({(): other} if other else {})
+            return self._terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -274,11 +320,11 @@ class Poly:
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
-        mono_mul = _mono_mul
+        get = out.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                c = out.get(m)
+                m = m1 + m2
+                c = get(m)
                 if c is None:
                     out[m] = c1 * c2
                 else:
@@ -287,6 +333,7 @@ class Poly:
                         out[m] = c
                     else:
                         del out[m]
+        _check_exponents(out)
         return self._raw(out)
 
     __rmul__ = __mul__
@@ -308,24 +355,26 @@ class Poly:
     # -- structural operations ----------------------------------------------
 
     def map_variables(self, fn: Callable[[int], int]) -> "Poly":
-        """Relabel variable codes; fn must be injective and order-preserving."""
+        """Relabel variable codes; fn must be injective."""
+        slots: dict[int, int] = {}
         out = {}
         for m, c in self._terms.items():
-            new = list(m)
-            for i in range(0, len(m), 2):
-                new[i] = fn(m[i])
-            out[tuple(new)] = c
+            new = 0
+            for s, e in _fields(m):
+                t = slots.get(s)
+                if t is None:
+                    t = slots[s] = _slot(fn(_code_of[s]))
+                new += e << (_W * t)
+            out[new] = c
         return Poly._raw(out)
 
     def shift_y(self, k: int) -> "Poly":
         """Replace every y_j by y_{j-k}; other families untouched."""
         if k == 0 or not self._terms:
             return self
-        y_lo = FAMILY_Y << _FAMILY_SHIFT
-        y_hi = _X_BAND_START
 
         def fn(code: int) -> int:
-            if y_lo <= code < y_hi:
+            if var_family(code) == FAMILY_Y:
                 return code - k
             return code
 
@@ -335,35 +384,25 @@ class Poly:
         """Simultaneous substitution; keys are single-variable polynomials."""
         table: dict[int, Poly] = {}
         for key, value in assignment.items():
-            code = _single_variable_code(key)
-            if code in table:
+            s = _single_variable_slot(key)
+            if s in table:
                 raise DomainError("duplicate variable in substitution")
-            table[code] = value if isinstance(value, Poly) else const(value)
+            table[s] = value if isinstance(value, Poly) else const(value)
         if not table:
             return self
         if all(len(v._terms) <= 1 for v in table.values()):
             return self._substitute_monomials(table)
+        mask = sum(_FIELD << (_W * s) for s in table)
         power_cache: dict[tuple[int, int], Poly] = {}
         acc: dict = {}
         for m, c in self._terms.items():
-            residual = []
-            factors = []
-            for i in range(0, len(m), 2):
-                code = m[i]
-                exp = m[i + 1]
-                val = table.get(code)
-                if val is None:
-                    residual.append(code)
-                    residual.append(exp)
-                else:
-                    pw = power_cache.get((code, exp))
-                    if pw is None:
-                        pw = val ** exp
-                        power_cache[(code, exp)] = pw
-                    factors.append(pw)
-            term = Poly._raw({tuple(residual): c})
-            for f in factors:
-                term = term * f
+            hits = m & mask
+            term = Poly._raw({m ^ hits: c})
+            for s, e in _fields(hits):
+                pw = power_cache.get((s, e))
+                if pw is None:
+                    pw = power_cache[(s, e)] = table[s] ** e
+                term = term * pw
             for mm, cc in term._terms.items():
                 s = acc.get(mm)
                 if s is None:
@@ -380,38 +419,35 @@ class Poly:
         # Every substituted value is a single term (or zero), so each input
         # term maps to at most one output term; no intermediate polynomials.
         values: dict[int, tuple] = {}
-        for code, v in table.items():
+        mask = 0
+        for s, v in table.items():
+            mask |= _FIELD << (_W * s)
             if v._terms:
                 ((vm, vc),) = v._terms.items()
-                values[code] = (vm, vc)
+                values[s] = (vm, vc, max((e for _, e in _fields(vm)), default=0))
             else:
-                values[code] = ((), 0)
+                values[s] = (0, 0, 0)
         acc: dict = {}
         for m, c in self._terms.items():
-            mono: tuple | None = ()
-            residual = []
-            for i in range(0, len(m), 2):
-                code = m[i]
-                exp = m[i + 1]
-                hit = values.get(code)
-                if hit is None:
-                    residual.append(code)
-                    residual.append(exp)
-                    continue
-                vm, vc = hit
+            hits = m & mask
+            mono = m ^ hits
+            for s, e in _fields(hits):
+                vm, vc, top = values[s]
                 if not vc:
                     mono = None
                     break
                 if vc != 1:
-                    c = c * vc**exp
+                    c = c * vc**e
                 if vm:
-                    scaled = vm if exp == 1 else tuple(
-                        e * exp if k % 2 else e for k, e in enumerate(vm)
-                    )
-                    mono = _mono_mul(mono, scaled)
+                    # Scaling multiplies every field, so bound it first; a
+                    # sum of several monomials is checked after each add.
+                    if top * e > MAX_EXPONENT:
+                        raise _overflow(f"exponent {top * e}")
+                    mono += vm * e
+                    if mono & _GUARD:
+                        raise _overflow()
             if mono is None:
                 continue
-            mono = _mono_mul(mono, tuple(residual))
             s = acc.get(mono)
             if s is None:
                 acc[mono] = c
@@ -440,13 +476,14 @@ class Poly:
         """Group terms by their total x-degree."""
         buckets: dict[int, dict] = {}
         for m, c in self._terms.items():
-            buckets.setdefault(_mono_x_degree(m), {})[m] = c
+            buckets.setdefault(_mono_degree(m & _X_MASK), {})[m] = c
         return {d: Poly._raw(t) for d, t in buckets.items()}
 
     # -- rendering ------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, object]]:
-        return sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        """The (flat monomial, coefficient) pairs in descending graded-lex order."""
+        return sorted(self.terms.items(), key=lambda kv: _flat_sort_key(kv[0]))
 
     def __str__(self) -> str:
         return canonical_string(self)
@@ -488,19 +525,22 @@ class Poly:
         return cls(terms)
 
     def __reduce__(self):
-        return (_unpickle_poly, (self._terms, type(self)))
+        # Slots differ between processes (a forked worker registers
+        # variables in its own order), so a pickle carries flat monomials.
+        return (_unpickle_poly, (self.terms, type(self)))
 
 
 def _unpickle_poly(terms: dict, cls: type) -> Poly:
-    return cls._raw(terms)
+    return cls._raw({_encode(m): c for m, c in terms.items()})
 
 
-def _single_variable_code(p: Poly) -> int:
+def _single_variable_slot(p: Poly) -> int:
     t = p._terms
     if len(t) == 1:
         (m, c), = t.items()
-        if c == 1 and len(m) == 2 and m[1] == 1:
-            return m[0]
+        bit = m.bit_length() - 1
+        if c == 1 and m == 1 << bit and bit % _W == 0:
+            return bit // _W
     raise DomainError(f"substitution key is not a bare variable: {p}")
 
 
@@ -510,23 +550,27 @@ def _single_variable_code(p: Poly) -> int:
 const = Poly.constant
 
 
+def _variable(family: int, index: int) -> Poly:
+    return Poly._raw({1 << (_W * _slot(var_code(family, index))): 1})
+
+
 def x(i: int) -> Poly:
     if i < 1:
         raise DomainError(f"x index must be >= 1, got {i}")
-    return Poly._raw({(var_code(FAMILY_X, i), 1): 1})
+    return _variable(FAMILY_X, i)
 
 
 def y(j: int) -> Poly:
-    return Poly._raw({(var_code(FAMILY_Y, j), 1): 1})
+    return _variable(FAMILY_Y, j)
 
 
 def useq(j: int) -> Poly:
-    return Poly._raw({(var_code(FAMILY_USEQ, j), 1): 1})
+    return _variable(FAMILY_USEQ, j)
 
 
 ZERO = Poly._raw({})
-ONE = Poly._raw({(): 1})
-u = Poly._raw({(_U_CODE, 1): 1})
+ONE = Poly._raw({0: 1})
+u = _variable(FAMILY_U, 0)
 
 
 # -- canonical rendering ---------------------------------------------------------
@@ -587,46 +631,17 @@ def _latex_string(p: Poly) -> str:
 # -- leading terms and division ---------------------------------------------------
 
 
-def leading_term(p: Poly) -> tuple[tuple, object]:
-    """The graded-lex maximal term (monomial, coefficient)."""
+def _leading(p: Poly) -> tuple[int, object]:
     if not p._terms:
         raise DomainError("zero polynomial has no leading term")
     m = min(p._terms, key=_mono_sort_key)
     return m, p._terms[m]
 
 
-def _mono_divides(d: tuple, m: tuple) -> bool:
-    i = 0
-    nd = len(d)
-    j = 0
-    nm = len(m)
-    while i < nd:
-        code = d[i]
-        while j < nm and m[j] < code:
-            j += 2
-        if j >= nm or m[j] != code or m[j + 1] < d[i + 1]:
-            return False
-        j += 2
-        i += 2
-    return True
-
-
-def _mono_div(m: tuple, d: tuple) -> tuple:
-    out = []
-    j = 0
-    for i in range(0, len(d), 2):
-        code = d[i]
-        while m[j] != code:
-            out.append(m[j])
-            out.append(m[j + 1])
-            j += 2
-        e = m[j + 1] - d[i + 1]
-        if e:
-            out.append(code)
-            out.append(e)
-        j += 2
-    out.extend(m[j:])
-    return tuple(out)
+def leading_term(p: Poly) -> tuple[tuple, object]:
+    """The graded-lex maximal term (flat monomial, coefficient)."""
+    m, c = _leading(p)
+    return _decode(m), c
 
 
 def divide_exact(p: Poly, q: Poly) -> Poly:
@@ -635,19 +650,20 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
         raise DomainError("division by the zero polynomial")
     if not p:
         return ZERO
-    qm, qc = leading_term(q)
+    qm, qc = _leading(q)
     if not qm:
         inv = Fraction(1, 1) / qc
         return p * inv
     quotient: dict = {}
     rem = p
     while rem:
-        m, c = leading_term(rem)
-        if not _mono_divides(qm, m):
+        m, c = _leading(rem)
+        # qm divides m iff no field of m - qm borrowed, i.e. no guard bit.
+        fac_m = m - qm
+        if fac_m & _GUARD:
             raise InexactDivisionError(
                 f"leading monomial not divisible; remainder {canonical_string(rem)}"
             )
-        fac_m = _mono_div(m, qm)
         fac_c = c / qc if isinstance(c, Fraction) or isinstance(qc, Fraction) else Fraction(c, qc)
         if fac_c.denominator == 1:
             fac_c = int(fac_c)
@@ -658,19 +674,13 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
 
 def divide_linear(p: Poly, xi: int, xj: int) -> Poly:
     """Exact division of p by (x_xi - x_xj) via synthetic division in x_xi."""
-    code_i = var_code(FAMILY_X, xi)
+    shift = _W * _slot(var_code(FAMILY_X, xi))
     xjp = x(xj)
     # Coefficients of p as a univariate polynomial in x_xi.
     by_power: dict[int, dict] = {}
     for m, c in p._terms.items():
-        e = 0
-        rest = m
-        for k in range(0, len(m), 2):
-            if m[k] == code_i:
-                e = m[k + 1]
-                rest = m[:k] + m[k + 2:]
-                break
-        by_power.setdefault(e, {})[rest] = c
+        e = (m >> shift) & _FIELD
+        by_power.setdefault(e, {})[m - (e << shift)] = c
     deg = max(by_power) if by_power else 0
     if deg == 0:
         if p:
@@ -680,8 +690,10 @@ def divide_linear(p: Poly, xi: int, xj: int) -> Poly:
     quotient: dict = {}
     for k in range(deg, 0, -1):
         carry = carry + Poly._raw(by_power.get(k, {}))
+        # Every carry term lacks x_xi and k - 1 < deg fits the field.
+        raise_k = (k - 1) << shift
         for m, c in carry._terms.items():
-            mm = _mono_mul(m, (code_i, k - 1)) if k > 1 else m
+            mm = m + raise_k
             s = quotient.get(mm)
             if s is None:
                 quotient[mm] = c
@@ -799,6 +811,22 @@ class YSpec:
     d: int = 0
     window: IntSeqWindow | None = None
     shift: int = 0
+
+    # Every _h and _jacobi_trudi cache lookup hashes the spec, and hashing
+    # the Fraction fields anew each time is slow: hash once per instance.
+    # Equality stays the generated field-by-field comparison.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._astuple()))
+
+    def _astuple(self) -> tuple:
+        return (self.kind, self.a, self.b, self.d, self.window, self.shift)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so that the receiving process hashes anew.
+        return (type(self), self._astuple())
 
     @classmethod
     def symbolic(cls) -> "YSpec":

@@ -55,6 +55,19 @@ def _h(p: int, m: int, s: int, yspec: YSpec, point: tuple) -> Poly:
         return ONE
     if m == 0:
         return ZERO
+    if m == len(point):
+        # A call over all n variables fills the chain over m from below
+        # first, so the call for m - 1 below is a cache hit and the
+        # recursion depth does not grow with the number of variables.
+        try:
+            for k in range(1, m):
+                _h(p, k, s, yspec, point)
+        except UnresolvableIndexError:
+            # A window without a tail rule: report the index that the
+            # recursion, asking top down, would have missed first.
+            for k in range(m, 0, -1):
+                yspec.value(k + p - 1 - s)
+            raise
     factor = point[m - 1] - yspec.value(m + p - 1 - s)
     return _h(p, m - 1, s, yspec, point) + factor * _h(p - 1, m, s, yspec, point)
 

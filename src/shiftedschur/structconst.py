@@ -41,9 +41,10 @@ from .polyring import (
     ZERO,
     Poly,
     YSpec,
+    _decode,
+    _mono_degree,
     _mono_sort_key,
-    _mono_split_x,
-    _mono_x_degree,
+    _x_split,
     canonical_string,
     const,
     divide_exact,
@@ -156,27 +157,30 @@ def _peel_expand(p: Poly, n: int, basis_fn) -> dict[Partition, Poly]:
     coeffs: dict[Partition, Poly] = {}
     rem = p
     while rem:
-        d = rem.x_degree()
-        comp: dict[tuple, dict] = {}
-        for m, c in rem.terms.items():
-            if _mono_x_degree(m) == d:
-                rest, xm = _mono_split_x(m)
-                comp.setdefault(xm, {})[rest] = c
+        parts = _x_split(rem._terms)
+        degree = {xm: _mono_degree(xm) for xm in parts}
+        d = max(degree.values())
+        comp = {xm: rests for xm, rests in parts.items() if degree[xm] == d}
+        keys = {xm: _mono_sort_key(xm) for xm in comp}
         found: dict[Partition, Poly] = {}
         while comp:
-            xm = min(comp, key=_mono_sort_key)
+            xm = min(comp, key=keys.__getitem__)
             ypoly = Poly._raw(comp.pop(xm))
             if not ypoly:
                 continue
-            nu = _xmono_to_partition(xm, n)
+            nu = _xmono_to_partition(_decode(xm), n)
             found[nu] = ypoly
             # Remove ypoly * s_nu(x) from the component; the x^nu entry
             # itself was popped above (s_nu is monic there).
-            for sm, sc in _classical_schur(nu, n).terms.items():
+            for sm, sc in _classical_schur(nu, n)._terms.items():
                 if sm == xm:
                     continue
-                bucket = comp.setdefault(sm, {})
-                for rest, c in ypoly.terms.items():
+                bucket = comp.get(sm)
+                if bucket is None:
+                    bucket = comp[sm] = {}
+                    if sm not in keys:
+                        keys[sm] = _mono_sort_key(sm)
+                for rest, c in ypoly._terms.items():
                     prev = bucket.get(rest)
                     delta = sc * c
                     if prev is None:

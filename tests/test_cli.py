@@ -10,7 +10,7 @@ import pytest
 import shiftedschur
 from shiftedschur.cli import parse_yspec, run
 from shiftedschur.errors import UsageError
-from shiftedschur.polyring import IntSeqWindow, YSpec
+from shiftedschur.polyring import MAX_EXPONENT, IntSeqWindow, YSpec
 from shiftedschur.structconst import dumps_canonical
 
 
@@ -184,18 +184,22 @@ def test_output_flag(tmp_path, capsys):
 
 
 def test_jobs_byte_identical(tmp_path, capsys):
-    paths = []
-    for jobs in ("1", "4"):
-        p = tmp_path / f"table-{jobs}.json"
-        code, _, _ = invoke(
-            capsys,
-            "table",
-            "--max-weight", "1", "--n", "3", "--y", "standard:d=0",
-            "--jobs", jobs, "--format", "json", "--output", str(p),
-        )
-        assert code == 0
-        paths.append(p)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # Workers fork with the parent's slot registry and then register
+    # variables in their own order; results come back as flat monomials.
+    tables = (
+        ("--max-weight", "1", "--n", "3", "--y", "standard:d=0"),
+        ("--max-weight", "2", "--n", "5", "--y", "symbolic"),
+    )
+    for k, table in enumerate(tables):
+        paths = []
+        for jobs in ("1", "4"):
+            p = tmp_path / f"table{k}-{jobs}.json"
+            code, _, _ = invoke(
+                capsys, "table", *table, "--jobs", jobs, "--format", "json", "--output", str(p)
+            )
+            assert code == 0
+            paths.append(p)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ---- exit codes -----------------------------------------------------------------
@@ -239,6 +243,14 @@ def test_coproduct_too_large_to_print(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 2 * (MAX_EXPONENT + 1)])
+def test_coproduct_exponent_past_the_field(capsys, exponent):
+    code, out, err = invoke(capsys, "coproduct", "--expr", f"p1^{exponent}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exponent ") and err.count("\n") == 1
 
 
 def test_output_into_missing_directory(tmp_path, capsys):
@@ -337,6 +349,27 @@ def test_run_as_module(module):
     proc = _run([sys.executable, "-m", module, *MOLEV_ARGV])
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["schur", "--lambda", "1", "--n", "2000"],
+            " - ".join(f"y[{i}]" for i in range(1, 2001))
+            + "".join(f" + x{i}" for i in range(1, 2001)),
+        ),
+        (["restrict", "--lambda", "1", "--delta", "1", "--n", "2000"], "y[-1] + y[0]"),
+    ],
+    ids=["schur", "restrict"],
+)
+def test_many_variables(argv, expected):
+    # The h-recurrence once recursed per variable and ended in a
+    # RecursionError here.  A subprocess keeps its caches out of this one.
+    proc = _run([sys.executable, "-m", "shiftedschur", *argv])
+    assert proc.returncode == 0
+    assert proc.stdout == f"-{expected}\n"
     assert proc.stderr == ""
 
 

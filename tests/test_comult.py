@@ -236,3 +236,24 @@ def test_primitivity_sweep_small():
     for k in (1, 2, 3):
         for l in range(2, 6):
             assert verify_primitivity(k, l).passed
+
+
+def test_check_printable_bounds_digits_before_rendering():
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("the int-to-str digit limit is off")
+    one = PP.constant(1)
+    # The bit-length bounds decide the first and the last two weights;
+    # 10^limit - 1 and 10^limit lie in the band where str() decides.
+    for weight, ok in ((10 ** (limit - 1), True), (10 ** limit - 1, True),
+                       (10 ** limit, False), (Fraction(1, 10 ** (limit + 50)), False),
+                       (-(2 ** (4 * limit)), False)):
+        tensor = TensorElement([(one, PP.generator(1), weight)])
+        if ok:
+            tensor.check_printable()
+            assert str(weight) in str(tensor)
+        else:
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                tensor.check_printable()

@@ -1,0 +1,40 @@
+"""The benchmark's recorded outputs, replayed in-process.
+
+perfbench/references.json holds the sha256 of stdout for every invocation
+the benchmark can make.  Each is run here through shiftedschur.cli.run and
+must print the same bytes, so a change to the output surfaces in the test
+suite, not first in a benchmark run.  The weight-3 expand tables take
+seconds each; one of them (zero spec, n = 7) stands for the rest.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from shiftedschur.cli import run
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+EXPAND_W3_KEPT = "table --max-weight 3 --n 7 --y zero --method expand --format json"
+
+
+def _cases() -> list:
+    refs = json.loads(REFERENCES.read_text())
+    return [
+        pytest.param(key, digest, id=key)
+        for key, digest in refs.items()
+        if key == EXPAND_W3_KEPT
+        or not (key.startswith("table --max-weight 3 ") and "--method expand" in key)
+    ]
+
+
+@pytest.mark.parametrize("key, digest", _cases())
+def test_reference_output(key, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(key.split(" "))
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -264,3 +264,12 @@ def test_window_without_tail_specializes_the_value():
         shifted_double_schur(P([2]), 3, spec)
     with pytest.raises(UnresolvableIndexError):
         restrict_to_fixed_point(P([1]), P([1]), 3, spec)
+
+
+def test_window_without_tail_names_the_top_missing_index():
+    # The chain over the variables is filled from below, but the missing
+    # index reported is the one the top-down recursion meets first.
+    spec = YSpec.circle(IntSeqWindow(lo=0, values=(1, 2), tail=None), d=0)
+    for lam, n, index in ((P([1]), 4, 4), (P([3]), 3, 5), (P([2, 1]), 4, 5)):
+        with pytest.raises(UnresolvableIndexError, match=f"index {index} "):
+            double_schur(lam, n, spec)
