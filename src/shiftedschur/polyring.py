@@ -472,13 +472,6 @@ class Poly:
             return self
         return self.substitute(assignment)
 
-    def x_homogeneous_split(self) -> dict[int, "Poly"]:
-        """Group terms by their total x-degree."""
-        buckets: dict[int, dict] = {}
-        for m, c in self._terms.items():
-            buckets.setdefault(_mono_degree(m & _X_MASK), {})[m] = c
-        return {d: Poly._raw(t) for d, t in buckets.items()}
-
     # -- rendering ------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, object]]:
@@ -812,7 +805,7 @@ class YSpec:
     window: IntSeqWindow | None = None
     shift: int = 0
 
-    # Every _h and _jacobi_trudi cache lookup hashes the spec, and hashing
+    # Every _jacobi_trudi cache lookup hashes the spec, and hashing
     # the Fraction fields anew each time is slow: hash once per instance.
     # Equality stays the generated field-by-field comparison.
     def __post_init__(self):

@@ -28,48 +28,40 @@ from .polyring import (
 METHODS = ("jacobi_trudi", "det_ratio")
 
 
+def _falling_powers(i: int, top: int) -> list[Poly]:
+    # (x_i|y)^p for p = 0..top as running products.
+    powers = [ONE]
+    for p in range(1, top + 1):
+        powers.append(powers[-1] * (x(i) - y(p)))
+    return powers
+
+
 def falling_factorial(i: int, p: int) -> Poly:
     """The product (x_i - y_1)(x_i - y_2)...(x_i - y_p); 1 when p = 0."""
     if p < 0:
         raise DomainError(f"falling factorial needs p >= 0, got {p}")
-    return _falling_factorial(i, p)
+    return _falling_powers(i, p)[p]
 
 
-@lru_cache(maxsize=None)
-def _falling_factorial(i: int, p: int) -> Poly:
-    if p == 0:
-        return ONE
-    return _falling_factorial(i, p - 1) * (x(i) - y(p))
+def _h_column(top: int, s: int, yspec: YSpec, point: tuple) -> list[Poly]:
+    """h_0..h_top(x_1..x_n | tau^s y) at x_i = point[i-1], n = len(point).
 
-
-@lru_cache(maxsize=None)
-def _h(p: int, m: int, s: int, yspec: YSpec, point: tuple) -> Poly:
-    # h_p(x_1..x_m | tau^s y) at x_i = point[i-1], built by splitting the
-    # chain sum on whether x_m participates.  Evaluation is a ring map, so
-    # the point and the y-specialization enter as the factors are built,
-    # never applied to a finished polynomial; the zero rule at the point x
-    # gives the classical complete homogeneous polynomial.
-    if p < 0:
-        return ZERO
-    if p == 0:
-        return ONE
-    if m == 0:
-        return ZERO
-    if m == len(point):
-        # A call over all n variables fills the chain over m from below
-        # first, so the call for m - 1 below is a cache hit and the
-        # recursion depth does not grow with the number of variables.
-        try:
-            for k in range(1, m):
-                _h(p, k, s, yspec, point)
-        except UnresolvableIndexError:
-            # A window without a tail rule: report the index that the
-            # recursion, asking top down, would have missed first.
-            for k in range(m, 0, -1):
-                yspec.value(k + p - 1 - s)
-            raise
-    factor = point[m - 1] - yspec.value(m + p - 1 - s)
-    return _h(p, m - 1, s, yspec, point) + factor * _h(p - 1, m, s, yspec, point)
+    The table is filled over the variables by splitting the chain sum on
+    whether x_m participates, h_p(m) = h_p(m-1) + (x_m - y_{m+p-1-s}) h_{p-1}(m),
+    keeping only the current m.  Evaluation is a ring map, so the point and
+    the y-specialization enter as the factors are built; the zero rule at
+    the point x gives the classical complete homogeneous polynomials.
+    """
+    n = len(point)
+    # The y values are asked for top down, so a window without a tail rule
+    # reports the highest index it lacks.
+    ys = {k: yspec.value(k) for k in range(n + top - 1 - s, -s, -1)}
+    h = [ONE] + [ZERO] * top
+    for m in range(1, n + 1):
+        xm = point[m - 1]
+        for p in range(1, top + 1):
+            h[p] = h[p] + (xm - ys[m + p - 1 - s]) * h[p - 1]
+    return h
 
 
 def _xs(n: int) -> tuple:
@@ -84,7 +76,9 @@ def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
     """
     if n < 1:
         raise DomainError(f"double_h needs n >= 1, got {n}")
-    return _h(p, n, y_shift, SYMBOLIC, _xs(n))
+    if p < 0:
+        return ZERO
+    return _h_column(p, y_shift, SYMBOLIC, _xs(n))[p]
 
 
 @lru_cache(maxsize=None)
@@ -92,25 +86,32 @@ def _jacobi_trudi(lam: Partition, point: tuple, shift: int, yspec: YSpec) -> Pol
     # Rows below l(lam) of the full n x n matrix are unit rows (h_0 on the
     # diagonal, zeros to the left), so the determinant collapses to its
     # top-left l(lam) x l(lam) block.  Column j takes the sequence shift
-    # shift+j-1, which the zero rule cannot see; its columns share shift 0.
+    # shift+j-1, which the zero rule cannot see: its columns share one table.
     r = len(lam)
-    n = len(point)
-    step = 0 if yspec.kind == "zero" else 1
-    rows = [
-        [
-            _h(lam.part(i) + j - i, n, (shift + j - 1) * step, yspec, point)
+    if yspec.kind == "zero":
+        table = _h_column(lam.part(1) + r - 1, 0, yspec, point)
+        columns = [table] * r
+    else:
+        columns = [
+            _h_column(lam.part(1) + j - 1, shift + j - 1, yspec, point)
             for j in range(1, r + 1)
         ]
-        for i in range(1, r + 1)
-    ]
+    rows = []
+    for i in range(1, r + 1):
+        row = []
+        for j in range(1, r + 1):
+            p = lam.part(i) + j - i
+            row.append(columns[j - 1][p] if p >= 0 else ZERO)
+        rows.append(row)
     return poly_det(rows)
 
 
 def _det_ratio(lam: Partition, n: int) -> Poly:
-    rows = [
-        [_falling_factorial(i, lam.part(j) + n - j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    top = lam.part(1) + n - 1
+    rows = []
+    for i in range(1, n + 1):
+        powers = _falling_powers(i, top)
+        rows.append([powers[lam.part(j) + n - j] for j in range(1, n + 1)])
     quotient = poly_det(rows)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -211,8 +212,8 @@ def vandermonde(n: int) -> Poly:
 
 def alternant_denominator(n: int) -> Poly:
     """det[(x_i|y)^{n-j}], which must equal the Vandermonde product."""
-    rows = [
-        [_falling_factorial(i, n - j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    rows = []
+    for i in range(1, n + 1):
+        powers = _falling_powers(i, n - 1)
+        rows.append([powers[n - j] for j in range(1, n + 1)])
     return poly_det(rows)

@@ -3,7 +3,7 @@
 Three independent routes to the same numbers:
 
   * multiply_schubert: multiply two basis elements and expand the product
-    by top-degree peeling against classical Schur leading terms;
+    by peeling, for nu in descending order, the x^nu term of what is left;
   * structure_constants_via_localization: evaluate both sides of the
     product identity at torus-fixed points and back-substitute through the
     triangular system given by the containment-vanishing property;
@@ -17,7 +17,6 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     AsymmetricInputError,
@@ -28,35 +27,33 @@ from .errors import (
 from .partitions import (
     Partition,
     SkewShape,
+    _partitions_of,
     canonical_key,
-    conjugate,
     contains,
     hook_h,
     partitions_between,
     partitions_up_to,
 )
 from .polyring import (
-    ONE,
+    FAMILY_X,
     SYMBOLIC,
     ZERO,
     Poly,
     YSpec,
     _decode,
-    _mono_degree,
+    _encode,
     _mono_sort_key,
     _x_split,
     canonical_string,
     const,
     divide_exact,
-    poly_det,
     u,
+    var_code,
     var_index,
-    x,
 )
 from .schur import restrict_to_fixed_point, shifted_double_schur
 
 TABLE_METHODS = ("expand", "localize", "molev")
-_ZERO_SPEC = YSpec.zero()
 
 
 class SchurExpansion:
@@ -107,30 +104,6 @@ class SchurExpansion:
         ]
 
 
-@lru_cache(maxsize=None)
-def _e_classical(p: int, m: int) -> Poly:
-    if p < 0 or p > m:
-        return ZERO
-    if p == 0:
-        return ONE
-    return _e_classical(p, m - 1) + x(m) * _e_classical(p - 1, m - 1)
-
-
-@lru_cache(maxsize=None)
-def _classical_schur(nu: Partition, n: int) -> Poly:
-    # Determinant blocks collapse to l(nu) x l(nu) (complete homogeneous
-    # form: the shifted double Schur function at y = 0, the zero-spec basis
-    # element itself) or nu_1 x nu_1 (elementary form); take the smaller.
-    if nu and nu[0] < len(nu):
-        cj = conjugate(nu)
-        rows = [
-            [_e_classical(cj.part(i) + j - i, n) for j in range(1, nu[0] + 1)]
-            for i in range(1, nu[0] + 1)
-        ]
-        return poly_det(rows)
-    return shifted_double_schur(nu, n, _ZERO_SPEC)
-
-
 def _xmono_to_partition(xm: tuple, n: int) -> Partition:
     """Exponent vector of an x-monomial, which must be weakly decreasing."""
     if not xm:
@@ -151,51 +124,37 @@ def _xmono_to_partition(xm: tuple, n: int) -> Partition:
     return Partition(exps)
 
 
+def _x_monomial(nu: tuple) -> int:
+    """The packed monomial x_1^nu_1 x_2^nu_2 ..."""
+    return _encode(tuple(v for i, e in enumerate(nu, 1) for v in (var_code(FAMILY_X, i), e)))
+
+
 def _peel_expand(p: Poly, n: int, basis_fn) -> dict[Partition, Poly]:
-    """Expand p over a basis whose top-x-degree parts are classical Schur
-    polynomials, by repeatedly eliminating the leading component."""
+    """Expand p over a basis whose element for nu has the top x-degree part
+    s_nu(x), the classical Schur polynomial.
+
+    Partitions nu are tried by weight descending, then in descending lex
+    order.  s_nu(x) is monic at x^nu, and every other x-monomial of the
+    basis elements still to come is of lower degree or lex smaller, so the
+    coefficient of nu is the non-x part of the x^nu term of what is left.
+    """
     coeffs: dict[Partition, Poly] = {}
     rem = p
-    while rem:
-        parts = _x_split(rem._terms)
-        degree = {xm: _mono_degree(xm) for xm in parts}
-        d = max(degree.values())
-        comp = {xm: rests for xm, rests in parts.items() if degree[xm] == d}
-        keys = {xm: _mono_sort_key(xm) for xm in comp}
-        found: dict[Partition, Poly] = {}
-        while comp:
-            xm = min(comp, key=keys.__getitem__)
-            ypoly = Poly._raw(comp.pop(xm))
-            if not ypoly:
-                continue
-            nu = _xmono_to_partition(_decode(xm), n)
-            found[nu] = ypoly
-            # Remove ypoly * s_nu(x) from the component; the x^nu entry
-            # itself was popped above (s_nu is monic there).
-            for sm, sc in _classical_schur(nu, n)._terms.items():
-                if sm == xm:
-                    continue
-                bucket = comp.get(sm)
-                if bucket is None:
-                    bucket = comp[sm] = {}
-                    if sm not in keys:
-                        keys[sm] = _mono_sort_key(sm)
-                for rest, c in ypoly._terms.items():
-                    prev = bucket.get(rest)
-                    delta = sc * c
-                    if prev is None:
-                        bucket[rest] = -delta
-                    else:
-                        prev = prev - delta
-                        if prev:
-                            bucket[rest] = prev
-                        else:
-                            del bucket[rest]
-                if not bucket:
-                    del comp[sm]
-        for nu, c in found.items():
-            rem = rem - c * basis_fn(nu)
-            coeffs[nu] = c
+    parts = _x_split(rem._terms)
+    for w in range(p.x_degree(), -1, -1):
+        for nu in _partitions_of(w, w, n):
+            if not parts:
+                return coeffs
+            rests = parts.get(_x_monomial(nu))
+            if rests:
+                nu = Partition(nu)
+                coeffs[nu] = c = Poly._raw(rests)
+                rem = rem - c * basis_fn(nu)
+                parts = _x_split(rem._terms)
+    if parts:
+        # No basis element is left to match what remains, so its leading
+        # x-monomial is not a partition of length <= n: report it.
+        _xmono_to_partition(_decode(min(parts, key=_mono_sort_key)), n)
     return coeffs
 
 

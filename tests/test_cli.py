@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import shiftedschur
+from shiftedschur import comult
 from shiftedschur.cli import parse_yspec, run
-from shiftedschur.errors import UsageError
+from shiftedschur.comult import MAX_COPRODUCT_SUMMANDS
+from shiftedschur.errors import DomainError, UsageError
 from shiftedschur.polyring import MAX_EXPONENT, IntSeqWindow, YSpec
 from shiftedschur.structconst import dumps_canonical
 
@@ -253,6 +255,25 @@ def test_coproduct_exponent_past_the_field(capsys, exponent):
     assert err.startswith("error: exponent ") and err.count("\n") == 1
 
 
+def test_coproduct_summand_limit(capsys):
+    # (4000 + 1) * (3000 + 1) summands: refused before any is built.
+    code, out, err = invoke(capsys, "coproduct", "--expr", "p1^4000*p2^3000")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the coproduct has up to 12007001 summands, more than the limit "
+        f"{MAX_COPRODUCT_SUMMANDS}\n"
+    )
+
+
+def test_coproduct_summand_bound_adds_up_monomials(monkeypatch):
+    monkeypatch.setattr(comult, "MAX_COPRODUCT_SUMMANDS", 6)
+    # (2 + 1) + (2 + 1) summands is at the limit, (2 + 1) + (3 + 1) past it.
+    assert len(comult.coproduct_power_polynomial("p1^2 + p2^2").summands) == 6
+    with pytest.raises(DomainError, match="up to 7 summands"):
+        comult.coproduct_power_polynomial("p1^2 + p2^3")
+
+
 def test_output_into_missing_directory(tmp_path, capsys):
     target = tmp_path / "missing" / "out.txt"
     code, out, err = invoke(
@@ -352,25 +373,52 @@ def test_run_as_module(module):
     assert proc.stderr == ""
 
 
+# Runs argv[2:] and writes its peak RSS in kilobytes, read with os.wait4, to
+# the file argv[1].  A child started by this small process is measured on its
+# own: one started by the test process directly would report at least the test
+# process's high-water mark, which Linux carries across fork and exec.
+_PEAK_RSS_WRAPPER = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(proc.pid, 0)
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
 @pytest.mark.parametrize(
     "argv, expected",
     [
         (
             ["schur", "--lambda", "1", "--n", "2000"],
-            " - ".join(f"y[{i}]" for i in range(1, 2001))
+            "-"
+            + " - ".join(f"y[{i}]" for i in range(1, 2001))
             + "".join(f" + x{i}" for i in range(1, 2001)),
         ),
-        (["restrict", "--lambda", "1", "--delta", "1", "--n", "2000"], "y[-1] + y[0]"),
+        (["restrict", "--lambda", "1", "--delta", "1", "--n", "2000"], "-y[-1] + y[0]"),
+        (
+            ["schur", "--lambda", "600", "--n", "2", "--y", "zero"],
+            " + ".join(
+                "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in ((1, 600 - k), (2, k)) if e)
+                for k in range(601)
+            ),
+        ),
     ],
-    ids=["schur", "restrict"],
+    ids=["schur", "restrict", "long-row"],
 )
-def test_many_variables(argv, expected):
-    # The h-recurrence once recursed per variable and ended in a
-    # RecursionError here.  A subprocess keeps its caches out of this one.
-    proc = _run([sys.executable, "-m", "shiftedschur", *argv])
+def test_many_variables(argv, expected, tmp_path):
+    # Many variables or a long row need an h-recurrence without recursion,
+    # and the peak RSS bound holds only if the cells of the chain over the
+    # variables are not all kept (a cache of them took 211 MB in the first case).
+    peak_file = tmp_path / "peak_rss_kb"
+    cli = [sys.executable, "-m", "shiftedschur", *argv]
+    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
     assert proc.returncode == 0
-    assert proc.stdout == f"-{expected}\n"
+    assert proc.stdout == f"{expected}\n"
     assert proc.stderr == ""
+    assert int(peak_file.read_text()) < 100 * 1024
 
 
 @pytest.mark.skipif(

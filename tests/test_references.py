@@ -4,7 +4,9 @@ perfbench/references.json holds the sha256 of stdout for every invocation
 the benchmark can make.  Each is run here through shiftedschur.cli.run and
 must print the same bytes, so a change to the output surfaces in the test
 suite, not first in a benchmark run.  The weight-3 expand tables take
-seconds each; one of them (zero spec, n = 7) stands for the rest.
+seconds each; three of them stand for the rest: the zero spec with integer
+coefficients, and the standard and an affine spec, whose coefficients are
+polynomials in u and rationals, at n = 7.
 """
 
 import contextlib
@@ -18,7 +20,10 @@ import pytest
 from shiftedschur.cli import run
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
-EXPAND_W3_KEPT = "table --max-weight 3 --n 7 --y zero --method expand --format json"
+EXPAND_W3_KEPT = {
+    f"table --max-weight 3 --n 7 --y {spec} --method expand --format json"
+    for spec in ("zero", "standard:d=0", "affine:a=1/2,b=-3/5")
+}
 
 
 def _cases() -> list:
@@ -26,7 +31,7 @@ def _cases() -> list:
     return [
         pytest.param(key, digest, id=key)
         for key, digest in refs.items()
-        if key == EXPAND_W3_KEPT
+        if key in EXPAND_W3_KEPT
         or not (key.startswith("table --max-weight 3 ") and "--method expand" in key)
     ]
 
