@@ -43,7 +43,6 @@ from .structconst import (
     expansion_to_latex,
     expansion_to_text,
     multiplication_table,
-    multiply_schubert,
     molev_coefficient,
     table_to_json_obj,
     table_to_latex,
@@ -143,18 +142,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="shiftedschur", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, n_default=None):
+    def add_common(p):
         p.add_argument("--y", default="symbolic", help="y-specialization rule")
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--output", default=None, help="write output to this file")
-        if n_default is not None:
-            p.add_argument("--n", type=int, default=n_default, help="number of x variables")
 
     p = sub.add_parser("schur", help="double or shifted double Schur function")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--method", choices=("jacobi-trudi", "det-ratio"), default="jacobi-trudi")
     p.add_argument("--shifted", action="store_true")
-    add_common(p, n_default=None)
+    add_common(p)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("eval", help="stable shifted Schur value at given x arguments")
@@ -252,29 +249,36 @@ def _expansion_output(lam, mu, exp, fmt: str) -> str:
     return expansion_to_text(lam, mu, exp) + "\n"
 
 
+def _with_fallback(method: str, compute):
+    """compute(method), or compute("expand") with a note on stderr if the
+    y-specialization is degenerate for the chosen method."""
+    try:
+        return compute(method)
+    except DegenerateSpecializationError as e:
+        print(f"note: {e}; falling back to the expansion method", file=sys.stderr)
+        return compute("expand")
+
+
 def _cmd_multiply(args) -> str:
     lam = _partition_flag(args.lam)
     mu = _partition_flag(args.mu)
     yspec = parse_yspec(args.y)
-    try:
-        exp = compute_expansion(
-            lam, mu, args.n, yspec, args.method, stable=not args.finite_rank
-        )
-    except DegenerateSpecializationError as e:
-        print(f"note: {e}; falling back to the expansion method", file=sys.stderr)
-        exp = multiply_schubert(lam, mu, args.n, yspec, stable=not args.finite_rank)
+    exp = _with_fallback(
+        args.method,
+        lambda method: compute_expansion(
+            lam, mu, args.n, yspec, method, stable=not args.finite_rank
+        ),
+    )
     return _expansion_output(lam, mu, exp, args.format)
 
 
 def _cmd_table(args) -> str:
     yspec = parse_yspec(args.y)
-    rows = multiplication_table(
-        args.max_weight,
-        args.n,
-        yspec,
-        method=args.method,
-        jobs=args.jobs,
-        finite_rank=args.finite_rank,
+    rows = _with_fallback(
+        args.method,
+        lambda method: multiplication_table(
+            args.max_weight, args.n, yspec, method, jobs=args.jobs, finite_rank=args.finite_rank
+        ),
     )
     if args.format == "json":
         return dumps_canonical(table_to_json_obj(rows, args.n, yspec))
@@ -305,8 +309,8 @@ def _cmd_coproduct(args) -> str:
         expr = PowerPolynomial.parse(args.expr)
     except ZeroDivisionError as e:
         raise UsageError(f"malformed expression {args.expr!r}: {e}") from None
-    tensor = coproduct_power_polynomial(expr)
     try:
+        tensor = coproduct_power_polynomial(expr)
         tensor.check_printable()
         if args.format == "json":
             obj = {
@@ -317,6 +321,8 @@ def _cmd_coproduct(args) -> str:
             }
             return dumps_canonical(obj)
         return f"{tensor}\n"
+    except DomainError:
+        raise
     except ValueError as e:  # an int past sys.get_int_max_str_digits()
         raise DomainError(f"coefficient too large to print: {e}") from None
 

@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from typing import Iterable
 
 from .errors import DomainError
@@ -96,7 +96,9 @@ def _relabel(p: Poly, parity: int) -> Poly:
             new = idx // 2 if parity == 0 else (idx - 1) // 2
         return var_code(fam, new)
 
-    return p.map_variables(fn)
+    return p.substitute(
+        {Poly({(code, 1): 1}): Poly({(fn(code), 1): 1}) for code in sorted(p.variables())}
+    )
 
 
 def relabel_even_odd(even: Poly, odd: Poly) -> "TensorElement":
@@ -105,6 +107,31 @@ def relabel_even_odd(even: Poly, odd: Poly) -> "TensorElement":
     return TensorElement(
         [(_relabel(even, 0), ONE), (ONE, _relabel(odd, 1))]
     )
+
+
+def _check_printable(values) -> None:
+    """Raise ValueError, as str() would, if the numerator or denominator of
+    a value has more decimal digits than sys.get_int_max_str_digits() allows.
+
+    Converting a huge int to text takes time quadratic in its length, so
+    the digit count is bounded from bit_length() first; str() decides only
+    when the bounds straddle the limit.
+    """
+    # Interpreters older than the limit (before 3.10.7) have no getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    for c in values:
+        for v in (c.numerator, c.denominator):
+            b = abs(v).bit_length()
+            # 0.30102 < log10(2) < 0.30104, and 2^(b-1) <= |v| < 2^b.
+            if (b - 1) * 30102 // 100000 + 1 > limit:
+                raise ValueError(
+                    f"Exceeds the limit ({limit} digits) for integer string "
+                    "conversion; use sys.set_int_max_str_digits() to increase the limit"
+                )
+            if b * 30104 // 100000 + 1 > limit:
+                str(v)
 
 
 class TensorElement:
@@ -182,28 +209,9 @@ class TensorElement:
 
     def check_printable(self) -> None:
         """Raise ValueError, as str() would, if a weight or coefficient has
-        more decimal digits than sys.get_int_max_str_digits() allows.
-
-        Converting a huge int to text takes time quadratic in its length, so
-        the digit count is bounded from bit_length() first; str() decides
-        only when the bounds straddle the limit.
-        """
-        # Interpreters older than the limit (before 3.10.7) have no getter.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit:
-            return
+        more decimal digits than sys.get_int_max_str_digits() allows."""
         for (left, right), w in self._table.items():
-            for c in (w, *left._terms.values(), *right._terms.values()):
-                for v in (c.numerator, c.denominator):
-                    b = abs(v).bit_length()
-                    # 0.30102 < log10(2) < 0.30104, and 2^(b-1) <= |v| < 2^b.
-                    if (b - 1) * 30102 // 100000 + 1 > limit:
-                        raise ValueError(
-                            f"Exceeds the limit ({limit} digits) for integer string "
-                            "conversion; use sys.set_int_max_str_digits() to increase the limit"
-                        )
-                    if b * 30104 // 100000 + 1 > limit:
-                        str(v)
+            _check_printable((w, *left._terms.values(), *right._terms.values()))
 
     def __str__(self) -> str:
         if not self._table:
@@ -343,7 +351,9 @@ def coproduct_power_polynomial(expr) -> TensorElement:
     """Apply the coproduct p_k -> p_k (x) 1 + 1 (x) p_k multiplicatively.
 
     Raises DomainError if the expansion could have more than
-    MAX_COPRODUCT_SUMMANDS summands.
+    MAX_COPRODUCT_SUMMANDS summands, and ValueError, as check_printable
+    would, if the central summand c * prod C(e_k, e_k // 2) of a monomial
+    c * prod p_k^e_k has a weight too long to print.
     """
     if isinstance(expr, str):
         expr = PowerPolynomial.parse(expr)
@@ -354,6 +364,7 @@ def coproduct_power_polynomial(expr) -> TensorElement:
             f"the coproduct has up to {bound} summands, more than the limit "
             f"{MAX_COPRODUCT_SUMMANDS}"
         )
+    _check_printable(c * prod(comb(e, e // 2) for e in m[1::2]) for m, c in terms.items())
     total = TensorElement()
     for m, c in terms.items():
         term = TensorElement([(_PP_ONE, _PP_ONE, c)])

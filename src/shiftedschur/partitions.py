@@ -43,9 +43,6 @@ class Partition(tuple):
         """The 1-indexed part, 0 beyond the length."""
         return self[i - 1] if 1 <= i <= len(self) else 0
 
-    def contains(self, inner: "Partition") -> bool:
-        return contains(self, inner)
-
     def text(self) -> str:
         """Comma-separated form; the empty partition renders as "0"."""
         return ",".join(str(p) for p in self) if self else "0"
@@ -156,14 +153,6 @@ def hook_h(shape: SkewShape) -> Fraction:
 def canonical_key(p: Partition) -> tuple:
     """Sort key realizing the canonical order: weight, then descending lex."""
     return (sum(p), tuple(-a for a in p))
-
-
-def conjugate(p: Partition) -> Partition:
-    """The transposed diagram."""
-    p = Partition(p)
-    if not p:
-        return p
-    return Partition(sum(1 for a in p if a > c) for c in range(p[0]))
 
 
 def _partitions_of(total: int, max_part: int, max_len: int) -> Iterator[tuple[int, ...]]:

@@ -31,11 +31,12 @@ actually contains.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import (
     DomainError,
@@ -140,13 +141,8 @@ def _check_exponents(monomials) -> None:
 
 
 def _mono_degree(m: int) -> int:
-    d = 0
-    while m:
-        shift = ((m & -m).bit_length() - 1) // _W * _W
-        e = (m >> shift) & _FIELD
-        d += e
-        m -= e << shift
-    return d
+    # The sum of the fields, which for _W == 16 are the 16-bit words of m.
+    return sum(memoryview(m.to_bytes((m.bit_length() + 15) // 16 * 2, sys.byteorder)).cast("H"))
 
 
 def _flat_sort_key(flat: tuple):
@@ -232,15 +228,11 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(_mono_degree(m) for m in self._terms)
+        return max(map(_mono_degree, self._terms), default=-1)
 
     def x_degree(self) -> int:
         """Total degree in the x variables only; -1 for zero."""
-        if not self._terms:
-            return -1
-        return max(_mono_degree(m & _X_MASK) for m in self._terms)
+        return max((_mono_degree(m & _X_MASK) for m in self._terms), default=-1)
 
     def variables(self) -> set[int]:
         return {_code_of[s] for m in self._terms for s, _ in _fields(m)}
@@ -354,34 +346,17 @@ class Poly:
 
     # -- structural operations ----------------------------------------------
 
-    def map_variables(self, fn: Callable[[int], int]) -> "Poly":
-        """Relabel variable codes; fn must be injective."""
-        slots: dict[int, int] = {}
-        out = {}
-        for m, c in self._terms.items():
-            new = 0
-            for s, e in _fields(m):
-                t = slots.get(s)
-                if t is None:
-                    t = slots[s] = _slot(fn(_code_of[s]))
-                new += e << (_W * t)
-            out[new] = c
-        return Poly._raw(out)
-
     def shift_y(self, k: int) -> "Poly":
         """Replace every y_j by y_{j-k}; other families untouched."""
-        if k == 0 or not self._terms:
-            return self
-
-        def fn(code: int) -> int:
-            if var_family(code) == FAMILY_Y:
-                return code - k
-            return code
-
-        return self.map_variables(fn)
+        return self.substitute({y(j): y(j - k) for j in self.y_indices()})
 
     def substitute(self, assignment: Mapping["Poly", object]) -> "Poly":
-        """Simultaneous substitution; keys are single-variable polynomials."""
+        """Simultaneous substitution; keys are single-variable polynomials.
+
+        One pass over the terms; the power of each substituted value is
+        computed once per (slot, exponent).  A one-term power is folded into
+        the packed monomial and the coefficient, a longer one multiplied in.
+        """
         table: dict[int, Poly] = {}
         for key, value in assignment.items():
             s = _single_variable_slot(key)
@@ -390,87 +365,43 @@ class Poly:
             table[s] = value if isinstance(value, Poly) else const(value)
         if not table:
             return self
-        if all(len(v._terms) <= 1 for v in table.values()):
-            return self._substitute_monomials(table)
         mask = sum(_FIELD << (_W * s) for s in table)
-        power_cache: dict[tuple[int, int], Poly] = {}
-        acc: dict = {}
-        for m, c in self._terms.items():
-            hits = m & mask
-            term = Poly._raw({m ^ hits: c})
-            for s, e in _fields(hits):
-                pw = power_cache.get((s, e))
-                if pw is None:
-                    pw = power_cache[(s, e)] = table[s] ** e
-                term = term * pw
-            for mm, cc in term._terms.items():
-                s = acc.get(mm)
-                if s is None:
-                    acc[mm] = cc
-                else:
-                    s = s + cc
-                    if s:
-                        acc[mm] = s
-                    else:
-                        del acc[mm]
-        return Poly._raw(acc)
-
-    def _substitute_monomials(self, table: dict[int, "Poly"]) -> "Poly":
-        # Every substituted value is a single term (or zero), so each input
-        # term maps to at most one output term; no intermediate polynomials.
-        values: dict[int, tuple] = {}
-        mask = 0
-        for s, v in table.items():
-            mask |= _FIELD << (_W * s)
-            if v._terms:
-                ((vm, vc),) = v._terms.items()
-                values[s] = (vm, vc, max((e for _, e in _fields(vm)), default=0))
-            else:
-                values[s] = (0, 0, 0)
+        # (slot, exponent) -> (monomial, coefficient) for a one-term power,
+        # else the power itself (ZERO included).
+        powers: dict[tuple[int, int], object] = {}
         acc: dict = {}
         for m, c in self._terms.items():
             hits = m & mask
             mono = m ^ hits
+            rest = None  # the product of the multi-term powers
             for s, e in _fields(hits):
-                vm, vc, top = values[s]
-                if not vc:
-                    mono = None
-                    break
-                if vc != 1:
-                    c = c * vc**e
-                if vm:
-                    # Scaling multiplies every field, so bound it first; a
-                    # sum of several monomials is checked after each add.
-                    if top * e > MAX_EXPONENT:
-                        raise _overflow(f"exponent {top * e}")
-                    mono += vm * e
+                pw = powers.get((s, e))
+                if pw is None:
+                    pw = table[s] ** e
+                    if len(pw._terms) == 1:
+                        (pw,) = pw._terms.items()
+                    powers[(s, e)] = pw
+                if pw.__class__ is tuple:
+                    # Two valid monomials: an overflow sets a guard bit and
+                    # carries no further.
+                    mono += pw[0]
                     if mono & _GUARD:
                         raise _overflow()
-            if mono is None:
-                continue
-            s = acc.get(mono)
-            if s is None:
-                acc[mono] = c
-            else:
-                s = s + c
-                if s:
-                    acc[mono] = s
+                    c = c * pw[1]
                 else:
-                    del acc[mono]
-        return Poly._raw(acc)
+                    rest = pw if rest is None else rest * pw
+            if rest is None:
+                acc[mono] = acc.get(mono, 0) + c
+            else:
+                for mm, cc in (Poly._raw({mono: c}) * rest)._terms.items():
+                    acc[mm] = acc.get(mm, 0) + cc
+        return Poly._raw({m: c for m, c in acc.items() if c})
 
     def specialize_y(self, spec: "YSpec") -> "Poly":
         """Apply a y-specialization rule to every y_j occurrence."""
-        if spec.kind == "symbolic" or not self._terms:
+        if spec.kind == "symbolic":
             return self
-        values: dict[int, Poly] = {}
-        assignment: dict[Poly, Poly] = {}
-        for j in self.y_indices():
-            values[j] = spec.value(j)
-            assignment[y(j)] = values[j]
-        if not assignment:
-            return self
-        return self.substitute(assignment)
+        return self.substitute({y(j): spec.value(j) for j in self.y_indices()})
 
     # -- rendering ------------------------------------------------------------
 
@@ -683,19 +614,10 @@ def divide_linear(p: Poly, xi: int, xj: int) -> Poly:
     quotient: dict = {}
     for k in range(deg, 0, -1):
         carry = carry + Poly._raw(by_power.get(k, {}))
-        # Every carry term lacks x_xi and k - 1 < deg fits the field.
+        # Every carry term lacks x_xi and k - 1 < deg fits the field; the
+        # terms of step k are the only ones with x_xi^(k-1), so none collide.
         raise_k = (k - 1) << shift
-        for m, c in carry._terms.items():
-            mm = m + raise_k
-            s = quotient.get(mm)
-            if s is None:
-                quotient[mm] = c
-            else:
-                s = s + c
-                if s:
-                    quotient[mm] = s
-                else:
-                    del quotient[mm]
+        quotient.update((m + raise_k, c) for m, c in carry._terms.items())
         carry = carry * xjp
     remainder = carry + Poly._raw(by_power.get(0, {}))
     if remainder:

@@ -86,6 +86,17 @@ def test_multiply_localize_fallback_on_zero(capsys):
     assert out == "[1] * [1] -> [2]: 1 | [1,1]: 1\n"
 
 
+def test_table_localize_fallback_on_zero(capsys):
+    argv = ("table", "--max-weight", "1", "--n", "3", "--y", "zero")
+    code, expected, err = invoke(capsys, *argv, "--method", "expand")
+    assert (code, err) == (0, "")
+    code, out, err = invoke(capsys, *argv, "--method", "localize")
+    assert code == 0
+    assert out == expected
+    assert err.startswith("note: ") and err.count("\n") == 1
+    assert "falling back" in err
+
+
 def test_molev_command(capsys):
     code, out, _ = invoke(capsys, "molev", "--lambda", "1", "--mu", "1", "--nu", "1")
     assert code == 0
@@ -418,6 +429,25 @@ def test_many_variables(argv, expected, tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == f"{expected}\n"
     assert proc.stderr == ""
+    assert int(peak_file.read_text()) < 100 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
+def test_coproduct_refused_before_expanding(tmp_path):
+    # C(32767, 16383) has about 9,900 digits, so the central weight is refused
+    # before the 32,768 summands are built (they took 371 MB).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or limit > 9000:
+        pytest.skip("the int-to-str digit limit admits the central weight")
+    peak_file = tmp_path / "peak_rss_kb"
+    cli = [sys.executable, "-m", "shiftedschur", "coproduct", "--expr", "p1^32767"]
+    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: coefficient too large to print: Exceeds the limit ({limit} digits) for "
+        "integer string conversion; use sys.set_int_max_str_digits() to increase the limit\n"
+    )
     assert int(peak_file.read_text()) < 100 * 1024
 
 

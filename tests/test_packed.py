@@ -21,8 +21,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from shiftedschur import DomainError, InexactDivisionError, Poly, canonical_string, u, useq, x, y  # noqa: E402
 from shiftedschur.polyring import (  # noqa: E402
+    FAMILY_U,
     FAMILY_USEQ,
     FAMILY_X,
+    FAMILY_Y,
     MAX_EXPONENT,
     ONE,
     ZERO,
@@ -32,12 +34,15 @@ from shiftedschur.polyring import (  # noqa: E402
     leading_term,
     poly_det,
     var_code,
+    var_family,
+    var_index,
 )
 
+Y_INDICES = (-3, -1, 0, 2)
 # (Poly, SymPy symbol) for each variable the random polynomials use.
 VARIABLES = (
     [(x(i), sympy.Symbol(f"x{i}")) for i in (1, 2, 3)]
-    + [(y(j), sympy.Symbol(f"y_{j}")) for j in (-3, -1, 0, 2)]
+    + [(y(j), sympy.Symbol(f"y_{j}")) for j in Y_INDICES]
     + [(useq(j), sympy.Symbol(f"w_{j}")) for j in (-2, 1)]
     + [(u, sympy.Symbol("u"))]
 )
@@ -61,17 +66,19 @@ def build(terms) -> tuple[Poly, sympy.Expr]:
     return p, sympy.expand(e)
 
 
+def symbol(code: int) -> sympy.Symbol:
+    """The SymPy symbol of a variable code, spelled as in VARIABLES."""
+    spelling = {FAMILY_U: "u", FAMILY_USEQ: "w_{}", FAMILY_Y: "y_{}", FAMILY_X: "x{}"}
+    return sympy.Symbol(spelling[var_family(code)].format(var_index(code)))
+
+
 def to_sympy(p: Poly) -> sympy.Expr:
     """The SymPy form of p, read through the flat-tuple boundary."""
-    by_code = {}
-    for poly, sym in VARIABLES:
-        ((code, _),) = poly.terms
-        by_code[code] = sym
     total = sympy.Integer(0)
     for mono, c in p.terms.items():
         term = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
         for i in range(0, len(mono), 2):
-            term *= by_code[mono[i]] ** mono[i + 1]
+            term *= symbol(mono[i]) ** mono[i + 1]
         total += term
     return sympy.expand(total)
 
@@ -138,6 +145,44 @@ def test_poly_det_matches_sympy(entries):
 
 @oracle
 @given(polys)
+def test_degrees_match_sympy(a):
+    p, pe = a
+    if not p:
+        assert p.degree() == p.x_degree() == -1
+        return
+    assert p.degree() == sympy.Poly(pe, *GENS).total_degree()
+    assert p.x_degree() == sympy.Poly(pe, *GENS[:3]).total_degree()
+
+
+# A substituted value: zero, a rational constant, a scaled monomial or a sum.
+values = st.one_of(
+    st.just((ZERO, sympy.Integer(0))),
+    coefficients.map(lambda c: build([(c, [])])),
+    st.tuples(coefficients, monomials).map(lambda t: build([t])),
+    st.lists(st.tuples(coefficients, monomials), min_size=2, max_size=3).map(build),
+)
+assignments = st.dictionaries(st.integers(0, len(VARIABLES) - 1), values, max_size=4)
+
+
+@oracle
+@given(polys, assignments)
+def test_substitute_matches_sympy(a, assignment):
+    p, pe = a
+    got = p.substitute({VARIABLES[k][0]: v for k, (v, _) in assignment.items()})
+    want = pe.subs({VARIABLES[k][1]: ve for k, (_, ve) in assignment.items()}, simultaneous=True)
+    assert same(got, sympy.expand(want))
+
+
+@oracle
+@given(polys, st.integers(-3, 3))
+def test_shift_y_matches_sympy(a, k):
+    p, pe = a
+    shifted = {sympy.Symbol(f"y_{j}"): sympy.Symbol(f"y_{j - k}") for j in Y_INDICES}
+    assert same(p.shift_y(k), pe.subs(shifted, simultaneous=True))
+
+
+@oracle
+@given(polys)
 def test_json_and_terms_round_trip(a):
     p, _ = a
     assert Poly.from_json_obj(p.to_json_obj()) == p
@@ -153,6 +198,7 @@ def test_json_and_terms_round_trip(a):
 
 def test_largest_exponent_is_exact():
     top = x(1) ** MAX_EXPONENT
+    assert (top * x(2) ** MAX_EXPONENT * y(0)).degree() == 2 * MAX_EXPONENT + 1
     assert top.terms == {(var_code(FAMILY_X, 1), MAX_EXPONENT): 1}
     # Filling one field leaves its neighbours alone.
     assert (top * x(2)).terms == {
@@ -171,6 +217,9 @@ def test_largest_exponent_is_exact():
         # 3 * 30000 carries past the guard bit into the next field.
         lambda: (y(1) ** 30000).substitute({y(1): u**3}),
         lambda: (y(1) ** 20000 * y(2) ** 20000).specialize_y(YSpec.standard(0)),
+        # Folding a one-term value into a monomial that already holds its
+        # variable: 20000 + 20000 sets the guard bit.
+        lambda: (x(1) ** 20000 * y(1) ** 20000).substitute({y(1): x(1)}),
         lambda: Poly({(var_code(FAMILY_USEQ, 0), MAX_EXPONENT + 1): 1}),
         lambda: Poly({(var_code(FAMILY_USEQ, 0), 20000, var_code(FAMILY_USEQ, 0), 20000): 1}),
     ],
