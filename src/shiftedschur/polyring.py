@@ -35,6 +35,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import or_
 from typing import Mapping
 
@@ -166,6 +167,24 @@ def _x_split(terms: dict) -> dict[int, dict]:
         xm = m & mask
         groups.setdefault(xm, {})[m ^ xm] = c
     return groups
+
+
+def _integral(terms: dict) -> tuple[dict, int]:
+    """terms times the lcm of their denominators, all int, and that lcm."""
+    denominators = [c.denominator for c in terms.values() if c.__class__ is Fraction]
+    if not denominators:
+        return terms, 1
+    scale = lcm(*denominators)
+    return {
+        m: c.numerator * (scale // c.denominator) if c.__class__ is Fraction else c * scale
+        for m, c in terms.items()
+    }, scale
+
+
+def _exact_quotient(c: int, d: int):
+    """c / d as an int when d divides c, else as a Fraction."""
+    q, r = divmod(c, d)
+    return Fraction(c, d) if r else q
 
 
 def _parse_coeff(text: str):
@@ -303,14 +322,18 @@ class Poly:
                 return self._raw({})
             if other == 1:
                 return self
-            return self._raw({m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, Poly):
+            other = self.constant(other)
+        elif not isinstance(other, Poly):
             return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
             return self._raw({})
         if len(a) > len(b):
             a, b = b, a
+        # The loop multiplies integers: each rational factor is scaled by
+        # the lcm of its denominators, and each result term divided once.
+        a, scale_a = _integral(a)
+        b, scale_b = _integral(b)
         out: dict = {}
         get = out.get
         for m1, c1 in a.items():
@@ -326,6 +349,9 @@ class Poly:
                     else:
                         del out[m]
         _check_exponents(out)
+        scale = scale_a * scale_b
+        if scale != 1:
+            out = {m: _exact_quotient(c, scale) for m, c in out.items()}
         return self._raw(out)
 
     __rmul__ = __mul__

@@ -43,6 +43,15 @@ def falling_factorial(i: int, p: int) -> Poly:
     return _falling_powers(i, p)[p]
 
 
+# The table of one column may hold at most this many terms at once; a
+# column that would hold more is refused (DomainError) while it is filled.
+# The largest table the tests and the benchmark references fill holds
+# 180,901 terms (schur --lambda 600 --n 2 --y zero); the symbolic
+# schur --lambda 20 --n 2, whose h_p at the first variable has 2^p terms,
+# is refused at 262,143 of them, near 50 MB on an x86-64 host.
+MAX_H_TERMS = 250_000
+
+
 def _h_column(top: int, s: int, yspec: YSpec, point: tuple) -> list[Poly]:
     """h_0..h_top(x_1..x_n | tau^s y) at x_i = point[i-1], n = len(point).
 
@@ -51,16 +60,24 @@ def _h_column(top: int, s: int, yspec: YSpec, point: tuple) -> list[Poly]:
     keeping only the current m.  Evaluation is a ring map, so the point and
     the y-specialization enter as the factors are built; the zero rule at
     the point x gives the classical complete homogeneous polynomials.
+    Raises DomainError once the table holds more than MAX_H_TERMS terms.
     """
     n = len(point)
     # The y values are asked for top down, so a window without a tail rule
     # reports the highest index it lacks.
     ys = {k: yspec.value(k) for k in range(n + top - 1 - s, -s, -1)}
     h = [ONE] + [ZERO] * top
+    held = 1
     for m in range(1, n + 1):
         xm = point[m - 1]
         for p in range(1, top + 1):
-            h[p] = h[p] + (xm - ys[m + p - 1 - s]) * h[p - 1]
+            cell = h[p] + (xm - ys[m + p - 1 - s]) * h[p - 1]
+            held += len(cell) - len(h[p])
+            if held > MAX_H_TERMS:
+                raise DomainError(
+                    f"the table h_0..h_{top} exceeds the limit of {MAX_H_TERMS} terms"
+                )
+            h[p] = cell
     return h
 
 

@@ -175,9 +175,12 @@ def multiply_schubert(
     """Expansion of s*_lam * s*_mu in the shifted basis at rank n.
 
     With stable=True (the infinite-variable reading) the rank must exceed
-    l(lam)+l(mu); the coefficients are then independent of n.  stable=False
-    admits any rank >= max length, giving the finite-rank multiplication
-    table when paired with the matching torus yspec.
+    l(lam)+l(mu); the coefficients are then independent of n, so the
+    product is built and expanded at the least such rank,
+    n0 = l(lam)+l(mu)+1, and the expansion reports the caller's n.
+    stable=False admits any rank >= max length and computes at n itself,
+    giving the finite-rank multiplication table when paired with the
+    matching torus yspec.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -188,8 +191,10 @@ def multiply_schubert(
             f"stable interpretation needs n > l(lam)+l(mu) = {len(lam) + len(mu)}, "
             f"got n = {n}"
         )
-    product = shifted_double_schur(lam, n, yspec) * shifted_double_schur(mu, n, yspec)
-    return expand_in_shifted_basis(product, n, yspec)
+    n0 = len(lam) + len(mu) + 1 if stable else n
+    product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
+    coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients
+    return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 
 def molev_coefficient(lam, mu, nu) -> Fraction:
@@ -225,20 +230,22 @@ _LOCALIZABLE = ("symbolic", "standard", "circle", "torus")
 
 
 def structure_constants_via_localization(
-    lam, mu, n: int, yspec: YSpec = SYMBOLIC
+    lam, mu, n: int, yspec: YSpec = SYMBOLIC, stable: bool = True
 ) -> SchurExpansion:
     """Solve for the expansion coefficients by restriction to fixed points.
 
-    Candidates nu (containing lam and mu, of weight at most |lam|+|mu|) are
-    processed in canonical order; evaluating the product identity at the
-    fixed point delta = nu involves only already-solved coefficients, so
-    back-substitution suffices.
+    Candidates nu (containing lam and mu, of weight at most |lam|+|mu| and
+    length at most n) are processed in canonical order; evaluating the
+    product identity at the fixed point delta = nu involves only
+    already-solved coefficients, so back-substitution suffices.  Vanishing
+    and triangularity hold at any rank n >= l(delta), so stable=False
+    admits any rank >= max length, as multiply_schubert does.
     """
     lam = Partition(lam)
     mu = Partition(mu)
     if n < max(len(lam), len(mu)):
         raise RankTooSmallError(f"need n >= max length, got n = {n}")
-    if n <= len(lam) + len(mu):
+    if stable and n <= len(lam) + len(mu):
         raise RankTooSmallError(
             f"localization uses the stable reading; need n > l(lam)+l(mu), got n = {n}"
         )
@@ -296,7 +303,7 @@ def compute_expansion(
     if method == "expand":
         return multiply_schubert(lam, mu, n, yspec, stable=stable)
     if method == "localize":
-        return structure_constants_via_localization(lam, mu, n, yspec)
+        return structure_constants_via_localization(lam, mu, n, yspec, stable=stable)
     if method == "molev":
         return _molev_expansion(lam, mu, n, yspec)
     raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
@@ -318,7 +325,8 @@ def multiplication_table(
     """Expansions for all unordered pairs of partitions of weight <= max_weight.
 
     Rows appear in canonical pair order and are identical regardless of the
-    worker count.
+    worker count.  Workers take the pairs one at a time, heaviest
+    |lam|+|mu| first, so that no heavy pair starts last.
     """
     if max_weight < 0:
         raise DomainError("max_weight must be nonnegative")
@@ -337,8 +345,10 @@ def multiplication_table(
     # CPUs only add processes.
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
+        order = sorted(range(len(tasks)), key=lambda i: -(tasks[i][0].weight + tasks[i][1].weight))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_table_entry, tasks, chunksize=4))
+            rows = dict(zip(order, pool.map(_table_entry, [tasks[i] for i in order], chunksize=1)))
+        return [rows[i] for i in range(len(tasks))]
     return [_table_entry(t) for t in tasks]
 
 

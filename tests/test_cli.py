@@ -13,6 +13,7 @@ from shiftedschur.cli import parse_yspec, run
 from shiftedschur.comult import MAX_COPRODUCT_SUMMANDS
 from shiftedschur.errors import DomainError, UsageError
 from shiftedschur.polyring import MAX_EXPONENT, IntSeqWindow, YSpec
+from shiftedschur.schur import MAX_H_TERMS
 from shiftedschur.structconst import dumps_canonical
 
 
@@ -449,6 +450,19 @@ def test_coproduct_refused_before_expanding(tmp_path):
         "integer string conversion; use sys.set_int_max_str_digits() to increase the limit\n"
     )
     assert int(peak_file.read_text()) < 100 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
+def test_schur_h_table_limit(tmp_path):
+    # Symbolic h_p at the first variable has 2^p terms; the table is refused
+    # once it holds more than MAX_H_TERMS (it grew past 1 GB before).
+    peak_file = tmp_path / "peak_rss_kb"
+    cli = [sys.executable, "-m", "shiftedschur", "schur", "--lambda", "20", "--n", "2"]
+    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: the table h_0..h_20 exceeds the limit of {MAX_H_TERMS} terms\n"
+    assert int(peak_file.read_text()) < 200 * 1024
 
 
 @pytest.mark.skipif(

@@ -100,6 +100,42 @@ def test_add_and_mul_match_sympy(a, b):
     assert same(p * q, pe * qe)
 
 
+# Coprime denominators, so that a product's scale is a large lcm and its
+# terms reduce differently; 5/77 cancels against 1/7 * 1/11 sums.
+coprime_coefficients = st.sampled_from(
+    [Fraction(1, 7), Fraction(-1, 11), Fraction(3, 13), Fraction(-5, 77), Fraction(2)]
+)
+coprime_polys = st.lists(st.tuples(coprime_coefficients, monomials), min_size=1, max_size=5).map(
+    build
+)
+
+
+def ints_where_integral(p: Poly) -> bool:
+    return all(c.__class__ is int for c in p.terms.values() if Fraction(c).denominator == 1)
+
+
+@oracle
+@given(coprime_polys, coprime_polys)
+def test_mul_with_coprime_denominators_matches_sympy(a, b):
+    (p, pe), (q, qe) = a, b
+    product = p * q
+    assert same(product, pe * qe)
+    assert ints_where_integral(product)
+    assert ints_where_integral(p * 77) and ints_where_integral(p * Fraction(1001, 3))
+
+
+def test_mul_stores_int_where_integral():
+    x1 = var_code(FAMILY_X, 1)
+    product = (x(1) * Fraction(1, 2) + Fraction(1, 3)) * (2 * x(1) + 3)
+    assert product.terms == {(x1, 2): 1, (x1, 1): Fraction(13, 6), (): 1}
+    assert ints_where_integral(product)
+    # The x1 terms 1/77 - 1/77 cancel to zero across the two scales.
+    a = x(1) * Fraction(1, 7) + Fraction(1, 11)
+    b = x(1) * Fraction(1, 7) - Fraction(1, 11)
+    assert (a * b).terms == {(x1, 2): Fraction(1, 49), (): Fraction(-1, 121)}
+    assert ((a * 7) * (b * 77)).terms == {(x1, 2): 11, (): Fraction(-49, 11)}
+
+
 @oracle
 @given(polys, st.integers(0, 4))
 def test_pow_matches_sympy(a, k):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from oracles import brute_force_lr
@@ -8,6 +9,7 @@ from shiftedschur import (
     AsymmetricInputError,
     DegenerateSpecializationError,
     DomainError,
+    IntSeqWindow,
     Partition,
     RankTooSmallError,
     YSpec,
@@ -137,6 +139,34 @@ def test_multiply_coefficients_stable_in_n():
         assert small.coefficients == large.coefficients
 
 
+# One y-spec of each kind; the affine one has rational values.
+SPECS = (
+    SYM,
+    ZSPEC,
+    YSpec.affine(Fraction(1, 2), Fraction(-3, 5)),
+    YSpec.standard(1),
+    YSpec.circle(IntSeqWindow(lo=0, values=(), tail=(2, -1)), d=1),
+    YSpec.torus(-2),
+)
+RANK_PAIRS = [
+    (lam, mu) for lam in partitions_up_to(2, 2) for mu in partitions_up_to(2, 2)
+] + [(P([2, 1]), P([1])), (P([1]), P([1, 1, 1])), (P([3]), P([1, 1]))]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_multiply_matches_full_rank_expansion(spec):
+    # multiply_schubert expands at the least stable rank l(lam)+l(mu)+1;
+    # the product built and expanded at a larger rank n must give the same
+    # coefficients, and the expansion keeps the caller's n.
+    for lam, mu in RANK_PAIRS:
+        n = len(lam) + len(mu) + 3
+        exp = multiply_schubert(lam, mu, n, spec)
+        product = shifted_double_schur(lam, n, spec) * shifted_double_schur(mu, n, spec)
+        assert exp == expand_in_shifted_basis(product, n, spec)
+        assert exp.n == n
+        assert exp == multiply_schubert(mu, lam, n, spec)
+
+
 def test_top_degree_coefficients_classical():
     exp = multiply_schubert(P([2, 1]), P([1]), 5, SYM)
     lr = brute_force_lr((2, 1), (1,), 4)
@@ -193,6 +223,25 @@ def test_localization_rejects_degenerate():
         structure_constants_via_localization(P([1]), P([1]), 3, ZSPEC)
     with pytest.raises(DegenerateSpecializationError):
         structure_constants_via_localization(P([1]), P([1]), 3, YSpec.affine(1, 0))
+
+
+@pytest.mark.parametrize(
+    "spec_of",
+    [lambda n: YSpec.torus(n + 1), lambda n: SYM, lambda n: STD0],
+    ids=["torus", "symbolic", "standard"],
+)
+def test_finite_rank_localization_matches_expand(spec_of):
+    # The finite-rank tables of the two engines agree at ranks n up to
+    # 2 * max_weight too: vanishing and triangularity need only n >= l(delta).
+    for n in (2, 3, 4):
+        spec = spec_of(n)
+        rows_l = multiplication_table(3, n, spec, method="localize", finite_rank=True)
+        rows_e = multiplication_table(3, n, spec, method="expand", finite_rank=True)
+        assert [(l, m, e.coefficients) for l, m, e in rows_l] == [
+            (l, m, e.coefficients) for l, m, e in rows_e
+        ]
+    with pytest.raises(RankTooSmallError, match="localization uses the stable reading"):
+        structure_constants_via_localization(P([1]), P([1]), 2, SYM)
 
 
 def test_localization_torus_spec():
@@ -300,3 +349,33 @@ def test_table_jobs_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(sc.os, "cpu_count", lambda: 1)
     assert multiplication_table(1, 3, STD0, jobs=64) == seq
     assert requested == [2]
+
+
+def test_table_jobs_heaviest_pairs_first(monkeypatch):
+    import shiftedschur.structconst as sc
+
+    dispatched = []
+
+    class RecordingPool:
+        # Records the dispatch order and chunk size and maps in-process.
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            dispatched.append(([t[0].weight + t[1].weight for t in tasks], chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
+    seq = multiplication_table(2, 5, STD0, jobs=1)
+    assert multiplication_table(2, 5, STD0, jobs=2) == seq
+    [(weights, chunksize)] = dispatched
+    assert weights == sorted(weights, reverse=True) and weights[0] == 4
+    assert chunksize == 1
