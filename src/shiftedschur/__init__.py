@@ -4,74 +4,95 @@ Partitions and tableau counting, sparse exact-rational polynomials over the
 x/y/torus-weight variable universe, double and shifted double Schur
 functions, equivariant Littlewood-Richardson structure constants by three
 independent algorithms, and the coproduct on shifted power sums.
+
+The names below are exported lazily: a submodule is imported the first time
+one of its names is read, so importing the package, or the CLI, loads only
+the code that is used.
 """
 
-from .comult import (
-    PowerPolynomial,
-    PrimitivityReport,
-    TensorElement,
-    coproduct_power_polynomial,
-    power_sum_torus,
-    relabel_even_odd,
-    rho_pullback_power_sum,
-    shifted_power_sum,
-    verify_primitivity,
-)
-from .errors import (
-    AsymmetricInputError,
-    DegenerateSpecializationError,
-    DomainError,
-    InexactDivisionError,
-    InternalInconsistencyError,
-    RankTooSmallError,
-    UnresolvableIndexError,
-    UsageError,
-)
-from .partitions import (
-    Partition,
-    SkewShape,
-    canonical_key,
-    contains,
-    count_standard_tableaux,
-    hook_h,
-    parse_partition,
-    partitions_between,
-    partitions_up_to,
-)
-from .polyring import (
-    ONE,
-    SYMBOLIC,
-    ZERO,
-    IntSeqWindow,
-    Poly,
-    YSpec,
-    canonical_string,
-    const,
-    divide_exact,
-    poly_det,
-    u,
-    useq,
-    x,
-    y,
-)
-from .schur import (
-    alternant_denominator,
-    double_h,
-    double_schur,
-    falling_factorial,
-    restrict_to_fixed_point,
-    shifted_double_schur,
-    shifted_schur_stable,
-    vandermonde,
-)
-from .structconst import (
-    SchurExpansion,
-    compute_expansion,
-    expand_in_shifted_basis,
-    molev_coefficient,
-    multiplication_table,
-    multiply_schubert,
-    structure_constants_via_localization,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "comult": (
+        "PowerPolynomial",
+        "PrimitivityReport",
+        "TensorElement",
+        "coproduct_power_polynomial",
+        "power_sum_torus",
+        "relabel_even_odd",
+        "rho_pullback_power_sum",
+        "shifted_power_sum",
+        "verify_primitivity",
+    ),
+    "errors": (
+        "AsymmetricInputError",
+        "DegenerateSpecializationError",
+        "DomainError",
+        "InexactDivisionError",
+        "InternalInconsistencyError",
+        "RankTooSmallError",
+        "UnresolvableIndexError",
+        "UsageError",
+    ),
+    "partitions": (
+        "Partition",
+        "SkewShape",
+        "canonical_key",
+        "contains",
+        "count_standard_tableaux",
+        "hook_h",
+        "parse_partition",
+        "partitions_between",
+        "partitions_up_to",
+    ),
+    "polyring": (
+        "ONE",
+        "SYMBOLIC",
+        "ZERO",
+        "IntSeqWindow",
+        "Poly",
+        "YSpec",
+        "canonical_string",
+        "const",
+        "divide_exact",
+        "poly_det",
+        "u",
+        "useq",
+        "x",
+        "y",
+    ),
+    "schur": (
+        "alternant_denominator",
+        "double_h",
+        "double_schur",
+        "falling_factorial",
+        "restrict_to_fixed_point",
+        "shifted_double_schur",
+        "shifted_schur_stable",
+        "vandermonde",
+    ),
+    "structconst": (
+        "SchurExpansion",
+        "compute_expansion",
+        "expand_in_shifted_basis",
+        "molev_coefficient",
+        "multiplication_table",
+        "multiply_schubert",
+        "structure_constants_via_localization",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

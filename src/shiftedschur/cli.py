@@ -7,11 +7,9 @@ Exit codes: 0 success, 1 usage error, 2 mathematical domain error,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from fractions import Fraction
 
-from .comult import PowerPolynomial, coproduct_power_polynomial, verify_primitivity
 from .errors import (
     DegenerateSpecializationError,
     DomainError,
@@ -305,6 +303,8 @@ def _cmd_restrict(args) -> str:
 
 
 def _cmd_coproduct(args) -> str:
+    from .comult import PowerPolynomial, coproduct_power_polynomial
+
     try:
         expr = PowerPolynomial.parse(args.expr)
     except ZeroDivisionError as e:
@@ -367,6 +367,8 @@ def _cmd_verify(args) -> tuple[str, bool]:
         if ok:
             lines.append(f"PASS (all {cases} cases)")
     elif suite == "primitivity":
+        from .comult import verify_primitivity
+
         for k in range(1, args.max_k + 1):
             for l in range(2, args.max_l + 1):
                 report = verify_primitivity(k, l)
@@ -386,6 +388,8 @@ def _cmd_verify(args) -> tuple[str, bool]:
                 )
         lines.append("PASS" if ok else "FAIL")
     elif suite == "ring-axioms":
+        import random
+
         rng = random.Random(args.seed)
         gens = [x(1), x(2), y(-1), y(2), useq(0), const(1)]
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -187,9 +186,12 @@ def _exact_quotient(c: int, d: int):
     return Fraction(c, d) if r else q
 
 
+def _int_if_integral(c):
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
 def _parse_coeff(text: str):
-    f = Fraction(text)
-    return int(f) if f.denominator == 1 else f
+    return _int_if_integral(Fraction(text))
 
 
 class Poly:
@@ -206,8 +208,7 @@ class Poly:
         clean = {}
         if terms:
             for m, c in terms.items():
-                if isinstance(c, Fraction) and c.denominator == 1:
-                    c = int(c)
+                c = _int_if_integral(c)
                 if c:
                     clean[_encode(m)] = c
         self._terms = clean
@@ -225,8 +226,7 @@ class Poly:
     @classmethod
     def constant(cls, value) -> "Poly":
         """The constant polynomial with the given int or Fraction value."""
-        if isinstance(value, Fraction) and value.denominator == 1:
-            value = int(value)
+        value = _int_if_integral(value)
         return cls._raw({0: value} if value else {})
 
     # -- basic queries ----------------------------------------------------
@@ -295,10 +295,12 @@ class Poly:
                 out[m] = c
             else:
                 s = s + c
-                if s:
-                    out[m] = s
-                else:
+                if not s:
                     del out[m]
+                elif s.__class__ is Fraction and s.denominator == 1:
+                    out[m] = s.numerator
+                else:
+                    out[m] = s
         return self._raw(out)
 
     __radd__ = __add__
@@ -421,7 +423,7 @@ class Poly:
             else:
                 for mm, cc in (Poly._raw({mono: c}) * rest)._terms.items():
                     acc[mm] = acc.get(mm, 0) + cc
-        return Poly._raw({m: c for m, c in acc.items() if c})
+        return Poly._raw({m: _int_if_integral(c) for m, c in acc.items() if c})
 
     def specialize_y(self, spec: "YSpec") -> "Poly":
         """Apply a y-specialization rule to every y_j occurrence."""
@@ -698,18 +700,57 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
 # -- y-specializations ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntSeqWindow:
+class _Record:
+    """An immutable value with named fields: field-wise equality and hash,
+    a keyword-style repr, and pickling that rebuilds through __init__.
+
+    A subclass lists its fields in _fields, in the order of its __init__
+    parameters, and sets them with _set.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return (type(self), self._astuple())
+
+
+class IntSeqWindow(_Record):
     """A doubly infinite integer sequence described by a finite window plus
     an affine tail rule applied outside it."""
 
-    lo: int
-    values: tuple[int, ...]
-    tail: tuple[int, int] | None = None  # (a, b): k -> a*k + b
+    _fields = ("lo", "values", "tail")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if not self.values and self.tail is None:
+    def __init__(
+        self, lo: int, values: tuple[int, ...], tail: tuple[int, int] | None = None
+    ):
+        # tail (a, b) is the rule k -> a*k + b.
+        if not values and tail is None:
             raise DomainError("window must be nonempty or have a tail rule")
+        self._set(lo, values, tail)
 
     @property
     def hi(self) -> int:
@@ -737,8 +778,7 @@ class IntSeqWindow:
         return cls(lo=obj["lo"], values=tuple(obj["values"]), tail=tail)
 
 
-@dataclass(frozen=True)
-class YSpec:
+class YSpec(_Record):
     """A finitely described substitution rule for the y sequence.
 
     kinds: symbolic (identity), zero (y_j -> 0), affine (y_j -> a*j + b),
@@ -746,28 +786,26 @@ class YSpec:
     sequence n), torus (y_j -> u_{j+shift}).
     """
 
-    kind: str
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    d: int = 0
-    window: IntSeqWindow | None = None
-    shift: int = 0
+    _fields = ("kind", "a", "b", "d", "window", "shift")
+    __slots__ = _fields + ("_hash",)
 
-    # Every _jacobi_trudi cache lookup hashes the spec, and hashing
-    # the Fraction fields anew each time is slow: hash once per instance.
-    # Equality stays the generated field-by-field comparison.
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: str,
+        a: Fraction = Fraction(0),
+        b: Fraction = Fraction(0),
+        d: int = 0,
+        window: IntSeqWindow | None = None,
+        shift: int = 0,
+    ):
+        self._set(kind, a, b, d, window, shift)
+        # Every _jacobi_trudi cache lookup hashes the spec, and hashing the
+        # Fraction fields anew each time is slow: hash once per instance.
+        # Unpickling goes through __init__, so each process hashes anew.
         object.__setattr__(self, "_hash", hash(self._astuple()))
-
-    def _astuple(self) -> tuple:
-        return (self.kind, self.a, self.b, self.d, self.window, self.shift)
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__ so that the receiving process hashes anew.
-        return (type(self), self._astuple())
 
     @classmethod
     def symbolic(cls) -> "YSpec":

@@ -63,15 +63,23 @@ def _h_column(top: int, s: int, yspec: YSpec, point: tuple) -> list[Poly]:
     Raises DomainError once the table holds more than MAX_H_TERMS terms.
     """
     n = len(point)
-    # The y values are asked for top down, so a window without a tail rule
-    # reports the highest index it lacks.
-    ys = {k: yspec.value(k) for k in range(n + top - 1 - s, -s, -1)}
+    # ys[k - 1 + s] = y_k.  The y values are asked for bottom up, so new y
+    # variables get registry slots in ascending index order and the cells
+    # of low p, which hold only low-index y, stay short packed ints.  A
+    # window without a tail rule reports the highest index it lacks.
+    indices = range(1 - s, n + top - s)
+    try:
+        ys = [yspec.value(k) for k in indices]
+    except UnresolvableIndexError:
+        for k in reversed(indices):
+            yspec.value(k)
+        raise
     h = [ONE] + [ZERO] * top
     held = 1
     for m in range(1, n + 1):
         xm = point[m - 1]
         for p in range(1, top + 1):
-            cell = h[p] + (xm - ys[m + p - 1 - s]) * h[p - 1]
+            cell = h[p] + (xm - ys[m + p - 2]) * h[p - 1]
             held += len(cell) - len(h[p])
             if held > MAX_H_TERMS:
                 raise DomainError(

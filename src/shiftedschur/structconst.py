@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .errors import (
@@ -345,6 +344,8 @@ def multiplication_table(
     # CPUs only add processes.
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         order = sorted(range(len(tasks)), key=lambda i: -(tasks[i][0].weight + tasks[i][1].weight))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = dict(zip(order, pool.map(_table_entry, [tasks[i] for i in order], chunksize=1)))

@@ -308,15 +308,14 @@ def test_denominator_suite_needs_two_variables(capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    import shiftedschur.cli as cli_mod
-
     class FakeReport:
         passed = False
         seconds = 0.0
         even_rank = odd_rank = 1
         lhs = rhs = "?"
 
-    monkeypatch.setattr(cli_mod, "verify_primitivity", lambda k, l: FakeReport())
+    # The CLI imports the suite from comult when the suite runs.
+    monkeypatch.setattr(comult, "verify_primitivity", lambda k, l: FakeReport())
     code, out, _ = invoke(
         capsys, "verify", "--suite", "primitivity", "--max-k", "1", "--max-l", "2"
     )
@@ -382,6 +381,29 @@ def test_run_as_module(module):
     proc = _run([sys.executable, "-m", module, *MOLEV_ARGV])
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+    assert proc.stderr == ""
+
+
+# Modules that no product verb needs: importing the CLI must not load them,
+# so that no invocation pays for them at start-up.
+_COLD_START_ABSENT = ("shiftedschur.comult", "concurrent.futures", "multiprocessing", "dataclasses")
+
+_COLD_START_PROBE = """\
+import sys
+import shiftedschur.cli
+print(",".join(m for m in sys.argv[1:] if m in sys.modules))
+import shiftedschur
+for name in shiftedschur.__all__:
+    getattr(shiftedschur, name)
+from shiftedschur import comult
+print(comult.verify_primitivity is shiftedschur.verify_primitivity)
+"""
+
+
+def test_cold_start_imports_only_the_product_modules():
+    proc = _run([sys.executable, "-c", _COLD_START_PROBE, *_COLD_START_ABSENT])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\nTrue\n"
     assert proc.stderr == ""
 
 
@@ -463,6 +485,20 @@ def test_schur_h_table_limit(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == f"error: the table h_0..h_20 exceeds the limit of {MAX_H_TERMS} terms\n"
     assert int(peak_file.read_text()) < 200 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
+@pytest.mark.parametrize("lam, n", [("600", "2"), ("1200", "1")])
+def test_long_symbolic_row_refused_in_little_memory(lam, n, tmp_path):
+    # The y variables of a row get registry slots from the lowest index up,
+    # so the cells filled before the refusal pack into short ints.
+    peak_file = tmp_path / "peak_rss_kb"
+    cli = [sys.executable, "-m", "shiftedschur", "schur", "--lambda", lam, "--n", n]
+    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: the table h_0..h_{lam} exceeds the limit of {MAX_H_TERMS} terms\n"
+    assert int(peak_file.read_text()) < 100 * 1024
 
 
 @pytest.mark.skipif(

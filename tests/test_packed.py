@@ -98,6 +98,7 @@ def test_add_and_mul_match_sympy(a, b):
     assert same(p + q, pe + qe)
     assert same(p - q, pe - qe)
     assert same(p * q, pe * qe)
+    assert ints_where_integral(p + q) and ints_where_integral(p - q)
 
 
 # Coprime denominators, so that a product's scale is a large lcm and its
@@ -134,6 +135,10 @@ def test_mul_stores_int_where_integral():
     b = x(1) * Fraction(1, 7) - Fraction(1, 11)
     assert (a * b).terms == {(x1, 2): Fraction(1, 49), (): Fraction(-1, 121)}
     assert ((a * 7) * (b * 77)).terms == {(x1, 2): 11, (): Fraction(-49, 11)}
+    # So does a sum: 1/2 + 1/2 is stored as the int 1.
+    half = Poly.constant(Fraction(1, 2)) * x(1)
+    assert (half + half).terms == {(x1, 1): 1}
+    assert ints_where_integral(half + half) and ints_where_integral(half - (-half))
 
 
 @oracle
@@ -207,6 +212,7 @@ def test_substitute_matches_sympy(a, assignment):
     got = p.substitute({VARIABLES[k][0]: v for k, (v, _) in assignment.items()})
     want = pe.subs({VARIABLES[k][1]: ve for k, (_, ve) in assignment.items()}, simultaneous=True)
     assert same(got, sympy.expand(want))
+    assert ints_where_integral(got)
 
 
 @oracle

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from fractions import Fraction
 
@@ -341,7 +342,8 @@ def test_table_jobs_capped_at_cpu_count(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sc, "ProcessPoolExecutor", RecordingPool)
+    # multiplication_table imports the pool class when jobs > 1.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
     seq = multiplication_table(1, 3, STD0, jobs=1)
     assert multiplication_table(1, 3, STD0, jobs=64) == seq
@@ -372,7 +374,8 @@ def test_table_jobs_heaviest_pairs_first(monkeypatch):
             dispatched.append(([t[0].weight + t[1].weight for t in tasks], chunksize))
             return map(fn, tasks)
 
-    monkeypatch.setattr(sc, "ProcessPoolExecutor", RecordingPool)
+    # multiplication_table imports the pool class when jobs > 1.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
     seq = multiplication_table(2, 5, STD0, jobs=1)
     assert multiplication_table(2, 5, STD0, jobs=2) == seq
