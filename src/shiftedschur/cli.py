@@ -55,20 +55,20 @@ def parse_yspec(text: str) -> YSpec:
     | circle:d=<int>,window=<j0>:<v0>,<v1>,...;tail=a,b | torus:shift=<int>
     """
     text = text.strip()
-    kind, _, rest = text.partition(":")
+    kind, sep, rest = text.partition(":")
     try:
-        if kind == "symbolic":
-            return YSpec.symbolic()
-        if kind == "zero":
-            return YSpec.zero()
+        if kind in ("symbolic", "zero"):
+            if sep:
+                raise ValueError(f"{kind} takes no parameters")
+            return YSpec.symbolic() if kind == "symbolic" else YSpec.zero()
         if kind == "affine":
-            opts = _parse_options(rest)
+            opts = _parse_options(rest.split(","), ("a", "b"))
             return YSpec.affine(Fraction(opts["a"]), Fraction(opts["b"]))
         if kind == "standard":
-            opts = _parse_options(rest)
+            opts = _parse_options(rest.split(","), ("d",))
             return YSpec.standard(int(opts["d"]))
         if kind == "torus":
-            opts = _parse_options(rest)
+            opts = _parse_options(rest.split(","), ("shift",))
             return YSpec.torus(int(opts["shift"]))
         if kind == "circle":
             return _parse_circle(rest)
@@ -77,41 +77,43 @@ def parse_yspec(text: str) -> YSpec:
     raise UsageError(f"unknown yspec kind {kind!r}")
 
 
-def _parse_options(rest: str) -> dict[str, str]:
-    opts = {}
-    for token in filter(None, rest.split(",")):
+def _parse_options(tokens, keys: tuple[str, ...]) -> dict[str, str]:
+    """key=value tokens (empty ones skipped); each key once, from keys."""
+    opts: dict[str, str] = {}
+    for token in filter(None, tokens):
         key, _, value = token.partition("=")
+        if key not in keys:
+            raise ValueError(f"unknown option {key!r}")
         if not value:
             raise ValueError(f"expected key=value, got {token!r}")
+        if key in opts:
+            raise ValueError(f"repeated option {key!r}")
         opts[key] = value
     return opts
 
 
 def _parse_circle(rest: str) -> YSpec:
-    d = 0
-    window_text = None
-    tail = None
+    # The window and tail values hold commas: each is one token.
+    tokens = []
     for segment in rest.split(";"):
         if segment.startswith("tail="):
-            a, b = segment[len("tail="):].split(",")
-            tail = (int(a), int(b))
+            tokens.append(segment)
             continue
-        if "window=" in segment:
-            before, _, window_text = segment.partition("window=")
-            segment = before.rstrip(",")
-        for token in filter(None, segment.split(",")):
-            key, _, value = token.partition("=")
-            if key == "d":
-                d = int(value)
-            else:
-                raise ValueError(f"unknown circle option {token!r}")
-    if window_text:
-        j0_text, _, values_text = window_text.partition(":")
+        segment, found, window_text = segment.partition("window=")
+        tokens += segment.split(",")
+        if found:
+            tokens.append("window=" + window_text)
+    opts = _parse_options(tokens, ("d", "window", "tail"))
+    tail = None
+    if "tail" in opts:
+        a, b = opts["tail"].split(",")
+        tail = (int(a), int(b))
+    lo, values = 0, ()
+    if "window" in opts:
+        j0_text, _, values_text = opts["window"].partition(":")
         lo = int(j0_text)
         values = tuple(int(t) for t in filter(None, values_text.split(",")))
-    else:
-        lo, values = 0, ()
-    return YSpec.circle(IntSeqWindow(lo=lo, values=values, tail=tail), d=d)
+    return YSpec.circle(IntSeqWindow(lo=lo, values=values, tail=tail), d=int(opts.get("d", 0)))
 
 
 def _partition_flag(text: str) -> Partition:
@@ -247,13 +249,15 @@ def _expansion_output(lam, mu, exp, fmt: str) -> str:
     return expansion_to_text(lam, mu, exp) + "\n"
 
 
-def _with_fallback(method: str, compute):
-    """compute(method), or compute("expand") with a note on stderr if the
-    y-specialization is degenerate for the chosen method."""
+def _with_fallback(args, compute):
+    """compute(args.method), or compute("expand") if the y-specialization is
+    degenerate for the chosen method.  A fallback leaves args.note, which
+    run prints only once the output is written: a nonzero exit prints its
+    error line alone."""
     try:
-        return compute(method)
+        return compute(args.method)
     except DegenerateSpecializationError as e:
-        print(f"note: {e}; falling back to the expansion method", file=sys.stderr)
+        args.note = f"note: {e}; falling back to the expansion method"
         return compute("expand")
 
 
@@ -262,7 +266,7 @@ def _cmd_multiply(args) -> str:
     mu = _partition_flag(args.mu)
     yspec = parse_yspec(args.y)
     exp = _with_fallback(
-        args.method,
+        args,
         lambda method: compute_expansion(
             lam, mu, args.n, yspec, method, stable=not args.finite_rank
         ),
@@ -273,7 +277,7 @@ def _cmd_multiply(args) -> str:
 def _cmd_table(args) -> str:
     yspec = parse_yspec(args.y)
     rows = _with_fallback(
-        args.method,
+        args,
         lambda method: multiplication_table(
             args.max_weight, args.n, yspec, method, jobs=args.jobs, finite_rank=args.finite_rank
         ),
@@ -367,6 +371,11 @@ def _cmd_verify(args) -> tuple[str, bool]:
         if ok:
             lines.append(f"PASS (all {cases} cases)")
     elif suite == "primitivity":
+        if args.max_k < 1 or args.max_l < 2:
+            raise UsageError(
+                "the primitivity suite needs --max-k >= 1 and --max-l >= 2, "
+                f"got {args.max_k} and {args.max_l}"
+            )
         from .comult import verify_primitivity
 
         for k in range(1, args.max_k + 1):
@@ -388,6 +397,8 @@ def _cmd_verify(args) -> tuple[str, bool]:
                 )
         lines.append("PASS" if ok else "FAIL")
     elif suite == "ring-axioms":
+        if args.cases < 1:
+            raise UsageError(f"the ring-axioms suite needs --cases >= 1, got {args.cases}")
         import random
 
         rng = random.Random(args.seed)
@@ -452,6 +463,8 @@ def run(argv=None) -> int:
         else:  # pragma: no cover - argparse enforces the verb set
             raise UsageError(f"unknown verb {args.verb!r}")
         _emit(args, text)
+        if hasattr(args, "note"):
+            print(args.note, file=sys.stderr)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

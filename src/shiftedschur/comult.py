@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, prod
 from typing import Iterable
@@ -24,7 +25,6 @@ from .polyring import (
     ZERO,
     Poly,
     YSpec,
-    _Record,
     render_terms,
     useq,
     var_code,
@@ -374,15 +374,9 @@ def coproduct_power_polynomial(expr) -> TensorElement:
     return total
 
 
-class PrimitivityReport(_Record):
-    _fields = ("k", "l", "passed", "lhs", "rhs", "even_rank", "odd_rank", "seconds")
-    __slots__ = _fields
-
-    def __init__(
-        self, k: int, l: int, passed: bool, lhs: str, rhs: str,
-        even_rank: int, odd_rank: int, seconds: float,
-    ):
-        self._set(k, l, passed, lhs, rhs, even_rank, odd_rank, seconds)
+PrimitivityReport = namedtuple(
+    "PrimitivityReport", "k l passed lhs rhs even_rank odd_rank seconds"
+)
 
 
 def verify_primitivity(k: int, l: int) -> PrimitivityReport:

@@ -8,6 +8,7 @@ descending lexicographic among equal weights.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator
@@ -50,9 +51,6 @@ class Partition(tuple):
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
 
-    def __getnewargs__(self):
-        return (tuple(self),)
-
 
 EMPTY = Partition()
 
@@ -81,18 +79,17 @@ def contains(outer: Iterable[int], inner: Iterable[int]) -> bool:
     return all(q <= p for p, q in zip(outer, inner))
 
 
-class SkewShape:
+class SkewShape(namedtuple("SkewShape", "outer inner")):
     """A skew diagram outer/inner; construction checks inner is contained in outer."""
 
-    __slots__ = ("outer", "inner")
+    __slots__ = ()
 
-    def __init__(self, outer: Partition, inner: Partition = EMPTY):
+    def __new__(cls, outer: Partition, inner: Partition = EMPTY):
         outer = Partition(outer)
         inner = Partition(inner)
         if not contains(outer, inner):
             raise DomainError(f"{inner} is not contained in {outer}")
-        self.outer = outer
-        self.inner = inner
+        return super().__new__(cls, outer, inner)
 
     @property
     def size(self) -> int:
@@ -103,19 +100,6 @@ class SkewShape:
         for r, p in enumerate(self.outer):
             for c in range(self.inner.part(r + 1), p):
                 yield (r, c)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SkewShape)
-            and self.outer == other.outer
-            and self.inner == other.inner
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.outer, self.inner))
-
-    def __repr__(self) -> str:
-        return f"SkewShape({tuple(self.outer)!r}, {tuple(self.inner)!r})"
 
 
 def count_standard_tableaux(shape: SkewShape) -> int:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -700,57 +701,18 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
 # -- y-specializations ---------------------------------------------------------
 
 
-class _Record:
-    """An immutable value with named fields: field-wise equality and hash,
-    a keyword-style repr, and pickling that rebuilds through __init__.
-
-    A subclass lists its fields in _fields, in the order of its __init__
-    parameters, and sets them with _set.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({body})"
-
-    def __reduce__(self):
-        return (type(self), self._astuple())
-
-
-class IntSeqWindow(_Record):
+class IntSeqWindow(namedtuple("IntSeqWindow", "lo values tail")):
     """A doubly infinite integer sequence described by a finite window plus
     an affine tail rule applied outside it."""
 
-    _fields = ("lo", "values", "tail")
-    __slots__ = _fields
+    __slots__ = ()
 
-    def __init__(
-        self, lo: int, values: tuple[int, ...], tail: tuple[int, int] | None = None
-    ):
-        # tail (a, b) is the rule k -> a*k + b.
+    def __new__(cls, lo: int, values: tuple[int, ...], tail: tuple[int, int] | None = None):
+        # tail (a, b) is the rule k -> a*k + b.  Unpickling calls __new__
+        # too, so a pickled window is checked again.
         if not values and tail is None:
             raise DomainError("window must be nonempty or have a tail rule")
-        self._set(lo, values, tail)
+        return super().__new__(cls, lo, values, tail)
 
     @property
     def hi(self) -> int:
@@ -778,7 +740,13 @@ class IntSeqWindow(_Record):
         return cls(lo=obj["lo"], values=tuple(obj["values"]), tail=tail)
 
 
-class YSpec(_Record):
+class YSpec(
+    namedtuple(
+        "YSpec",
+        "kind a b d window shift",
+        defaults=(Fraction(0), Fraction(0), 0, None, 0),
+    )
+):
     """A finitely described substitution rule for the y sequence.
 
     kinds: symbolic (identity), zero (y_j -> 0), affine (y_j -> a*j + b),
@@ -786,26 +754,7 @@ class YSpec(_Record):
     sequence n), torus (y_j -> u_{j+shift}).
     """
 
-    _fields = ("kind", "a", "b", "d", "window", "shift")
-    __slots__ = _fields + ("_hash",)
-
-    def __init__(
-        self,
-        kind: str,
-        a: Fraction = Fraction(0),
-        b: Fraction = Fraction(0),
-        d: int = 0,
-        window: IntSeqWindow | None = None,
-        shift: int = 0,
-    ):
-        self._set(kind, a, b, d, window, shift)
-        # Every _jacobi_trudi cache lookup hashes the spec, and hashing the
-        # Fraction fields anew each time is slow: hash once per instance.
-        # Unpickling goes through __init__, so each process hashes anew.
-        object.__setattr__(self, "_hash", hash(self._astuple()))
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ()
 
     @classmethod
     def symbolic(cls) -> "YSpec":

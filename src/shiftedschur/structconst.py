@@ -168,6 +168,18 @@ def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurEx
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 
+def _check_rank(lam: Partition, mu: Partition, n: int, stable: bool, engine: str) -> None:
+    """The rank guard every engine applies: n >= max length, and under the
+    stable reading n > l(lam)+l(mu)."""
+    if n < max(len(lam), len(mu)):
+        raise RankTooSmallError(f"need n >= max length, got n = {n}")
+    if stable and n <= len(lam) + len(mu):
+        raise RankTooSmallError(
+            f"{engine} uses the stable reading; need n > l(lam)+l(mu) = "
+            f"{len(lam) + len(mu)}, got n = {n}"
+        )
+
+
 def multiply_schubert(
     lam, mu, n: int, yspec: YSpec = SYMBOLIC, stable: bool = True
 ) -> SchurExpansion:
@@ -183,13 +195,7 @@ def multiply_schubert(
     """
     lam = Partition(lam)
     mu = Partition(mu)
-    if n < max(len(lam), len(mu)):
-        raise RankTooSmallError(f"need n >= max length, got n = {n}")
-    if stable and n <= len(lam) + len(mu):
-        raise RankTooSmallError(
-            f"stable interpretation needs n > l(lam)+l(mu) = {len(lam) + len(mu)}, "
-            f"got n = {n}"
-        )
+    _check_rank(lam, mu, n, stable, "expansion")
     n0 = len(lam) + len(mu) + 1 if stable else n
     product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
     coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients
@@ -242,12 +248,7 @@ def structure_constants_via_localization(
     """
     lam = Partition(lam)
     mu = Partition(mu)
-    if n < max(len(lam), len(mu)):
-        raise RankTooSmallError(f"need n >= max length, got n = {n}")
-    if stable and n <= len(lam) + len(mu):
-        raise RankTooSmallError(
-            f"localization uses the stable reading; need n > l(lam)+l(mu), got n = {n}"
-        )
+    _check_rank(lam, mu, n, stable, "localization")
     if yspec.kind not in _LOCALIZABLE:
         raise DegenerateSpecializationError(
             f"yspec kind {yspec.kind!r} is degenerate for localization"
@@ -277,7 +278,7 @@ def structure_constants_via_localization(
     return SchurExpansion(n=n, yspec=yspec, coefficients=solved)
 
 
-def _molev_expansion(lam, mu, n: int, yspec: YSpec) -> SchurExpansion:
+def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpansion:
     if yspec.kind != "standard":
         raise DomainError(
             "the hook-function formula applies to the standard action only; "
@@ -285,6 +286,7 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec) -> SchurExpansion:
         )
     lam = Partition(lam)
     mu = Partition(mu)
+    _check_rank(lam, mu, n, stable, "the hook-function formula")
     coeffs: dict[Partition, Poly] = {}
     for nu in partitions_up_to(lam.weight + mu.weight, n):
         if not (contains(nu, lam) and contains(nu, mu)):
@@ -304,7 +306,7 @@ def compute_expansion(
     if method == "localize":
         return structure_constants_via_localization(lam, mu, n, yspec, stable=stable)
     if method == "molev":
-        return _molev_expansion(lam, mu, n, yspec)
+        return _molev_expansion(lam, mu, n, yspec, stable)
     raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
 
 

@@ -38,7 +38,17 @@ def test_parse_yspec_grammar():
     assert spec == YSpec.circle(IntSeqWindow(lo=0, values=(), tail=(1, 0)), d=0)
 
 
-@pytest.mark.parametrize("bad", ["mystery", "standard:q=1", "affine:a=1", "circle:w=3"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "mystery", "standard:q=1", "affine:a=1", "circle:w=3",
+        "symbolic:junk", "zero:", "zero:d=1",
+        "standard:d=1,q=2", "affine:a=1,b=2,c=3", "torus:shift=1,d=0",
+        "standard:d=1,d=2", "affine:a=1,a=2,b=3", "torus:shift=1,shift=2",
+        "circle:d=1,d=2,window=0:1", "circle:d=1;d=2;tail=1,0",
+        "circle:window=0:1;window=0:2", "circle:d=0;tail=1,0;tail=1,1",
+    ],
+)
 def test_parse_yspec_rejects(bad):
     with pytest.raises(UsageError):
         parse_yspec(bad)
@@ -305,6 +315,55 @@ def test_denominator_suite_needs_two_variables(capsys):
     code, out, _ = invoke(capsys, "verify", "--suite", "denominator", "--n", "2")
     assert code == 0
     assert out == "PASS (all 1 cases)\n"
+
+
+def test_molev_method_needs_the_stable_rank(capsys):
+    argv = ("multiply", "--lambda", "1", "--mu", "1", "--n", "1", "--y", "standard:d=0")
+    code, out, err = invoke(capsys, *argv, "--method", "molev")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the hook-function formula uses the stable reading; "
+        "need n > l(lam)+l(mu) = 2, got n = 1\n"
+    )
+    code, out, _ = invoke(capsys, *argv, "--method", "molev", "--finite-rank")
+    assert (code, out) == (0, "[1] * [1] -> [1]: u | [2]: 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "ring-axioms", "--cases", "-1"),
+        ("--suite", "ring-axioms", "--cases", "0"),
+        ("--suite", "primitivity", "--max-k", "0"),
+        ("--suite", "primitivity", "--max-l", "1"),
+    ],
+)
+def test_verify_suite_that_checks_nothing_is_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: the ") and err.count("\n") == 1
+    assert argv[2] in err
+
+
+def test_localize_fallback_that_fails_prints_one_line(capsys, tmp_path):
+    # The fallback to expand needs y[-6], outside the window; and an output
+    # that cannot be written is the one error of a fallback that succeeds.
+    spec = "circle:d=0,window=-5:0,0,0,0,0,0"
+    argv = ("multiply", "--lambda", "1", "--mu", "1", "--method", "localize", "--y", spec)
+    code, out, err = invoke(capsys, *argv, "--n", "6", "--finite-rank")
+    assert code == 2
+    assert out == ""
+    assert err == "error: sequence index -6 outside window [-5, 0] and no tail rule\n"
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = invoke(capsys, *argv, "--n", "3", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: cannot write --output") and err.count("\n") == 1
+    code, out, err = invoke(capsys, *argv, "--n", "3")
+    assert code == 0
+    assert err.startswith("note: ") and err.count("\n") == 1
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

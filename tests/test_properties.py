@@ -1,8 +1,13 @@
-"""Algebraic invariants of the structure constants, as property tests.
+"""Algebraic invariants of the structure constants, and the value records
+and text forms, as property tests.
 
 The coefficients come from localization, the fast engine, so random
 triples stay cheap.
 """
+
+import json
+import pickle
+from math import prod
 
 import pytest
 
@@ -10,7 +15,24 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from shiftedschur import ZERO, Partition, YSpec, partitions_up_to  # noqa: E402
+from shiftedschur import (  # noqa: E402
+    ONE,
+    ZERO,
+    DomainError,
+    IntSeqWindow,
+    Partition,
+    Poly,
+    SkewShape,
+    YSpec,
+    canonical_string,
+    contains,
+    parse_partition,
+    partitions_up_to,
+    u,
+    useq,
+    x,
+    y,
+)
 from shiftedschur.structconst import structure_constants_via_localization  # noqa: E402
 
 SMALL = partitions_up_to(2, 2)
@@ -41,3 +63,95 @@ def test_structure_constants_associative(lam, mu, kappa, spec):
     left = _linear(_product(lam, mu, n, spec), lambda rho: _product(rho, kappa, n, spec))
     right = _linear(_product(mu, kappa, n, spec), lambda sigma: _product(lam, sigma, n, spec))
     assert left == right
+
+
+# ---- value records and text forms -------------------------------------------------
+
+small = st.integers(-5, 5)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+windows = st.one_of(
+    st.builds(IntSeqWindow, small, st.lists(small, min_size=1, max_size=4).map(tuple)),
+    st.builds(IntSeqWindow, small, st.lists(small, max_size=4).map(tuple), st.tuples(small, small)),
+)
+yspecs = st.one_of(
+    st.just(YSpec.symbolic()),
+    st.just(YSpec.zero()),
+    st.builds(YSpec.affine, rationals, rationals),
+    st.builds(YSpec.standard, small),
+    st.builds(YSpec.circle, windows, small),
+    st.builds(YSpec.torus, small),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(yspecs, st.integers(0, pickle.HIGHEST_PROTOCOL))
+def test_yspec_survives_pickle_and_json(spec, protocol):
+    for copy in (
+        pickle.loads(pickle.dumps(spec, protocol)),
+        YSpec.from_json_obj(json.loads(spec.describe())),
+    ):
+        assert type(copy) is YSpec and type(copy.window) is type(spec.window)
+        assert copy == spec and hash(copy) == hash(spec)
+
+
+def test_unpickling_checks_window_and_shape():
+    # Unpickling calls __new__, which checks its input as construction does.
+    bad = (
+        tuple.__new__(IntSeqWindow, (0, (), None)),
+        tuple.__new__(SkewShape, (Partition([1]), Partition([2]))),
+    )
+    for record in bad:
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(DomainError):
+                pickle.loads(pickle.dumps(record, protocol))
+
+
+SHAPE_PARTS = partitions_up_to(3, 3)
+shape_fields = st.tuples(st.sampled_from(SHAPE_PARTS), st.sampled_from(SHAPE_PARTS)).filter(
+    lambda pair: contains(*pair)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape_fields, shape_fields)
+def test_skew_shape_equality_and_hash_follow_fields(a, b):
+    s, t = SkewShape(*a), SkewShape(list(b[0]), list(b[1]))
+    assert (s == t) == (a == b)
+    assert hash(s) == hash(a) and (s.outer, s.inner) == a
+
+
+partitions = st.lists(st.integers(1, 12), max_size=6).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions)
+def test_parse_partition_inverts_text(p):
+    assert parse_partition(p.text()) == p
+
+
+GENERATORS = (x(1), x(2), y(-1), y(0), useq(1), u)
+term_lists = st.lists(
+    st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.lists(st.integers(0, len(GENERATORS) - 1), max_size=3),
+    ),
+    max_size=4,
+)
+
+
+def _poly(terms) -> Poly:
+    total = ZERO
+    for c, factors in terms:
+        total = total + Poly.constant(c) * prod((GENERATORS[i] for i in factors), start=ONE)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists, term_lists, st.booleans())
+def test_canonical_string_is_injective(terms_a, terms_b, rebuild):
+    # With rebuild, b is a, summed and multiplied in the reverse order.
+    a = _poly(terms_a)
+    b = _poly([(c, f[::-1]) for c, f in reversed(terms_a)] if rebuild else terms_b)
+    assert (canonical_string(a) == canonical_string(b)) == (a == b)

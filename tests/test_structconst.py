@@ -315,6 +315,21 @@ def test_molev_method_requires_standard():
         compute_expansion(P([1]), P([1]), 3, ZSPEC, method="molev")
 
 
+@pytest.mark.parametrize("method", ["expand", "localize", "molev"])
+def test_every_method_applies_the_rank_guard(method):
+    # Under the stable reading n must exceed l(lam)+l(mu); at n = 2 the
+    # hook-function sum used to drop [1,1] from [1] * [1] silently.
+    with pytest.raises(RankTooSmallError, match="uses the stable reading"):
+        compute_expansion(P([1]), P([1]), 2, STD0, method)
+    with pytest.raises(RankTooSmallError, match="need n >= max length"):
+        compute_expansion(P([1, 1]), P([1]), 1, STD0, method, stable=False)
+    # The finite-rank reading admits any n >= max length, and the engines agree.
+    for n in (1, 2):
+        got = compute_expansion(P([1]), P([1]), n, STD0, method, stable=False)
+        want = compute_expansion(P([1]), P([1]), n, STD0, "expand", stable=False)
+        assert got.coefficients == want.coefficients
+
+
 def test_table_jobs_parallel_identical():
     seq = multiplication_table(1, 3, STD0, jobs=1)
     par = multiplication_table(1, 3, STD0, jobs=2)
