@@ -147,19 +147,24 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--output", default=None, help="write output to this file")
 
-    p = sub.add_parser("schur", help="double or shifted double Schur function")
+    def add_verb(name, command, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(command=command)
+        return p
+
+    p = add_verb("schur", _cmd_schur, "double or shifted double Schur function")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--method", choices=("jacobi-trudi", "det-ratio"), default="jacobi-trudi")
     p.add_argument("--shifted", action="store_true")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("eval", help="stable shifted Schur value at given x arguments")
+    p = add_verb("eval", _cmd_eval, "stable shifted Schur value at given x arguments")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--x", dest="xvals", default="", help="comma-separated rationals")
     add_common(p)
 
-    p = sub.add_parser("multiply", help="expand a product of two basis elements")
+    p = add_verb("multiply", _cmd_multiply, "expand a product of two basis elements")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--method", choices=("expand", "localize", "molev"), default="expand")
@@ -167,7 +172,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("table", help="multiplication table up to a weight bound")
+    p = add_verb("table", _cmd_table, "multiplication table up to a weight bound")
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--method", choices=("expand", "localize", "molev"), default="expand")
     p.add_argument("--jobs", type=int, default=1)
@@ -175,25 +180,25 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("molev", help="hook-function structure constant")
+    p = add_verb("molev", _cmd_molev, "hook-function structure constant")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
 
-    p = sub.add_parser("restrict", help="restriction to a torus-fixed point")
+    p = add_verb("restrict", _cmd_restrict, "restriction to a torus-fixed point")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--delta", required=True)
     add_common(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("coproduct", help="coproduct of a power-sum polynomial")
+    p = add_verb("coproduct", _cmd_coproduct, "coproduct of a power-sum polynomial")
     p.add_argument("--expr", required=True, help='e.g. "p1^2*p3 - 1/2*p2"')
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = add_verb("verify", _cmd_verify, "run a verification suite")
     p.add_argument(
         "--suite",
         choices=("jacobi-trudi", "denominator", "stability", "primitivity", "ring-axioms"),
@@ -331,45 +336,44 @@ def _cmd_coproduct(args) -> str:
         raise DomainError(f"coefficient too large to print: {e}") from None
 
 
-def _cmd_verify(args) -> tuple[str, bool]:
-    suite = args.suite
-    lines: list[str] = []
+def _first_failure(cases, holds, fail_line) -> tuple[list[str], bool]:
+    """The report lines of a suite that checks holds(case) for each case in
+    turn, stopping at the first that fails, and whether all of them held."""
+    count = 0
+    for case in cases:
+        if not holds(case):
+            return [fail_line(case)], False
+        count += 1
+    return [f"PASS (all {count} cases)"], True
+
+
+def _cmd_verify(args) -> str:
+    """The suite's report.  A failed suite leaves args.failed, which run
+    reports on stderr once the report is written, with exit code 3."""
+    suite, n = args.suite, args.n
     reports: list[dict] = []
-    ok = True
     if suite == "jacobi-trudi":
-        cases = 0
-        for lam in partitions_up_to(args.max_weight, args.n):
-            a = double_schur(lam, args.n, method="jacobi_trudi")
-            b = double_schur(lam, args.n, method="det_ratio")
-            if a != b:
-                ok = False
-                lines.append(f"FAIL at lambda={tuple(lam)}, n={args.n}")
-                break
-            cases += 1
-        if ok:
-            lines.append(f"PASS (all {cases} cases)")
+        lines, ok = _first_failure(
+            partitions_up_to(args.max_weight, n),
+            lambda lam: double_schur(lam, n, method="jacobi_trudi")
+            == double_schur(lam, n, method="det_ratio"),
+            lambda lam: f"FAIL at lambda={tuple(lam)}, n={n}",
+        )
     elif suite == "denominator":
-        if args.n < 2:
-            raise UsageError(f"the denominator suite needs --n >= 2, got {args.n}")
-        for n in range(2, args.n + 1):
-            if alternant_denominator(n) != vandermonde(n):
-                ok = False
-                lines.append(f"FAIL at n={n}")
-                break
-        if ok:
-            lines.append(f"PASS (all {args.n - 1} cases)")
+        if n < 2:
+            raise UsageError(f"the denominator suite needs --n >= 2, got {n}")
+        lines, ok = _first_failure(
+            range(2, n + 1),
+            lambda k: alternant_denominator(k) == vandermonde(k),
+            lambda k: f"FAIL at n={k}",
+        )
     elif suite == "stability":
-        cases = 0
-        for lam in partitions_up_to(args.max_weight, args.n):
-            bigger = shifted_double_schur(lam, args.n + 1)
-            dropped = bigger.substitute({x(args.n + 1): 0})
-            if dropped != shifted_double_schur(lam, args.n):
-                ok = False
-                lines.append(f"FAIL at lambda={tuple(lam)}, n={args.n}")
-                break
-            cases += 1
-        if ok:
-            lines.append(f"PASS (all {cases} cases)")
+        lines, ok = _first_failure(
+            partitions_up_to(args.max_weight, n),
+            lambda lam: shifted_double_schur(lam, n + 1).substitute({x(n + 1): 0})
+            == shifted_double_schur(lam, n),
+            lambda lam: f"FAIL at lambda={tuple(lam)}, n={n}",
+        )
     elif suite == "primitivity":
         if args.max_k < 1 or args.max_l < 2:
             raise UsageError(
@@ -378,6 +382,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
             )
         from .comult import verify_primitivity
 
+        lines, ok = [], True
         for k in range(1, args.max_k + 1):
             for l in range(2, args.max_l + 1):
                 report = verify_primitivity(k, l)
@@ -396,7 +401,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
                     }
                 )
         lines.append("PASS" if ok else "FAIL")
-    elif suite == "ring-axioms":
+    else:  # ring-axioms
         if args.cases < 1:
             raise UsageError(f"the ring-axioms suite needs --cases >= 1, got {args.cases}")
         import random
@@ -413,24 +418,21 @@ def _cmd_verify(args) -> tuple[str, bool]:
                 total = total + term
             return total
 
-        for _ in range(args.cases):
+        def holds(_):
             a, b, c = rand_poly(), rand_poly(), rand_poly()
-            if (a + b) * c != a * c + b * c or a * b != b * a or (a + b) + c != a + (b + c):
-                ok = False
-                lines.append("FAIL: ring axiom violated")
-                break
-        if ok:
-            lines.append(f"PASS (all {args.cases} cases)")
-    else:  # pragma: no cover - argparse enforces the suite set
-        raise UsageError(f"unknown suite {suite!r}")
+            return (a + b) * c == a * c + b * c and a * b == b * a and (a + b) + c == a + (b + c)
+
+        lines, ok = _first_failure(range(args.cases), holds, lambda _: "FAIL: ring axiom violated")
+    if not ok:
+        args.failed = suite
     if args.format == "json":
         obj: dict = {"suite": suite, "passed": ok}
         if reports:
             obj["reports"] = reports
         else:
             obj["lines"] = lines
-        return dumps_canonical(obj), ok
-    return "\n".join(lines) + "\n", ok
+        return dumps_canonical(obj)
+    return "\n".join(lines) + "\n"
 
 
 def run(argv=None) -> int:
@@ -442,27 +444,8 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else int(e.code)
-    ok = True
     try:
-        if args.verb == "schur":
-            text = _cmd_schur(args)
-        elif args.verb == "eval":
-            text = _cmd_eval(args)
-        elif args.verb == "multiply":
-            text = _cmd_multiply(args)
-        elif args.verb == "table":
-            text = _cmd_table(args)
-        elif args.verb == "molev":
-            text = _cmd_molev(args)
-        elif args.verb == "restrict":
-            text = _cmd_restrict(args)
-        elif args.verb == "coproduct":
-            text = _cmd_coproduct(args)
-        elif args.verb == "verify":
-            text, ok = _cmd_verify(args)
-        else:  # pragma: no cover - argparse enforces the verb set
-            raise UsageError(f"unknown verb {args.verb!r}")
-        _emit(args, text)
+        _emit(args, args.command(args))
         if hasattr(args, "note"):
             print(args.note, file=sys.stderr)
     except UsageError as e:
@@ -474,7 +457,10 @@ def run(argv=None) -> int:
     except InternalInconsistencyError as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return 3
-    return 0 if ok else 3
+    if hasattr(args, "failed"):
+        print(f"internal inconsistency: the {args.failed} suite failed", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _emit(args, text: str) -> None:

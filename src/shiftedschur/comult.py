@@ -259,20 +259,11 @@ class PowerPolynomial(Poly):
         if not text:
             raise DomainError("empty power-sum expression")
         total = cls()
-        pos = 0
-        sign = 1
-        if text[0] in "+-":
-            sign = -1 if text[0] == "-" else 1
-            pos = 1
-        while pos <= len(text):
-            nxt_plus = text.find("+", pos)
-            nxt_minus = text.find("-", pos)
-            ends = [e for e in (nxt_plus, nxt_minus) if e != -1]
-            end = min(ends) if ends else len(text)
-            chunk = text[pos:end]
+        parts = re.split(r"([+-])", text if text[0] in "+-" else "+" + text)
+        for sign, chunk in zip(parts[1::2], parts[2::2]):
             if not chunk:
                 raise DomainError(f"malformed power-sum expression {text!r}")
-            coeff = Fraction(sign)
+            coeff = Fraction(-1 if sign == "-" else 1)
             mono: dict[int, int] = {}
             for factor in chunk.split("*"):
                 m = _GEN_RE.match(factor)
@@ -294,10 +285,6 @@ class PowerPolynomial(Poly):
                 flat.append(k)
                 flat.append(mono[k])
             total = total + cls({tuple(flat): coeff})
-            if end == len(text):
-                break
-            sign = -1 if text[end] == "-" else 1
-            pos = end + 1
         return total
 
     def constant_term(self):

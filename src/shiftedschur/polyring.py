@@ -321,10 +321,6 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return self._raw({})
-            if other == 1:
-                return self
             other = self.constant(other)
         elif not isinstance(other, Poly):
             return NotImplemented
@@ -604,9 +600,6 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
     if not p:
         return ZERO
     qm, qc = _leading(q)
-    if not qm:
-        inv = Fraction(1, 1) / qc
-        return p * inv
     quotient: dict = {}
     rem = p
     while rem:
@@ -617,9 +610,7 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
             raise InexactDivisionError(
                 f"leading monomial not divisible; remainder {canonical_string(rem)}"
             )
-        fac_c = c / qc if isinstance(c, Fraction) or isinstance(qc, Fraction) else Fraction(c, qc)
-        if fac_c.denominator == 1:
-            fac_c = int(fac_c)
+        fac_c = _int_if_integral(Fraction(c) / qc)
         quotient[fac_m] = fac_c
         rem = rem - Poly._raw({fac_m: fac_c}) * q
     return Poly._raw(quotient)

@@ -131,13 +131,17 @@ def _jacobi_trudi(lam: Partition, point: tuple, shift: int, yspec: YSpec) -> Pol
     return poly_det(rows)
 
 
-def _det_ratio(lam: Partition, n: int) -> Poly:
-    top = lam.part(1) + n - 1
+def _alternant(lam: Partition, n: int) -> Poly:
+    """The alternant det[(x_i|y)^{lam_j+n-j}] over i, j = 1..n."""
     rows = []
     for i in range(1, n + 1):
-        powers = _falling_powers(i, top)
+        powers = _falling_powers(i, lam.part(1) + n - 1)
         rows.append([powers[lam.part(j) + n - j] for j in range(1, n + 1)])
-    quotient = poly_det(rows)
+    return poly_det(rows)
+
+
+def _det_ratio(lam: Partition, n: int) -> Poly:
+    quotient = _alternant(lam, n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             quotient = divide_linear(quotient, i, j)
@@ -237,8 +241,4 @@ def vandermonde(n: int) -> Poly:
 
 def alternant_denominator(n: int) -> Poly:
     """det[(x_i|y)^{n-j}], which must equal the Vandermonde product."""
-    rows = []
-    for i in range(1, n + 1):
-        powers = _falling_powers(i, n - 1)
-        rows.append([powers[n - j] for j in range(1, n + 1)])
-    return poly_det(rows)
+    return _alternant(Partition(), n)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import pytest
 
 import shiftedschur
 from shiftedschur import comult
-from shiftedschur.cli import parse_yspec, run
+from shiftedschur.cli import build_parser, parse_yspec, run
 from shiftedschur.comult import MAX_COPRODUCT_SUMMANDS
 from shiftedschur.errors import DomainError, UsageError
 from shiftedschur.polyring import MAX_EXPONENT, IntSeqWindow, YSpec
@@ -375,11 +376,20 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
     # The CLI imports the suite from comult when the suite runs.
     monkeypatch.setattr(comult, "verify_primitivity", lambda k, l: FakeReport())
-    code, out, _ = invoke(
+    code, out, err = invoke(
         capsys, "verify", "--suite", "primitivity", "--max-k", "1", "--max-l", "2"
     )
     assert code == 3
     assert "FAIL" in out
+    assert err == "internal inconsistency: the primitivity suite failed\n"
+
+
+def test_every_verb_has_a_handler():
+    parser = build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(verbs.choices) == 8
+    for name, sub in verbs.choices.items():
+        assert callable(sub.get_default("command")), name
 
 
 # ---- entry points ---------------------------------------------------------------

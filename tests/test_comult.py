@@ -145,6 +145,47 @@ def test_power_polynomial_parse():
         PP.parse("q2")
 
 
+def test_power_polynomial_parse_inverts_str():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monomials = st.dictionaries(st.integers(1, 6), st.integers(1, 5), max_size=3).map(
+        lambda mono: tuple(v for k in sorted(mono) for v in (k, mono[k]))
+    )
+    coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.dictionaries(monomials, coefficients, max_size=5))
+    def check(terms):
+        p = PP(terms)
+        assert PP.parse(str(p)) == p
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", DomainError, "empty power-sum expression"),
+        (" ", DomainError, "empty power-sum expression"),
+        ("+", DomainError, "malformed power-sum expression '+'"),
+        ("-", DomainError, "malformed power-sum expression '-'"),
+        ("p1+", DomainError, "malformed power-sum expression 'p1+'"),
+        ("p1--p2", DomainError, "malformed power-sum expression 'p1--p2'"),
+        ("p0", DomainError, "bad generator factor 'p0'"),
+        ("p1^0", DomainError, "bad generator factor 'p1^0'"),
+        ("p1^", DomainError, "bad factor 'p1^' in power-sum expression"),
+        ("q2", DomainError, "bad factor 'q2' in power-sum expression"),
+        ("x*p1", DomainError, "bad factor 'x' in power-sum expression"),
+        ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
+    ],
+)
+def test_power_polynomial_parse_errors(text, error, message):
+    with pytest.raises(error) as info:
+        PP.parse(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_power_polynomial_str():
     assert str(PP.parse("p1^2*p3 + 3")) == "3 + p1^2*p3"
     assert str(PP()) == "0"

@@ -12,6 +12,7 @@ from shiftedschur import (
     InexactDivisionError,
     IntSeqWindow,
     Poly,
+    PowerPolynomial,
     UnresolvableIndexError,
     YSpec,
     canonical_string,
@@ -216,10 +217,34 @@ def test_divide_exact():
     assert divide_exact(p, x(1) - y(1)) == x(1) + y(1)
     assert divide_exact(ZERO, x(1)) == ZERO
     assert divide_exact(3 * x(1), const(2)) == Fraction(3, 2) * x(1)
+    # By a constant: int coefficients where the quotient is integral.
+    p = 6 * x(1) ** 2 - 3 * y(2) + 4
+    for q, expected in (
+        (const(3), 2 * x(1) ** 2 - y(2) + Fraction(4, 3)),
+        (const(Fraction(3, 2)), 4 * x(1) ** 2 - 2 * y(2) + Fraction(8, 3)),
+    ):
+        quotient = divide_exact(p, q)
+        assert quotient == expected
+        for m, c in quotient.terms.items():
+            assert type(c) is (Fraction if m == () else int)
     with pytest.raises(InexactDivisionError):
         divide_exact(x(1) ** 2 + 1, x(1) - y(1))
     with pytest.raises(DomainError):
         divide_exact(x(1), ZERO)
+
+
+def test_scalar_products_keep_value_class_and_int_coefficients():
+    p = 2 * x(1) * y(3) - 5
+    for scalar in (1, Fraction(1)):
+        q = p * scalar
+        assert q == p and type(q) is Poly
+        assert all(type(c) is int for c in q.terms.values())
+    zero = p * 0
+    assert zero == ZERO and type(zero) is Poly and not zero.terms
+    pp = PowerPolynomial.parse("p1^2 - 3*p2 + 4")
+    product = pp * 1
+    assert product == pp and type(product) is PowerPolynomial
+    assert all(type(c) is int for c in product.terms.values())
 
 
 def test_divide_linear():
