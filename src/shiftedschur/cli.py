@@ -23,6 +23,7 @@ from .polyring import (
     YSpec,
     canonical_string,
     const,
+    parse_rational,
     useq,
     x,
     y,
@@ -63,7 +64,7 @@ def parse_yspec(text: str) -> YSpec:
             return YSpec.symbolic() if kind == "symbolic" else YSpec.zero()
         if kind == "affine":
             opts = _parse_options(rest.split(","), ("a", "b"))
-            return YSpec.affine(Fraction(opts["a"]), Fraction(opts["b"]))
+            return YSpec.affine(parse_rational(opts["a"]), parse_rational(opts["b"]))
         if kind == "standard":
             opts = _parse_options(rest.split(","), ("d",))
             return YSpec.standard(int(opts["d"]))
@@ -123,12 +124,12 @@ def _partition_flag(text: str) -> Partition:
         raise UsageError(str(e)) from None
 
 
-def _x_values(text: str) -> list[Fraction]:
+def _x_values(text: str) -> list:
     text = text.strip()
     if not text:
         return []
     try:
-        return [Fraction(tok) for tok in text.split(",")]
+        return [parse_rational(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"malformed x values {text!r}: {e}") from None
 
@@ -318,22 +319,17 @@ def _cmd_coproduct(args) -> str:
         expr = PowerPolynomial.parse(args.expr)
     except ZeroDivisionError as e:
         raise UsageError(f"malformed expression {args.expr!r}: {e}") from None
-    try:
-        tensor = coproduct_power_polynomial(expr)
-        tensor.check_printable()
-        if args.format == "json":
-            obj = {
-                "summands": [
-                    {"weight": str(w), "left": str(l), "right": str(r)}
-                    for l, r, w in tensor.summands
-                ]
-            }
-            return dumps_canonical(obj)
-        return f"{tensor}\n"
-    except DomainError:
-        raise
-    except ValueError as e:  # an int past sys.get_int_max_str_digits()
-        raise DomainError(f"coefficient too large to print: {e}") from None
+    tensor = coproduct_power_polynomial(expr)
+    tensor.check_printable()
+    if args.format == "json":
+        obj = {
+            "summands": [
+                {"weight": str(w), "left": str(l), "right": str(r)}
+                for l, r, w in tensor.summands
+            ]
+        }
+        return dumps_canonical(obj)
+    return f"{tensor}\n"
 
 
 def _first_failure(cases, holds, fail_line) -> tuple[list[str], bool]:
@@ -453,6 +449,9 @@ def run(argv=None) -> int:
         return 1
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:  # a verb rendered an int past sys.get_int_max_str_digits()
+        print(f"error: coefficient too large to print: {e}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)

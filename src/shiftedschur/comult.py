@@ -25,6 +25,7 @@ from .polyring import (
     ZERO,
     Poly,
     YSpec,
+    parse_rational,
     render_terms,
     useq,
     var_code,
@@ -275,7 +276,7 @@ class PowerPolynomial(Poly):
                     mono[k] = mono.get(k, 0) + e
                 else:
                     try:
-                        coeff *= Fraction(factor)
+                        coeff *= parse_rational(factor)
                     except ValueError:
                         raise DomainError(
                             f"bad factor {factor!r} in power-sum expression"

@@ -31,6 +31,7 @@ actually contains.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -191,7 +192,22 @@ def _int_if_integral(c):
     return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
-def _parse_coeff(text: str):
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(text: str):
+    """The exact value of a rational literal such as "-3", "1/2", "0.5" or
+    "1e-3", an int where integral; ValueError or ZeroDivisionError if malformed.
+
+    Fraction builds 10^|exponent| for a decimal exponent, so an exponent of
+    magnitude past sys.get_int_max_str_digits() is refused before that.
+    """
+    m = _EXPONENT.search(text)
+    if m:
+        # Interpreters older than the limit (before 3.10.7) have no getter.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and abs(int(m.group(1))) > limit:
+            raise ValueError(f"decimal exponent past the limit {limit}")
     return _int_if_integral(Fraction(text))
 
 
@@ -277,13 +293,14 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     # Results are built with self._raw so that subclasses (PowerPolynomial)
-    # keep their class through arithmetic.
+    # keep their class through arithmetic.  The Poly test comes first:
+    # Fraction's metaclass is ABCMeta, whose instance check is slow.
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.constant(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
         a, b = self._terms, other._terms
         if not a:
             return other
@@ -310,20 +327,20 @@ class Poly:
         return self._raw({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.constant(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.constant(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
             return self._raw({})
@@ -470,7 +487,7 @@ class Poly:
                     raise DomainError(f"unknown variable family {fam_name!r}")
                 mono.append(var_code(fam, 0 if idx is None else idx))
                 mono.append(exp)
-            terms[tuple(mono)] = _parse_coeff(entry["coeff"])
+            terms[tuple(mono)] = parse_rational(entry["coeff"])
         return cls(terms)
 
     def __reduce__(self):
@@ -686,6 +703,9 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
         return acc
 
     result = minor(tuple(range(n)))
+    # minor refers to itself through its closure: break the cycle, so that
+    # the memo is freed now and not at the next cyclic collection.
+    del minor
     return result if sign == 1 else -result
 
 
@@ -809,7 +829,7 @@ class YSpec(
         if kind == "zero":
             return cls.zero()
         if kind == "affine":
-            return cls.affine(Fraction(obj["a"]), Fraction(obj["b"]))
+            return cls.affine(parse_rational(obj["a"]), parse_rational(obj["b"]))
         if kind == "standard":
             return cls.standard(obj["d"])
         if kind == "circle":

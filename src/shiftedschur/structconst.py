@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     AsymmetricInputError,
@@ -192,13 +193,24 @@ def multiply_schubert(
     stable=False admits any rank >= max length and computes at n itself,
     giving the finite-rank multiplication table when paired with the
     matching torus yspec.
+
+    An affine yspec with rational a, b is computed over the integers: with
+    D the lcm of their denominators, the product is expanded under
+    y_j -> D*(a*j + b).  The coefficient of nu is homogeneous of degree
+    |lam|+|mu|-|nu| in y at any rank, so it is that result divided by
+    D^(|lam|+|mu|-|nu|).
     """
     lam = Partition(lam)
     mu = Partition(mu)
     _check_rank(lam, mu, n, stable, "expansion")
     n0 = len(lam) + len(mu) + 1 if stable else n
-    product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
-    coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients
+    scale = lcm(yspec.a.denominator, yspec.b.denominator) if yspec.kind == "affine" else 1
+    work = YSpec.affine(scale * yspec.a, scale * yspec.b) if scale > 1 else yspec
+    product = shifted_double_schur(lam, n0, work) * shifted_double_schur(mu, n0, work)
+    coeffs = expand_in_shifted_basis(product, n0, work).coefficients
+    if scale > 1:
+        top = lam.weight + mu.weight
+        coeffs = {nu: c * Fraction(1, scale ** (top - nu.weight)) for nu, c in coeffs.items()}
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 

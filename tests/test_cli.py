@@ -73,6 +73,10 @@ def test_eval_command(capsys):
     code, out, _ = invoke(capsys, "eval", "--lambda", "1", "--x", "5", "--y", "zero")
     assert code == 0
     assert out == "5\n"
+    # Decimal and exponent forms of a rational are read exactly.
+    code, out, _ = invoke(capsys, "eval", "--lambda", "1", "--x=1e-3,0.5", "--y", "zero")
+    assert code == 0
+    assert out == "501/1000\n"
 
 
 def test_multiply_command_text(capsys):
@@ -270,6 +274,51 @@ def test_coproduct_too_large_to_print(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(
+    not _DIGIT_LIMIT or _DIGIT_LIMIT > 6000, reason="the int-to-str digit limit is off or high"
+)
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # Fraction would build 10^99999999 for each of the first three.
+        (
+            ["multiply", "--lambda", "1", "--mu", "1", "--n", "3",
+             "--y", "affine:a=1e-99999999,b=0"],
+            1,
+            "usage error: malformed yspec 'affine:a=1e-99999999,b=0': "
+            f"decimal exponent past the limit {_DIGIT_LIMIT}\n",
+        ),
+        (
+            ["eval", "--lambda", "1", "--x=1e-99999999", "--y", "zero"],
+            1,
+            "usage error: malformed x values '1e-99999999': "
+            f"decimal exponent past the limit {_DIGIT_LIMIT}\n",
+        ),
+        (
+            ["coproduct", "--expr", "1e99999999*p1"],
+            2,
+            "error: bad factor '1e99999999' in power-sum expression\n",
+        ),
+        # The value 10^6000 has more digits than str() may print.
+        (
+            ["eval", "--lambda", "2", "--x=1e3000", "--y", "zero"],
+            2,
+            f"error: coefficient too large to print: Exceeds the limit ({_DIGIT_LIMIT} digits) "
+            "for integer string conversion; use sys.set_int_max_str_digits() to increase the "
+            "limit\n",
+        ),
+    ],
+    ids=["affine-exponent", "x-exponent", "expr-exponent", "eval-too-large"],
+)
+def test_huge_rationals_refused_quickly(argv, code, err):
+    # A subprocess, so that a hang is cut off by the timeout.
+    proc = _run([sys.executable, "-m", "shiftedschur", *argv], timeout=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
 @pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 2 * (MAX_EXPONENT + 1)])
 def test_coproduct_exponent_past_the_field(capsys, exponent):
     code, out, err = invoke(capsys, "coproduct", "--expr", f"p1^{exponent}")
@@ -418,12 +467,12 @@ def _declared_entry_point() -> str:
         return tomllib.load(fh)["project"]["scripts"]["shiftedschur"]
 
 
-def _run(cmd):
+def _run(cmd, timeout=60):
     """Run ``cmd`` against the same copy of the package that this test imported."""
     package_root = str(Path(shiftedschur.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def _run_entry_point(*argv):

@@ -43,14 +43,14 @@ YSPECS = _mostly(
     ],
     [
         "", "mystery", "symbolic:junk", "zero:", "affine:a=1", "affine:a=1/0,b=1",
-        "standard:d=x", "standard:d=1,q=2", "standard:d=1,d=2", "circle:w=3",
-        "circle:d=0", "circle:d=0;tail=1", "circle:d=0,window=x:1", "torus:shift=",
+        "affine:a=1e-99999999,b=0", "standard:d=x", "standard:d=1,q=2", "standard:d=1,d=2",
+        "circle:w=3", "circle:d=0", "circle:d=0;tail=1", "circle:d=0,window=x:1", "torus:shift=",
     ],
 )
 FORMATS = _mostly(["text", "json", "latex"], ["yaml"])
 EXPRS = _mostly(
     ["p1^2*p3 - 1/2*p2", "p1", "3", "0", "p2^3 + p1^4", "-p1*p1", "1/2 - p3"],
-    ["", "p0", "p1^", "q2", "1/0", "p1^-1", "p1**2", "p1 +", "x"],
+    ["", "p0", "p1^", "q2", "1/0", "p1^-1", "p1**2", "p1 +", "x", "1e99999999*p1", "1e-99999999"],
 )
 
 
@@ -88,7 +88,8 @@ INVOCATIONS = st.one_of(
     ),
     _verb(
         "eval", _required("lambda", PARTITIONS),
-        _flag("x", _mostly(["", "1", "1/2,-3", "0,0,0"], ["1/0", "a", "1,,2"])), *COMMON,
+        _flag("x", _mostly(["", "1", "1/2,-3", "0,0,0"], ["1/0", "a", "1,,2", "1e-99999999"])),
+        *COMMON,
     ),
     _verb(
         "multiply", _required("lambda", PARTITIONS), _required("mu", PARTITIONS),

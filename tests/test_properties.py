@@ -2,11 +2,13 @@
 and text forms, as property tests.
 
 The coefficients come from localization, the fast engine, so random
-triples stay cheap.
+triples stay cheap; the affine expansion is checked against the symbolic
+one, of which each product is computed once.
 """
 
 import json
 import pickle
+from functools import lru_cache
 from math import prod
 
 import pytest
@@ -33,7 +35,10 @@ from shiftedschur import (  # noqa: E402
     x,
     y,
 )
-from shiftedschur.structconst import structure_constants_via_localization  # noqa: E402
+from shiftedschur.structconst import (  # noqa: E402
+    multiply_schubert,
+    structure_constants_via_localization,
+)
 
 SMALL = partitions_up_to(2, 2)
 SPECS = (YSpec.symbolic(), YSpec.standard(0), YSpec.standard(2))
@@ -63,6 +68,34 @@ def test_structure_constants_associative(lam, mu, kappa, spec):
     left = _linear(_product(lam, mu, n, spec), lambda rho: _product(rho, kappa, n, spec))
     right = _linear(_product(mu, kappa, n, spec), lambda sigma: _product(lam, sigma, n, spec))
     assert left == right
+
+
+@lru_cache(maxsize=None)
+def _symbolic_product(lam: Partition, mu: Partition, n: int, stable: bool) -> dict:
+    return multiply_schubert(lam, mu, n, YSpec.symbolic(), stable=stable).coefficients
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(SMALL),
+    st.sampled_from(SMALL),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.booleans(),
+    st.integers(0, 1),
+)
+def test_affine_expansion_specializes_the_symbolic_one(lam, mu, a, b, stable, extra):
+    # The affine engine expands over the integers with y scaled by the lcm
+    # of the denominators; the result must be the symbolic expansion with
+    # y_j -> a*j + b put into each coefficient.
+    n = (len(lam) + len(mu) + 1 if stable else max(len(lam), len(mu), 1)) + extra
+    spec = YSpec.affine(a, b)
+    exp = multiply_schubert(lam, mu, n, spec, stable=stable)
+    expected = {
+        nu: c.specialize_y(spec) for nu, c in _symbolic_product(lam, mu, n, stable).items()
+    }
+    assert exp.yspec == spec and exp.n == n
+    assert exp.coefficients == {nu: c for nu, c in expected.items() if c}
 
 
 # ---- value records and text forms -------------------------------------------------
