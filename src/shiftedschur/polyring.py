@@ -777,6 +777,8 @@ class YSpec(
 
     @classmethod
     def affine(cls, a, b) -> "YSpec":
+        # Text goes through parse_rational: Fraction would expand any exponent.
+        a, b = (parse_rational(v) if isinstance(v, str) else v for v in (a, b))
         return cls(kind="affine", a=Fraction(a), b=Fraction(b))
 
     @classmethod

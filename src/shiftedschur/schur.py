@@ -1,10 +1,12 @@
 """Double Schur functions, their shifted variant, and fixed-point restriction.
 
 The double Schur function in n variables is computed either as a ratio of
-two alternant determinants or through the generalized Jacobi-Trudi
-determinant over complete double homogeneous functions; both are exact and
-must agree.  The shifted variant precomposes with x_i -> x_i + y_{-i} and
-shifts the y sequence by n+1, which makes it stable under adding variables.
+two alternant determinants or through a generalized Jacobi-Trudi
+determinant over complete double homogeneous functions h, or, when
+lambda_1 < l(lambda), the smaller dual one over elementary functions e of
+the conjugate; all are exact and must agree.  The shifted variant precomposes
+with x_i -> x_i + y_{-i} and shifts the y sequence by n+1, which makes it
+stable under adding variables.
 """
 
 from __future__ import annotations
@@ -43,50 +45,57 @@ def falling_factorial(i: int, p: int) -> Poly:
     return _falling_powers(i, p)[p]
 
 
-# The table of one column may hold at most this many terms at once; a
-# column that would hold more is refused (DomainError) while it is filled.
+# The h or e table of one column may hold at most this many terms at once;
+# a column that would hold more is refused (DomainError) while it is filled.
 # The largest table the tests and the benchmark references fill holds
 # 180,901 terms (schur --lambda 600 --n 2 --y zero); the symbolic
 # schur --lambda 20 --n 2, whose h_p at the first variable has 2^p terms,
-# is refused at 262,143 of them, near 50 MB on an x86-64 host.
+# is refused at 262,143 of them, near 50 MB on an x86-64 host; so is
+# (1^20) at n = 20, whose one column e_0..e_20 would end in 2^20 terms.
 MAX_H_TERMS = 250_000
 
 
-def _h_column(top: int, s: int, yspec: YSpec, point: tuple) -> list[Poly]:
-    """h_0..h_top(x_1..x_n | tau^s y) at x_i = point[i-1], n = len(point).
-
-    The table is filled over the variables by splitting the chain sum on
-    whether x_m participates, h_p(m) = h_p(m-1) + (x_m - y_{m+p-1-s}) h_{p-1}(m),
-    keeping only the current m.  Evaluation is a ring map, so the point and
-    the y-specialization enter as the factors are built; the zero rule at
-    the point x gives the classical complete homogeneous polynomials.
-    Raises DomainError once the table holds more than MAX_H_TERMS terms.
-    """
-    n = len(point)
-    # ys[k - 1 + s] = y_k.  The y values are asked for bottom up, so new y
-    # variables get registry slots in ascending index order and the cells
-    # of low p, which hold only low-index y, stay short packed ints.  A
-    # window without a tail rule reports the highest index it lacks.
-    indices = range(1 - s, n + top - s)
+def _y_values(yspec: YSpec, lo: int, hi: int) -> dict:
+    # {k: y_k} for k = lo..hi, asked for bottom up: new y variables get
+    # registry slots in ascending index order, so the cells filled first,
+    # which hold only low-index y, stay short packed ints.  A window without
+    # a tail rule reports the highest index it lacks.
+    indices = range(lo, hi + 1)
     try:
-        ys = [yspec.value(k) for k in indices]
+        return {k: yspec.value(k) for k in indices}
     except UnresolvableIndexError:
         for k in reversed(indices):
             yspec.value(k)
         raise
-    h = [ONE] + [ZERO] * top
+
+
+def _column(family: str, top: int, s: int, y_at, point: tuple) -> list[Poly]:
+    """h_0..h_top or e_0..e_top (family "h" or "e") of x_1..x_n | tau^s y at
+    x_i = point[i-1], n = len(point), where y_at(k) is the value of y_k.
+
+    The table is filled over the variables by splitting the sum on whether
+    x_m participates, keeping only the current m:
+        h_p(m) = h_p(m-1) + (x_m - y_{m+p-1-s}) h_{p-1}(m),    p ascending;
+        e_p(m) = e_p(m-1) + (x_m - y_{m-p+1-s}) e_{p-1}(m-1),  p descending, p <= m.
+    Evaluation is a ring map, so the point and the y-specialization enter as
+    the factors are built; the zero rule at the point x gives the classical
+    complete and elementary symmetric polynomials.
+    Raises DomainError once the table holds more than MAX_H_TERMS terms.
+    """
+    step = 1 if family == "h" else -1
+    table = [ONE] + [ZERO] * top
     held = 1
-    for m in range(1, n + 1):
-        xm = point[m - 1]
-        for p in range(1, top + 1):
-            cell = h[p] + (xm - ys[m + p - 2]) * h[p - 1]
-            held += len(cell) - len(h[p])
+    for m, xm in enumerate(point, 1):
+        for p in range(1, top + 1) if step == 1 else range(min(m, top), 0, -1):
+            cell = table[p] + (xm - y_at(m - s + step * (p - 1))) * table[p - 1]
+            held += len(cell) - len(table[p])
             if held > MAX_H_TERMS:
                 raise DomainError(
-                    f"the table h_0..h_{top} exceeds the limit of {MAX_H_TERMS} terms"
+                    f"the table {family}_0..{family}_{top} exceeds the limit of "
+                    f"{MAX_H_TERMS} terms"
                 )
-            h[p] = cell
-    return h
+            table[p] = cell
+    return table
 
 
 def _xs(n: int) -> tuple:
@@ -103,22 +112,34 @@ def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
         raise DomainError(f"double_h needs n >= 1, got {n}")
     if p < 0:
         return ZERO
-    return _h_column(p, y_shift, SYMBOLIC, _xs(n))[p]
+    return _column("h", p, y_shift, y, _xs(n))[p]
 
 
 @lru_cache(maxsize=None)
 def _jacobi_trudi(lam: Partition, point: tuple, shift: int, yspec: YSpec) -> Poly:
-    # Rows below l(lam) of the full n x n matrix are unit rows (h_0 on the
-    # diagonal, zeros to the left), so the determinant collapses to its
-    # top-left l(lam) x l(lam) block.  Column j takes the sequence shift
-    # shift+j-1, which the zero rule cannot see: its columns share one table.
-    r = len(lam)
-    if yspec.kind == "zero":
-        table = _h_column(lam.part(1) + r - 1, 0, yspec, point)
-        columns = [table] * r
+    # The n x n matrix det[h_{lam_i-i+j}(x | tau^{shift+j-1} y)] has unit
+    # rows below l(lam), so it collapses to its top-left l(lam) x l(lam)
+    # block; the dual det[e_{lam'_i-i+j}(x | tau^{shift-j+1} y)] collapses
+    # to lam_1 x lam_1, and the smaller one is built.  Both read y_k up to
+    # k = n+lam_1-1-shift, the h side down to 2-shift-l(lam), the e side to
+    # 1-shift.  The zero rule cannot see a column's shift: one table serves.
+    if not lam:
+        return ONE
+    n, r = len(point), len(lam)
+    hi = n + lam.part(1) - 1 - shift
+    if lam.part(1) >= r:
+        family, step, lo = "h", 1, 2 - shift - r
     else:
+        family, step, lo = "e", -1, 1 - shift
+        lam = Partition(sum(1 for q in lam if q >= i) for i in range(1, lam.part(1) + 1))
+        r = len(lam)
+    top = lam.part(1) + r - 1
+    if yspec.kind == "zero":
+        columns = [_column(family, top, 0, yspec.value, point)] * r
+    else:
+        y_at = _y_values(yspec, lo, hi).__getitem__
         columns = [
-            _h_column(lam.part(1) + j - 1, shift + j - 1, yspec, point)
+            _column(family, lam.part(1) + j - 1, shift + step * (j - 1), y_at, point)
             for j in range(1, r + 1)
         ]
     rows = []

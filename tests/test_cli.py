@@ -416,6 +416,33 @@ def test_localize_fallback_that_fails_prints_one_line(capsys, tmp_path):
     assert err.startswith("note: ") and err.count("\n") == 1
 
 
+_NO_TAIL = "circle:d=0,window=-4:3,1,4,1,5,9,2,6,5"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["schur", "--lambda", "1,1,1", "--n", "3", "--shifted"], 0, "3*u*x1*x3 + x1*x2*x3\n", ""),
+        (["restrict", "--lambda", "2,1,1", "--delta", "2,2,1", "--n", "3"], 0, "768*u^4\n", ""),
+        (["eval", "--lambda", "1,1", "--x", "2,-1"], 0, "3*u - 2\n", ""),
+        (
+            ["schur", "--lambda", "2,1,1", "--n", "3", "--y", "circle:d=0,window=1:1,2"],
+            2,
+            "",
+            "error: sequence index 4 outside window [1, 2] and no tail rule\n",
+        ),
+    ],
+    ids=["shifted", "restrict", "eval", "missing-top"],
+)
+def test_tall_partition_in_window_without_tail(capsys, argv, code, out, err):
+    # A tall partition is built from its conjugate's e determinant, which
+    # reads other y_k than the h determinant; the bytes and the error line
+    # are those of the h determinant.
+    if "--y" not in argv:
+        argv = [*argv, "--y", _NO_TAIL]
+    assert invoke(capsys, *argv) == (code, out, err)
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     class FakeReport:
         passed = False
@@ -603,6 +630,21 @@ def test_schur_h_table_limit(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == f"error: the table h_0..h_20 exceeds the limit of {MAX_H_TERMS} terms\n"
     assert int(peak_file.read_text()) < 200 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
+@pytest.mark.parametrize("k, flags", [(20, []), (12, ["--shifted"])], ids=["20", "12-shifted"])
+def test_schur_e_table_limit(k, flags, tmp_path):
+    # (1^k) is built from one column e_0..e_k; symbolic e_k has 2^k terms,
+    # 3^k at the shifted point.  The e table shares the h tables' budget.
+    peak_file = tmp_path / "peak_rss_kb"
+    lam = ",".join(["1"] * k)
+    cli = [sys.executable, "-m", "shiftedschur", "schur", "--lambda", lam, "--n", str(k), *flags]
+    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: the table e_0..e_{k} exceeds the limit of {MAX_H_TERMS} terms\n"
+    assert int(peak_file.read_text()) < 100 * 1024
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")

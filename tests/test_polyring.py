@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import shiftedschur
 from shiftedschur import (
     ONE,
     SYMBOLIC,
@@ -277,6 +282,19 @@ def test_window_validation():
         IntSeqWindow(lo=0, values=(), tail=None)
     w = IntSeqWindow(lo=2, values=(9,), tail=None)
     assert w.hi == 2 and w.lookup(2) == 9
+
+
+def test_affine_spec_parses_text_safely():
+    assert YSpec.affine("1/2", "-0.6") == YSpec.affine(Fraction(1, 2), Fraction(-3, 5))
+    # A subprocess, so that a hang is cut off by the timeout: Fraction
+    # alone would build 10^99999999 here.
+    code = "from shiftedschur import YSpec; YSpec.affine('1e-99999999', 0)"
+    env = {**os.environ, "PYTHONPATH": str(Path(shiftedschur.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=2, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ValueError: decimal exponent past the limit")
 
 
 def test_yspec_json_round_trip():

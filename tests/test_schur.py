@@ -29,7 +29,8 @@ from shiftedschur import (
     x,
     y,
 )
-from shiftedschur.polyring import FAMILY_X, var_family
+from shiftedschur import schur
+from shiftedschur.polyring import FAMILY_X, poly_det, var_family
 
 P = Partition
 SYM = YSpec.symbolic()
@@ -283,3 +284,95 @@ def test_window_without_tail_names_the_top_missing_index():
     for lam, n, index in ((P([1]), 4, 4), (P([3]), 3, 5), (P([2, 1]), 4, 5)):
         with pytest.raises(UnresolvableIndexError, match=f"index {index} "):
             double_schur(lam, n, spec)
+
+
+# ---- the two Jacobi-Trudi determinants ------------------------------------------------
+
+ROUTE_SPECS = (
+    SYM,
+    ZSPEC,
+    YSpec.standard(1),
+    YSpec.affine(Fraction(1, 2), Fraction(-3, 5)),
+    YSpec.torus(2),
+    YSpec.circle(IntSeqWindow(lo=-2, values=(3, -1, 4), tail=(2, 1)), d=1),
+)
+
+
+def _conjugate(lam):
+    return P(sum(1 for q in lam if q >= i) for i in range(1, lam.part(1) + 1))
+
+
+def _route_det(family, lam, point, shift, spec):
+    """det[h_{lam_i-i+j}(x | tau^{shift+j-1} y)] for family "h",
+    det[e_{lam'_i-i+j}(x | tau^{shift-j+1} y)] for family "e", at the point."""
+    step = 1
+    if family == "e":
+        lam, step = _conjugate(lam), -1
+    r = len(lam)
+    columns = [
+        schur._column(family, lam.part(1) + j - 1, shift + step * (j - 1), spec.value, point)
+        for j in range(1, r + 1)
+    ]
+    rows = []
+    for i in range(1, r + 1):
+        ps = [lam.part(i) + j - i for j in range(1, r + 1)]
+        rows.append([column[p] if p >= 0 else ZERO for column, p in zip(columns, ps)])
+    return poly_det(rows)
+
+
+def _route_points(lam, n, spec):
+    """The plain point, the shifted point and the fixed point labeled by
+    lam itself, each with its sequence shift."""
+    return (
+        (schur._xs(n), 0),
+        (tuple(x(i) + spec.value(-i) for i in range(1, n + 1)), n + 1),
+        (tuple(spec.value(lam.part(i) - i) for i in range(1, n + 1)), n + 1),
+    )
+
+
+def test_e_and_h_determinants_agree():
+    # At each point the dual determinant over e equals the one over h, and
+    # the Jacobi-Trudi value equals both, whichever side it builds.  The
+    # torus rule only renames y_j to u_{j+2}, so its h side is the symbolic
+    # one renamed rather than the slowest case computed a second time.
+    for lam in partitions_up_to(6, 6):
+        for n in range(max(len(lam), 1), len(lam) + 3):
+            symbolic = [_route_det("h", lam, *at, SYM) for at in _route_points(lam, n, SYM)]
+            for spec in ROUTE_SPECS:
+                for h_sym, (point, shift) in zip(symbolic, _route_points(lam, n, spec)):
+                    if spec.kind in ("symbolic", "torus"):
+                        h = h_sym.specialize_y(spec)
+                    else:
+                        h = _route_det("h", lam, point, shift, spec)
+                    case = (lam, n, shift, spec.kind)
+                    assert _route_det("e", lam, point, shift, spec) == h, case
+                    # Uncached, so that the values do not stay in the memo.
+                    assert schur._jacobi_trudi.__wrapped__(lam, point, shift, spec) == h, case
+
+
+def test_tall_partition_builds_the_smaller_determinant(monkeypatch):
+    sizes = []
+
+    def recording_det(rows):
+        sizes.append(len(rows))
+        return poly_det(rows)
+
+    monkeypatch.setattr(schur, "poly_det", recording_det)
+    schur._jacobi_trudi.cache_clear()
+    for lam in (P([1] * 6), P([6]), P([2, 2, 2]), P([3, 2, 1]), P([2, 1, 1, 1])):
+        sizes.clear()
+        double_schur(lam, 7, YSpec.standard(1))
+        assert sizes == [min(lam.part(1), len(lam))], lam
+
+
+def test_tall_partition_in_window_without_tail():
+    # Both determinants read y_k up to n + lam_1 - 1, so a window lacking
+    # the top index reports it as the h side did.  The e side reads no y_k
+    # below y_1: where only those are missing, the value is defined and
+    # equals that of the determinant ratio.
+    short = YSpec.circle(IntSeqWindow(lo=1, values=(1, 2), tail=None), d=0)
+    with pytest.raises(UnresolvableIndexError, match="index 4 outside window"):
+        double_schur(P([2, 1, 1]), 3, short)
+    from_one = YSpec.circle(IntSeqWindow(lo=1, values=tuple(range(1, 8)), tail=None), d=0)
+    expected = double_schur(P([2, 1, 1]), 3, from_one, method="det_ratio")
+    assert double_schur(P([2, 1, 1]), 3, from_one) == expected
