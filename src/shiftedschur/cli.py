@@ -39,8 +39,6 @@ from .schur import (
 from .structconst import (
     compute_expansion,
     dumps_canonical,
-    expansion_to_latex,
-    expansion_to_text,
     multiplication_table,
     molev_coefficient,
     table_to_json_obj,
@@ -240,21 +238,6 @@ def _cmd_eval(args) -> str:
     return _poly_output(poly, args.format)
 
 
-def _expansion_output(lam, mu, exp, fmt: str) -> str:
-    if fmt == "json":
-        obj = {
-            "yspec": exp.yspec.to_json_obj(),
-            "n": exp.n,
-            "lambda": list(lam),
-            "mu": list(mu),
-            "terms": exp.to_json_terms(),
-        }
-        return dumps_canonical(obj)
-    if fmt == "latex":
-        return expansion_to_latex(lam, mu, exp) + "\n"
-    return expansion_to_text(lam, mu, exp) + "\n"
-
-
 def _with_fallback(args, compute):
     """compute(args.method), or compute("expand") if the y-specialization is
     degenerate for the chosen method.  A fallback leaves args.note, which
@@ -277,7 +260,13 @@ def _cmd_multiply(args) -> str:
             lam, mu, args.n, yspec, method, stable=not args.finite_rank
         ),
     )
-    return _expansion_output(lam, mu, exp, args.format)
+    rows = [(lam, mu, exp)]
+    if args.format != "json":
+        return table_to_latex(rows) if args.format == "latex" else table_to_text(rows)
+    # A product's JSON is its one row, with the table's n and yspec.
+    obj = table_to_json_obj(rows, exp.n, exp.yspec)
+    obj.update(obj.pop("rows")[0])
+    return dumps_canonical(obj)
 
 
 def _cmd_table(args) -> str:
@@ -290,9 +279,7 @@ def _cmd_table(args) -> str:
     )
     if args.format == "json":
         return dumps_canonical(table_to_json_obj(rows, args.n, yspec))
-    if args.format == "latex":
-        return table_to_latex(rows)
-    return table_to_text(rows)
+    return table_to_latex(rows) if args.format == "latex" else table_to_text(rows)
 
 
 def _cmd_molev(args) -> str:
@@ -348,6 +335,11 @@ def _cmd_verify(args) -> str:
     reports on stderr once the report is written, with exit code 3."""
     suite, n = args.suite, args.n
     reports: list[dict] = []
+    if suite in ("jacobi-trudi", "stability") and (args.max_weight < 0 or n < 1):
+        raise UsageError(
+            f"the {suite} suite needs --max-weight >= 0 and --n >= 1, "
+            f"got {args.max_weight} and {n}"
+        )
     if suite == "jacobi-trudi":
         lines, ok = _first_failure(
             partitions_up_to(args.max_weight, n),
@@ -379,23 +371,14 @@ def _cmd_verify(args) -> str:
         from .comult import verify_primitivity
 
         lines, ok = [], True
+        fields = ("passed", "even_rank", "odd_rank", "lhs", "rhs")
         for k in range(1, args.max_k + 1):
             for l in range(2, args.max_l + 1):
                 report = verify_primitivity(k, l)
                 ok = ok and report.passed
                 status = "pass" if report.passed else "FAIL"
                 lines.append(f"k={k} l={l} {status} {report.seconds:.3f}s")
-                reports.append(
-                    {
-                        "k": k,
-                        "l": l,
-                        "passed": report.passed,
-                        "even_rank": report.even_rank,
-                        "odd_rank": report.odd_rank,
-                        "lhs": report.lhs,
-                        "rhs": report.rhs,
-                    }
-                )
+                reports.append({"k": k, "l": l, **{f: getattr(report, f) for f in fields}})
         lines.append("PASS" if ok else "FAIL")
     else:  # ring-axioms
         if args.cases < 1:

@@ -25,6 +25,7 @@ from .polyring import (
     ZERO,
     Poly,
     YSpec,
+    _encode,
     parse_rational,
     render_terms,
     useq,
@@ -192,18 +193,12 @@ class TensorElement:
         merged.extend((l, r, w) for (l, r), w in other._table.items())
         return TensorElement(merged)
 
-    def __mul__(self, other) -> "TensorElement":
-        if isinstance(other, (int, Fraction)):
-            return TensorElement(
-                [(l, r, w * other) for (l, r), w in self._table.items()]
-            )
+    def __mul__(self, other: "TensorElement") -> "TensorElement":
         out = []
         for (l1, r1), w1 in self._table.items():
             for (l2, r2), w2 in other._table.items():
                 out.append((l1 * l2, r1 * r2, w1 * w2))
         return TensorElement(out)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not self._expanded()
@@ -308,26 +303,6 @@ def _generator_str(k: int, e: int) -> str:
     return f"p{k}" if e == 1 else f"p{k}^{e}"
 
 
-_PP_ONE = PowerPolynomial.constant(1)
-
-
-def _binomial_power(k: int, e: int) -> "TensorElement":
-    """(p_k (x) 1 + 1 (x) p_k)^e, summed by the binomial theorem.
-
-    Each binomial coefficient is taken from the one before it: one
-    multiplication and one exact division per term, not a fresh comb().
-    """
-    summands = []
-    c = 1
-    for j in range(e + 1):
-        if j:
-            c = c * (e - j + 1) // j
-        left = PowerPolynomial({(k, j): 1}) if j else _PP_ONE
-        right = PowerPolynomial({(k, e - j): 1}) if j < e else _PP_ONE
-        summands.append((left, right, c))
-    return TensorElement(summands)
-
-
 # The coproduct of a monomial prod p_k^{e_k} has prod (e_k + 1) summands; an
 # expression whose monomials add up to more than this is refused before it
 # is expanded.  At the limit a coproduct takes about 3 s and 300 MB on a
@@ -353,13 +328,23 @@ def coproduct_power_polynomial(expr) -> TensorElement:
             f"{MAX_COPRODUCT_SUMMANDS}"
         )
     _check_printable(c * prod(comb(e, e // 2) for e in m[1::2]) for m, c in terms.items())
-    total = TensorElement()
+    summands = []
     for m, c in terms.items():
-        term = TensorElement([(_PP_ONE, _PP_ONE, c)])
-        for i in range(0, len(m), 2):
-            term = term * _binomial_power(m[i], m[i + 1])
-        total = total + term
-    return total
+        # The summands (prod p_k^j_k, prod p_k^(e_k - j_k), c * prod C(e_k, j_k)),
+        # monomials packed, one generator at a time; each binomial is taken
+        # from the one before it, not from a fresh comb().
+        partial = [(0, 0, c)]
+        for k, e in zip(m[::2], m[1::2]):
+            row, b = [], 1
+            for j in range(e + 1):
+                if j:
+                    b = b * (e - j + 1) // j
+                row.append((_encode((k, j)), _encode((k, e - j)), b))
+            partial = [(l + lj, r + rj, w * bj) for l, r, w in partial for lj, rj, bj in row]
+        summands += (
+            (PowerPolynomial._raw({l: 1}), PowerPolynomial._raw({r: 1}), w) for l, r, w in partial
+        )
+    return TensorElement(summands)
 
 
 PrimitivityReport = namedtuple(

@@ -105,9 +105,8 @@ class SchurExpansion:
 
 
 def _xmono_to_partition(xm: tuple, n: int) -> Partition:
-    """Exponent vector of an x-monomial, which must be weakly decreasing."""
-    if not xm:
-        return Partition()
+    """Exponent vector of a nonconstant x-monomial, which must be weakly
+    decreasing."""
     top = var_index(xm[-2])
     if top > n:
         raise RankTooSmallError(
@@ -129,43 +128,34 @@ def _x_monomial(nu: tuple) -> int:
     return _encode(tuple(v for i, e in enumerate(nu, 1) for v in (var_code(FAMILY_X, i), e)))
 
 
-def _peel_expand(p: Poly, n: int, basis_fn) -> dict[Partition, Poly]:
-    """Expand p over a basis whose element for nu has the top x-degree part
-    s_nu(x), the classical Schur polynomial.
-
-    Partitions nu are tried by weight descending, then in descending lex
-    order.  s_nu(x) is monic at x^nu, and every other x-monomial of the
-    basis elements still to come is of lower degree or lex smaller, so the
-    coefficient of nu is the non-x part of the x^nu term of what is left.
-    """
-    coeffs: dict[Partition, Poly] = {}
-    rem = p
-    parts = _x_split(rem._terms)
-    for w in range(p.x_degree(), -1, -1):
-        for nu in _partitions_of(w, w, n):
-            if not parts:
-                return coeffs
-            rests = parts.get(_x_monomial(nu))
-            if rests:
-                nu = Partition(nu)
-                coeffs[nu] = c = Poly._raw(rests)
-                rem = rem - c * basis_fn(nu)
-                parts = _x_split(rem._terms)
-    if parts:
-        # No basis element is left to match what remains, so its leading
-        # x-monomial is not a partition of length <= n: report it.
-        _xmono_to_partition(_decode(min(parts, key=_mono_sort_key)), n)
-    return coeffs
-
-
 def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurExpansion:
     """Expand p in the shifted double Schur basis at rank n.
 
     p must be symmetric in the shifted variables x_i + y_{-i} (after the
     yspec substitution); asymmetry surfaces as a non-partition leading
     monomial during elimination.
+
+    Partitions nu are tried by weight descending, then in descending lex
+    order.  The top x-degree part of s*_nu is s_nu(x), monic at x^nu, and
+    every other x-monomial of the basis elements still to come is of lower
+    degree or lex smaller, so the coefficient of nu is the non-x part of the
+    x^nu term of what is left.
     """
-    coeffs = _peel_expand(p, n, lambda nu: shifted_double_schur(nu, n, yspec))
+    coeffs: dict[Partition, Poly] = {}
+    parts = _x_split(p._terms)
+    for nu in (nu for w in range(p.x_degree(), -1, -1) for nu in _partitions_of(w, w, n)):
+        if not parts:
+            break
+        rests = parts.get(_x_monomial(nu))
+        if rests:
+            nu = Partition(nu)
+            coeffs[nu] = c = Poly._raw(rests)
+            p = p - c * shifted_double_schur(nu, n, yspec)
+            parts = _x_split(p._terms)
+    if parts:
+        # No basis element is left to match what remains, so its leading
+        # x-monomial is not a partition of length <= n: report it.
+        _xmono_to_partition(_decode(min(parts, key=_mono_sort_key)), n)
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 
@@ -223,8 +213,6 @@ def molev_coefficient(lam, mu, nu) -> Fraction:
     lam = Partition(lam)
     mu = Partition(mu)
     nu = Partition(nu)
-    if not (contains(nu, lam) and contains(nu, mu)):
-        return Fraction(0)
     lower = Partition(
         max(lam.part(i), mu.part(i)) for i in range(1, max(len(lam), len(mu)) + 1)
     )
@@ -301,8 +289,6 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpans
     _check_rank(lam, mu, n, stable, "the hook-function formula")
     coeffs: dict[Partition, Poly] = {}
     for nu in partitions_up_to(lam.weight + mu.weight, n):
-        if not (contains(nu, lam) and contains(nu, mu)):
-            continue
         c = molev_coefficient(lam, mu, nu)
         if c:
             coeffs[nu] = const(c) * u ** (lam.weight + mu.weight - nu.weight)

@@ -13,7 +13,7 @@ from shiftedschur import comult
 from shiftedschur.cli import build_parser, parse_yspec, run
 from shiftedschur.comult import MAX_COPRODUCT_SUMMANDS
 from shiftedschur.errors import DomainError, UsageError
-from shiftedschur.polyring import MAX_EXPONENT, IntSeqWindow, YSpec
+from shiftedschur.polyring import MAX_EXPONENT, MAX_PRODUCT_PAIRS, IntSeqWindow, YSpec
 from shiftedschur.schur import MAX_H_TERMS
 from shiftedschur.structconst import dumps_canonical
 
@@ -187,6 +187,20 @@ def test_multiply_json(capsys):
     obj = json.loads(out)
     assert obj["lambda"] == [1] and obj["mu"] == [1]
     assert {"nu": [1], "coeff": "u"} in obj["terms"]
+
+
+def test_product_json_is_its_row_and_a_table_keeps_rows(capsys):
+    # A table whose only row is the empty pair keeps its rows array; a
+    # product's JSON is that row's fields at the top level.
+    code, out, _ = invoke(capsys, "table", "--max-weight", "0", "--n", "1", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert sorted(obj) == ["n", "rows", "yspec"]
+    assert obj["rows"] == [{"lambda": [], "mu": [], "terms": [{"nu": [], "coeff": "1"}]}]
+    argv = ("multiply", "--lambda", "1", "--mu", "1", "--n", "3", "--format", "json")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert sorted(json.loads(out)) == ["lambda", "mu", "n", "terms", "yspec"]
 
 
 def test_latex_output(capsys):
@@ -387,6 +401,9 @@ def test_molev_method_needs_the_stable_rank(capsys):
         ("--suite", "ring-axioms", "--cases", "0"),
         ("--suite", "primitivity", "--max-k", "0"),
         ("--suite", "primitivity", "--max-l", "1"),
+        ("--suite", "jacobi-trudi", "--n", "0"),
+        ("--suite", "stability", "--n", "0"),
+        ("--suite", "jacobi-trudi", "--max-weight", "-1"),
     ],
 )
 def test_verify_suite_that_checks_nothing_is_usage_error(capsys, argv):
@@ -630,6 +647,22 @@ def test_schur_h_table_limit(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == f"error: the table h_0..h_20 exceeds the limit of {MAX_H_TERMS} terms\n"
     assert int(peak_file.read_text()) < 200 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
+def test_schur_product_limit(tmp_path):
+    # The determinant of (3,3,3) at n = 9 multiplies a 1,320-term minor by
+    # a 117,696-term entry; it grew past 960 MB before any check refused it.
+    peak_file = tmp_path / "peak_rss_kb"
+    cli = [sys.executable, "-m", "shiftedschur", "schur", "--lambda", "3,3,3", "--n", "9"]
+    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: a product of 1320 by 117696 terms exceeds the limit of "
+        f"{MAX_PRODUCT_PAIRS} term pairs\n"
+    )
+    assert int(peak_file.read_text()) < 150 * 1024
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")

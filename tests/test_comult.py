@@ -205,7 +205,12 @@ def test_power_polynomial_arithmetic_keeps_class():
 
 def test_coproduct_matches_repeated_primitive_products():
     one = PP.constant(1)
-    for expr in ("p1^9", "p2^3*p1^4", "-2/3*p3^5 + p1^2*p2 - 7"):
+    for expr in (
+        "p1^9",
+        "p2^3*p1^4",
+        "-2/3*p3^5 + p1^2*p2 - 7",
+        "3/4*p1^2*p2*p5^3 - p2^4 + 2",
+    ):
         expected = TensorElement()
         for m, c in PP.parse(expr).terms.items():
             term = TensorElement([(one, one, c)])

@@ -258,6 +258,10 @@ def test_divide_linear():
     assert q == (x(1) - x(3)) * (x(2) + y(5))
     with pytest.raises(InexactDivisionError):
         divide_linear(x(1) * x(2) + 1, 1, 2)
+    # A dividend without x_1 divides only if it is zero.
+    assert divide_linear(ZERO, 1, 2) == 0
+    with pytest.raises(InexactDivisionError):
+        divide_linear(y(1) + 3, 1, 2)
 
 
 def test_poly_det():
