@@ -307,7 +307,6 @@ def _cmd_coproduct(args) -> str:
     except ZeroDivisionError as e:
         raise UsageError(f"malformed expression {args.expr!r}: {e}") from None
     tensor = coproduct_power_polynomial(expr)
-    tensor.check_printable()
     if args.format == "json":
         obj = {
             "summands": [

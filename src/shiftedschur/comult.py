@@ -9,7 +9,6 @@ power-sum polynomials extends this multiplicatively.
 from __future__ import annotations
 
 import re
-import sys
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -111,31 +110,6 @@ def relabel_even_odd(even: Poly, odd: Poly) -> "TensorElement":
     )
 
 
-def _check_printable(values) -> None:
-    """Raise ValueError, as str() would, if the numerator or denominator of
-    a value has more decimal digits than sys.get_int_max_str_digits() allows.
-
-    Converting a huge int to text takes time quadratic in its length, so
-    the digit count is bounded from bit_length() first; str() decides only
-    when the bounds straddle the limit.
-    """
-    # Interpreters older than the limit (before 3.10.7) have no getter.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
-    for c in values:
-        for v in (c.numerator, c.denominator):
-            b = abs(v).bit_length()
-            # 0.30102 < log10(2) < 0.30104, and 2^(b-1) <= |v| < 2^b.
-            if (b - 1) * 30102 // 100000 + 1 > limit:
-                raise ValueError(
-                    f"Exceeds the limit ({limit} digits) for integer string "
-                    "conversion; use sys.set_int_max_str_digits() to increase the limit"
-                )
-            if b * 30104 // 100000 + 1 > limit:
-                str(v)
-
-
 class TensorElement:
     """A finite sum of weighted left (x) right pairs over a commutative ring.
 
@@ -202,12 +176,6 @@ class TensorElement:
 
     def is_zero(self) -> bool:
         return not self._expanded()
-
-    def check_printable(self) -> None:
-        """Raise ValueError, as str() would, if a weight or coefficient has
-        more decimal digits than sys.get_int_max_str_digits() allows."""
-        for (left, right), w in self._table.items():
-            _check_printable((w, *left._terms.values(), *right._terms.values()))
 
     def __str__(self) -> str:
         if not self._table:
@@ -314,9 +282,9 @@ def coproduct_power_polynomial(expr) -> TensorElement:
     """Apply the coproduct p_k -> p_k (x) 1 + 1 (x) p_k multiplicatively.
 
     Raises DomainError if the expansion could have more than
-    MAX_COPRODUCT_SUMMANDS summands, and ValueError, as check_printable
-    would, if the central summand c * prod C(e_k, e_k // 2) of a monomial
-    c * prod p_k^e_k has a weight too long to print.
+    MAX_COPRODUCT_SUMMANDS summands, and ValueError from str() if the central
+    summand c * prod C(e_k, e_k // 2) of a monomial c * prod p_k^e_k has a
+    weight longer than sys.get_int_max_str_digits() allows.
     """
     if isinstance(expr, str):
         expr = PowerPolynomial.parse(expr)
@@ -327,7 +295,9 @@ def coproduct_power_polynomial(expr) -> TensorElement:
             f"the coproduct has up to {bound} summands, more than the limit "
             f"{MAX_COPRODUCT_SUMMANDS}"
         )
-    _check_printable(c * prod(comb(e, e // 2) for e in m[1::2]) for m, c in terms.items())
+    # str() refuses a weight too long to print, before any summand is built.
+    for m, c in terms.items():
+        str(c * prod(comb(e, e // 2) for e in m[1::2]))
     summands = []
     for m, c in terms.items():
         # The summands (prod p_k^j_k, prod p_k^(e_k - j_k), c * prod C(e_k, j_k)),

@@ -414,12 +414,10 @@ class Poly:
         computed once per (slot, exponent).  A one-term power is folded into
         the packed monomial and the coefficient, a longer one multiplied in.
         """
-        table: dict[int, Poly] = {}
-        for key, value in assignment.items():
-            s = _single_variable_slot(key)
-            if s in table:
-                raise DomainError("duplicate variable in substitution")
-            table[s] = value if isinstance(value, Poly) else const(value)
+        table = {
+            _single_variable_slot(key): value if isinstance(value, Poly) else const(value)
+            for key, value in assignment.items()
+        }
         if not table:
             return self
         mask = sum(_FIELD << (_W * s) for s in table)
@@ -473,7 +471,7 @@ class Poly:
         return f"Poly({canonical_string(self)})"
 
     def latex(self) -> str:
-        return _latex_string(self)
+        return render_terms(self.sorted_terms(), _latex_var, _latex_coeff, " ")
 
     def to_json_obj(self) -> list:
         out = []
@@ -603,10 +601,6 @@ def _latex_coeff(c) -> str:
         sign = "-" if c < 0 else ""
         return f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
     return str(c)
-
-
-def _latex_string(p: Poly) -> str:
-    return render_terms(p.sorted_terms(), _latex_var, _latex_coeff, " ")
 
 
 # -- leading terms and division ---------------------------------------------------

@@ -104,25 +104,6 @@ class SchurExpansion:
         ]
 
 
-def _xmono_to_partition(xm: tuple, n: int) -> Partition:
-    """Exponent vector of a nonconstant x-monomial, which must be weakly
-    decreasing."""
-    top = var_index(xm[-2])
-    if top > n:
-        raise RankTooSmallError(
-            f"expansion needs a partition of length {top} but rank is {n}"
-        )
-    exps = [0] * top
-    for i in range(0, len(xm), 2):
-        exps[var_index(xm[i]) - 1] = xm[i + 1]
-    if any(exps[i] < exps[i + 1] for i in range(top - 1)) or exps[-1] == 0:
-        raise AsymmetricInputError(
-            "leading x-monomial is not a partition; input is not symmetric "
-            "in the shifted variables"
-        )
-    return Partition(exps)
-
-
 def _x_monomial(nu: tuple) -> int:
     """The packed monomial x_1^nu_1 x_2^nu_2 ..."""
     return _encode(tuple(v for i, e in enumerate(nu, 1) for v in (var_code(FAMILY_X, i), e)))
@@ -153,9 +134,17 @@ def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurEx
             p = p - c * shifted_double_schur(nu, n, yspec)
             parts = _x_split(p._terms)
     if parts:
-        # No basis element is left to match what remains, so its leading
-        # x-monomial is not a partition of length <= n: report it.
-        _xmono_to_partition(_decode(min(parts, key=_mono_sort_key)), n)
+        # What is left comes after every partition of length <= n in the peel
+        # order, so its leading x-monomial is too long or not a partition.
+        top = var_index(_decode(min(parts, key=_mono_sort_key))[-2])
+        if top > n:
+            raise RankTooSmallError(
+                f"expansion needs a partition of length {top} but rank is {n}"
+            )
+        raise AsymmetricInputError(
+            "leading x-monomial is not a partition; input is not symmetric "
+            "in the shifted variables"
+        )
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 

@@ -2,8 +2,10 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,13 @@ def test_parse_yspec_grammar():
 def test_parse_yspec_rejects(bad):
     with pytest.raises(UsageError):
         parse_yspec(bad)
+
+
+def test_yspec_key_without_value_is_usage_error(capsys):
+    argv = ("multiply", "--lambda", "1", "--mu", "1", "--n", "3", "--y", "standard:d=")
+    assert invoke(capsys, *argv) == (
+        1, "", "usage error: malformed yspec 'standard:d=': expected key=value, got 'd='\n"
+    )
 
 
 # ---- commands -------------------------------------------------------------------
@@ -139,6 +148,9 @@ def test_coproduct_command(capsys):
     code, out, _ = invoke(capsys, "coproduct", "--expr", "p1")
     assert code == 0
     assert out == "(1) (x) (p1) + (p1) (x) (1)\n"
+    assert invoke(capsys, "coproduct", "--expr", "0") == (0, "0\n", "")
+    code, out, _ = invoke(capsys, "coproduct", "--expr", "0", "--format", "json")
+    assert (code, json.loads(out)) == (0, {"summands": []})
 
 
 def test_verify_commands(capsys):
@@ -512,11 +524,28 @@ def _declared_entry_point() -> str:
 
 
 def _run(cmd, timeout=60):
-    """Run ``cmd`` against the same copy of the package that this test imported."""
+    """Run ``cmd`` against the same copy of the package that this test imported.
+
+    ``cmd`` leads a process group of its own, and when the timeout expires the
+    whole group is killed, a child that ``cmd`` started included, before
+    TimeoutExpired is raised.
+    """
     package_root = str(Path(shiftedschur.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
+    with subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            if hasattr(os, "killpg"):
+                os.killpg(proc.pid, signal.SIGKILL)
+            else:  # no process groups: kill ``cmd`` alone
+                proc.kill()
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
 
 
 def _run_entry_point(*argv):
@@ -583,6 +612,42 @@ sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
+def _run_peak_rss(argv, tmp_path, timeout=60):
+    """Run the CLI with ``argv`` under _PEAK_RSS_WRAPPER; return the finished
+    process and the CLI's peak RSS in kilobytes."""
+    peak_file = tmp_path / "peak_rss_kb"
+    cli = [sys.executable, "-m", "shiftedschur", *argv]
+    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli], timeout=timeout)
+    return proc, int(peak_file.read_text())
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="process groups are POSIX only")
+def test_timeout_kills_the_command_and_its_child(tmp_path, monkeypatch):
+    # The wrapper's CLI child takes over 20 s; killing only the wrapper on the
+    # timeout once left such a child running at 586 MB.
+    groups = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            groups.append(os.getpgid(self.pid))
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    with pytest.raises(subprocess.TimeoutExpired):
+        _run_peak_rss(["schur", "--lambda", "3,3,3", "--n", "6"], tmp_path, timeout=1)
+    (group,) = groups
+    assert group != os.getpgrp(), "the command shares the test's process group"
+    # The killed child is reaped by whichever process adopted it.
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(group, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, f"process group {group} still has a process"
+        time.sleep(0.05)
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
 @pytest.mark.parametrize(
     "argv, expected",
@@ -608,13 +673,11 @@ def test_many_variables(argv, expected, tmp_path):
     # Many variables or a long row need an h-recurrence without recursion,
     # and the peak RSS bound holds only if the cells of the chain over the
     # variables are not all kept (a cache of them took 211 MB in the first case).
-    peak_file = tmp_path / "peak_rss_kb"
-    cli = [sys.executable, "-m", "shiftedschur", *argv]
-    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    proc, peak_kb = _run_peak_rss(argv, tmp_path)
     assert proc.returncode == 0
     assert proc.stdout == f"{expected}\n"
     assert proc.stderr == ""
-    assert int(peak_file.read_text()) < 100 * 1024
+    assert peak_kb < 100 * 1024
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
@@ -624,45 +687,39 @@ def test_coproduct_refused_before_expanding(tmp_path):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or limit > 9000:
         pytest.skip("the int-to-str digit limit admits the central weight")
-    peak_file = tmp_path / "peak_rss_kb"
-    cli = [sys.executable, "-m", "shiftedschur", "coproduct", "--expr", "p1^32767"]
-    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    proc, peak_kb = _run_peak_rss(["coproduct", "--expr", "p1^32767"], tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
         f"error: coefficient too large to print: Exceeds the limit ({limit} digits) for "
         "integer string conversion; use sys.set_int_max_str_digits() to increase the limit\n"
     )
-    assert int(peak_file.read_text()) < 100 * 1024
+    assert peak_kb < 100 * 1024
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
 def test_schur_h_table_limit(tmp_path):
     # Symbolic h_p at the first variable has 2^p terms; the table is refused
     # once it holds more than MAX_H_TERMS (it grew past 1 GB before).
-    peak_file = tmp_path / "peak_rss_kb"
-    cli = [sys.executable, "-m", "shiftedschur", "schur", "--lambda", "20", "--n", "2"]
-    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    proc, peak_kb = _run_peak_rss(["schur", "--lambda", "20", "--n", "2"], tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: the table h_0..h_20 exceeds the limit of {MAX_H_TERMS} terms\n"
-    assert int(peak_file.read_text()) < 200 * 1024
+    assert peak_kb < 200 * 1024
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
 def test_schur_product_limit(tmp_path):
     # The determinant of (3,3,3) at n = 9 multiplies a 1,320-term minor by
     # a 117,696-term entry; it grew past 960 MB before any check refused it.
-    peak_file = tmp_path / "peak_rss_kb"
-    cli = [sys.executable, "-m", "shiftedschur", "schur", "--lambda", "3,3,3", "--n", "9"]
-    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    proc, peak_kb = _run_peak_rss(["schur", "--lambda", "3,3,3", "--n", "9"], tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
         "error: a product of 1320 by 117696 terms exceeds the limit of "
         f"{MAX_PRODUCT_PAIRS} term pairs\n"
     )
-    assert int(peak_file.read_text()) < 150 * 1024
+    assert peak_kb < 150 * 1024
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
@@ -670,14 +727,12 @@ def test_schur_product_limit(tmp_path):
 def test_schur_e_table_limit(k, flags, tmp_path):
     # (1^k) is built from one column e_0..e_k; symbolic e_k has 2^k terms,
     # 3^k at the shifted point.  The e table shares the h tables' budget.
-    peak_file = tmp_path / "peak_rss_kb"
     lam = ",".join(["1"] * k)
-    cli = [sys.executable, "-m", "shiftedschur", "schur", "--lambda", lam, "--n", str(k), *flags]
-    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    proc, peak_kb = _run_peak_rss(["schur", "--lambda", lam, "--n", str(k), *flags], tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: the table e_0..e_{k} exceeds the limit of {MAX_H_TERMS} terms\n"
-    assert int(peak_file.read_text()) < 100 * 1024
+    assert peak_kb < 100 * 1024
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
@@ -685,13 +740,11 @@ def test_schur_e_table_limit(k, flags, tmp_path):
 def test_long_symbolic_row_refused_in_little_memory(lam, n, tmp_path):
     # The y variables of a row get registry slots from the lowest index up,
     # so the cells filled before the refusal pack into short ints.
-    peak_file = tmp_path / "peak_rss_kb"
-    cli = [sys.executable, "-m", "shiftedschur", "schur", "--lambda", lam, "--n", n]
-    proc = _run([sys.executable, "-c", _PEAK_RSS_WRAPPER, str(peak_file), *cli])
+    proc, peak_kb = _run_peak_rss(["schur", "--lambda", lam, "--n", n], tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: the table h_0..h_{lam} exceeds the limit of {MAX_H_TERMS} terms\n"
-    assert int(peak_file.read_text()) < 100 * 1024
+    assert peak_kb < 100 * 1024
 
 
 @pytest.mark.skipif(

@@ -13,6 +13,7 @@ from shiftedschur import (
     IntSeqWindow,
     Partition,
     RankTooSmallError,
+    SchurExpansion,
     YSpec,
     const,
     contains,
@@ -59,15 +60,22 @@ def test_expand_classical_square():
     assert exp.coefficients == {P([2]): ONE, P([1, 1]): ONE}
 
 
+_ASYMMETRIC = (
+    "leading x-monomial is not a partition; input is not symmetric in the shifted variables"
+)
+
+
 def test_expand_detects_asymmetry():
-    with pytest.raises(AsymmetricInputError):
+    with pytest.raises(AsymmetricInputError, match=f"^{_ASYMMETRIC}$"):
         expand_in_shifted_basis(x(1), 2, ZSPEC)
-    with pytest.raises(AsymmetricInputError):
+    with pytest.raises(AsymmetricInputError, match=f"^{_ASYMMETRIC}$"):
         expand_in_shifted_basis(x(1) * x(2) ** 2, 2, ZSPEC)
 
 
 def test_expand_rank_too_small():
-    with pytest.raises(RankTooSmallError):
+    with pytest.raises(
+        RankTooSmallError, match="^expansion needs a partition of length 3 but rank is 2$"
+    ):
         expand_in_shifted_basis(x(1) * x(2) * x(3), 2, ZSPEC)
 
 
@@ -299,6 +307,13 @@ def test_table_text_and_latex_render():
     latex = table_to_latex(rows)
     assert "s^{*}_{(1)} \\cdot s^{*}_{(1)}" in latex
     assert "u \\, s^{*}_{(1)}" in latex
+
+
+def test_zero_expansion_renders_as_zero():
+    rows = [(P([1]), P([1]), SchurExpansion(n=3, yspec=STD0, coefficients={}))]
+    assert table_to_text(rows) == "[1] * [1] -> 0\n"
+    assert table_to_latex(rows) == "$s^{*}_{(1)} \\cdot s^{*}_{(1)} = 0$\n"
+    assert table_to_json_obj(rows, 3, STD0)["rows"] == [{"lambda": [1], "mu": [1], "terms": []}]
 
 
 def test_table_molev_method_matches_expand():
