@@ -37,6 +37,7 @@ from .schur import (
     vandermonde,
 )
 from .structconst import (
+    TABLE_METHODS,
     compute_expansion,
     dumps_canonical,
     multiplication_table,
@@ -166,14 +167,14 @@ def build_parser() -> _Parser:
     p = add_verb("multiply", _cmd_multiply, "expand a product of two basis elements")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--method", choices=("expand", "localize", "molev"), default="expand")
+    p.add_argument("--method", choices=TABLE_METHODS, default="expand")
     p.add_argument("--finite-rank", action="store_true")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
 
     p = add_verb("table", _cmd_table, "multiplication table up to a weight bound")
     p.add_argument("--max-weight", type=int, required=True)
-    p.add_argument("--method", choices=("expand", "localize", "molev"), default="expand")
+    p.add_argument("--method", choices=TABLE_METHODS, default="expand")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--finite-rank", action="store_true")
     add_common(p)

@@ -623,8 +623,6 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
     """Exact division p / q; raises InexactDivisionError if q does not divide p."""
     if not q:
         raise DomainError("division by the zero polynomial")
-    if not p:
-        return ZERO
     qm, qc = _leading(q)
     quotient: dict = {}
     rem = p
@@ -668,23 +666,12 @@ def divide_linear(p: Poly, xi: int, xj: int) -> Poly:
 
 
 def poly_det(rows: list[list[Poly]]) -> Poly:
-    """Determinant of a square matrix of polynomials.
-
-    Cofactor expansion with memoization over column subsets; rows are
-    processed sparsest-first so structurally triangular blocks prune early.
-    The memo lives and dies inside this call.
-    """
+    """Determinant of a square matrix of polynomials, by cofactor expansion
+    along the rows in order, memoized over column subsets for this call."""
     n = len(rows)
-    if n == 0:
-        return ONE
     for r in rows:
         if len(r) != n:
             raise DomainError("determinant of a non-square matrix")
-    order = sorted(range(n), key=lambda r: (sum(1 for e in rows[r] if e), r))
-    inversions = sum(
-        1 for a in range(n) for b in range(a + 1, n) if order[a] > order[b]
-    )
-    sign = -1 if inversions % 2 else 1
     memo: dict[tuple, Poly] = {}
 
     def minor(cols: tuple) -> Poly:
@@ -693,7 +680,7 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
         val = memo.get(cols)
         if val is not None:
             return val
-        row = rows[order[n - len(cols)]]
+        row = rows[n - len(cols)]
         acc = ZERO
         for pos, cidx in enumerate(cols):
             entry = row[cidx]
@@ -711,7 +698,7 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
     # minor refers to itself through its closure: break the cycle, so that
     # the memo is freed now and not at the next cyclic collection.
     del minor
-    return result if sign == 1 else -result
+    return result
 
 
 # -- y-specializations ---------------------------------------------------------

@@ -220,9 +220,6 @@ def molev_coefficient(lam, mu, nu) -> Fraction:
     return total
 
 
-_LOCALIZABLE = ("symbolic", "standard", "circle", "torus")
-
-
 def structure_constants_via_localization(
     lam, mu, n: int, yspec: YSpec = SYMBOLIC, stable: bool = True
 ) -> SchurExpansion:
@@ -233,15 +230,13 @@ def structure_constants_via_localization(
     product identity at the fixed point delta = nu involves only
     already-solved coefficients, so back-substitution suffices.  Vanishing
     and triangularity hold at any rank n >= l(delta), so stable=False
-    admits any rank >= max length, as multiply_schubert does.
+    admits any rank >= max length, as multiply_schubert does.  Raises
+    DegenerateSpecializationError if some candidate's restriction to its own
+    fixed point vanishes (zero, affine with a = 0, some circle windows).
     """
     lam = Partition(lam)
     mu = Partition(mu)
     _check_rank(lam, mu, n, stable, "localization")
-    if yspec.kind not in _LOCALIZABLE:
-        raise DegenerateSpecializationError(
-            f"yspec kind {yspec.kind!r} is degenerate for localization"
-        )
     candidates = [
         nu
         for nu in partitions_up_to(lam.weight + mu.weight, n)

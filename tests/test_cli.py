@@ -111,15 +111,32 @@ def test_multiply_localize_fallback_on_zero(capsys):
     assert out == "[1] * [1] -> [2]: 1 | [1,1]: 1\n"
 
 
-def test_table_localize_fallback_on_zero(capsys):
-    argv = ("table", "--max-weight", "1", "--n", "3", "--y", "zero")
+@pytest.mark.parametrize(
+    "argv, note",
+    [
+        (("table", "--max-weight", "1", "--n", "3", "--y", "zero"), "(1,)"),
+        # affine with a != 0 localizes: no difference y_a - y_b vanishes.
+        (("table", "--max-weight", "2", "--n", "5", "--y", "affine:a=1/2,b=-3/5"), None),
+        # affine with a = 0 makes every y_j equal: the note names the first
+        # candidate whose restriction to its own fixed point vanishes.
+        (
+            ("multiply", "--lambda", "2,1", "--mu", "1", "--n", "4", "--y", "affine:a=0,b=3"),
+            "(2, 1)",
+        ),
+    ],
+    ids=["zero", "affine", "affine-a0"],
+)
+def test_table_localize_fallback_on_zero(capsys, argv, note):
     code, expected, err = invoke(capsys, *argv, "--method", "expand")
     assert (code, err) == (0, "")
     code, out, err = invoke(capsys, *argv, "--method", "localize")
     assert code == 0
     assert out == expected
-    assert err.startswith("note: ") and err.count("\n") == 1
-    assert "falling back" in err
+    if note is None:
+        assert err == ""
+    else:
+        assert err.startswith("note: ") and err.count("\n") == 1
+        assert "falling back" in err and note in err
 
 
 def test_molev_command(capsys):

@@ -228,10 +228,22 @@ def test_localization_matches_multiply():
 
 
 def test_localization_rejects_degenerate():
+    # Every y_j is 5/7 under affine(0, 5/7), so each weight difference
+    # y_a - y_b in a restriction to its own fixed point vanishes.
     with pytest.raises(DegenerateSpecializationError):
         structure_constants_via_localization(P([1]), P([1]), 3, ZSPEC)
     with pytest.raises(DegenerateSpecializationError):
-        structure_constants_via_localization(P([1]), P([1]), 3, YSpec.affine(1, 0))
+        structure_constants_via_localization(P([1]), P([1]), 3, YSpec.affine(0, Fraction(5, 7)))
+
+
+@pytest.mark.parametrize("spec", [YSpec.affine(1, 0), YSpec.affine(Fraction(1, 2), Fraction(1, 3))])
+@pytest.mark.parametrize("lam, mu", [((1,), (1,)), ((2, 1), (1,)), ((2,), (1, 1))])
+def test_localization_under_affine_with_nonzero_slope(spec, lam, mu):
+    # With a != 0 the y_j are distinct, so no restriction to its own fixed
+    # point vanishes and localization agrees with the expansion.
+    assert structure_constants_via_localization(P(lam), P(mu), 5, spec) == multiply_schubert(
+        P(lam), P(mu), 5, spec
+    )
 
 
 @pytest.mark.parametrize(
