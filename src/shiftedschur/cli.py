@@ -433,6 +433,9 @@ def run(argv=None) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except ValueError as e:  # a verb rendered an int past sys.get_int_max_str_digits()
         print(f"error: coefficient too large to print: {e}", file=sys.stderr)
         return 2

@@ -60,6 +60,8 @@ _FAMILY_NAMES = {FAMILY_U: "u", FAMILY_USEQ: "u", FAMILY_Y: "y", FAMILY_X: "x"}
 
 def var_code(family: int, index: int) -> int:
     """Pack (family, index) into a single int preserving canonical order."""
+    if not -_INDEX_BIAS <= index < _INDEX_BIAS:
+        raise DomainError(f"variable index {index} outside [-2^43, 2^43)")
     return (family << _FAMILY_SHIFT) | (index + _INDEX_BIAS)
 
 
@@ -232,13 +234,11 @@ class Poly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple, object] | None = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = _int_if_integral(c)
-                if c:
-                    clean[_encode(m)] = c
-        self._terms = clean
+        acc: dict = {}
+        for m, c in (terms or {}).items():
+            m = _encode(m)
+            acc[m] = acc.get(m, 0) + c
+        self._terms = {m: _int_if_integral(c) for m, c in acc.items() if c}
         self._hash = None
 
     @classmethod
@@ -500,7 +500,8 @@ class Poly:
                     raise DomainError(f"unknown variable family {fam_name!r}")
                 mono.append(var_code(fam, 0 if idx is None else idx))
                 mono.append(exp)
-            terms[tuple(mono)] = parse_rational(entry["coeff"])
+            key = tuple(mono)
+            terms[key] = terms.get(key, 0) + parse_rational(entry["coeff"])
         return cls(terms)
 
     def __reduce__(self):
@@ -606,63 +607,58 @@ def _latex_coeff(c) -> str:
 # -- leading terms and division ---------------------------------------------------
 
 
-def _leading(p: Poly) -> tuple[int, object]:
+def leading_term(p: Poly) -> tuple[tuple, object]:
+    """The graded-lex maximal term (flat monomial, coefficient)."""
     if not p._terms:
         raise DomainError("zero polynomial has no leading term")
     m = min(p._terms, key=_mono_sort_key)
-    return m, p._terms[m]
+    return _decode(m), p._terms[m]
 
 
-def leading_term(p: Poly) -> tuple[tuple, object]:
-    """The graded-lex maximal term (flat monomial, coefficient)."""
-    m, c = _leading(p)
-    return _decode(m), c
-
-
-def divide_exact(p: Poly, q: Poly) -> Poly:
-    """Exact division p / q; raises InexactDivisionError if q does not divide p."""
-    if not q:
-        raise DomainError("division by the zero polynomial")
-    qm, qc = _leading(q)
-    quotient: dict = {}
-    rem = p
-    while rem:
-        m, c = _leading(rem)
-        # qm divides m iff no field of m - qm borrowed, i.e. no guard bit.
-        fac_m = m - qm
-        if fac_m & _GUARD:
-            raise InexactDivisionError(
-                f"leading monomial not divisible; remainder {canonical_string(rem)}"
-            )
-        fac_c = _int_if_integral(Fraction(c) / qc)
-        quotient[fac_m] = fac_c
-        rem = rem - Poly._raw({fac_m: fac_c}) * q
-    return Poly._raw(quotient)
-
-
-def divide_linear(p: Poly, xi: int, xj: int) -> Poly:
-    """Exact division of p by (x_xi - x_xj) via synthetic division in x_xi."""
-    shift = _W * _slot(var_code(FAMILY_X, xi))
-    xjp = x(xj)
-    # Coefficients of p as a univariate polynomial in x_xi.
+def _split(p: Poly, shift: int) -> dict[int, Poly]:
+    """p's coefficients in the variable whose field starts at bit `shift`."""
     by_power: dict[int, dict] = {}
     for m, c in p._terms.items():
         e = (m >> shift) & _FIELD
         by_power.setdefault(e, {})[m - (e << shift)] = c
-    deg = max(by_power, default=0)
-    carry = ZERO
+    return {e: Poly._raw(t) for e, t in by_power.items()}
+
+
+def divide_exact(p: Poly, q: Poly) -> Poly:
+    """Exact division p / q; raises InexactDivisionError if q does not divide p.
+
+    Long division in v, the variable of q with the lowest slot: each
+    coefficient of the quotient in v is an exact division by q's leading
+    coefficient in v, a polynomial in one variable fewer.
+    """
+    if not q:
+        raise DomainError("division by the zero polynomial")
+    low = reduce(or_, q._terms)
+    if not low:
+        return p if q._terms[0] == 1 else p * (1 / Fraction(q._terms[0]))
+    shift = _W * (((low & -low).bit_length() - 1) // _W)
+    rem = _split(p, shift)
+    (dq, lead), *lower = sorted(_split(q, shift).items(), reverse=True)
+    lower = [(e - dq, -t) for e, t in lower]
     quotient: dict = {}
-    for k in range(deg, 0, -1):
-        carry = carry + Poly._raw(by_power.get(k, {}))
-        # Every carry term lacks x_xi and k - 1 < deg fits the field; the
-        # terms of step k are the only ones with x_xi^(k-1), so none collide.
-        raise_k = (k - 1) << shift
-        quotient.update((m + raise_k, c) for m, c in carry._terms.items())
-        carry = carry * xjp
-    remainder = carry + Poly._raw(by_power.get(0, {}))
-    if remainder:
-        raise InexactDivisionError("nonzero remainder in linear division")
+    for k in range(max(rem, default=dq - 1), dq - 1, -1):
+        top = rem.pop(k, None)
+        if not top:
+            continue
+        c = divide_exact(top, lead)
+        # c lacks v, so the terms of different k share no monomial.
+        raise_k = (k - dq) << shift
+        quotient.update((m + raise_k, cc) for m, cc in c._terms.items())
+        for e, t in lower:
+            rem[k + e] = c * t + rem.get(k + e, ZERO)
+    if any(rem.values()):
+        raise InexactDivisionError("nonzero remainder in exact division")
     return Poly._raw(quotient)
+
+
+def divide_linear(p: Poly, xi: int, xj: int) -> Poly:
+    """Exact division of p by (x_xi - x_xj)."""
+    return divide_exact(p, x(xi) - x(xj))
 
 
 def poly_det(rows: list[list[Poly]]) -> Poly:

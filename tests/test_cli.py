@@ -362,6 +362,52 @@ def test_huge_rationals_refused_quickly(argv, code, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv, index",
+    [
+        (["restrict", "--lambda", "1", "--delta", "9000000000000", "--n", "1"], 8999999999999),
+        (["schur", "--lambda", "1", "--n", "1", "--y", "torus:shift=-9000000000000"],
+         -8999999999999),
+        (["restrict", "--lambda", "1", "--delta", "1", "--n", "2",
+          "--y", "torus:shift=8796093022208"], 8796093022208),
+        (["restrict", "--lambda", "1", "--delta", "1", "--n", "2",
+          "--y", "torus:shift=100000000000000000000"], 100000000000000000000),
+    ],
+    ids=["delta", "negative-shift", "shift-at-the-end", "huge-shift"],
+)
+def test_variable_index_past_the_field(capsys, argv, index):
+    # Such an index once packed into another variable (or family) silently.
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: variable index {index} outside [-2^43, 2^43)\n"
+
+
+_UNDER_ADDRESS_LIMIT = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from shiftedschur.cli import main
+main()
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_AS is POSIX only")
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["schur", "--lambda", "99999999999", "--n", "1", "--y", "zero"], 2, "",
+         "error: out of memory\n"),
+        (["eval", "--lambda", "99999999999", "--y", "zero"], 2, "", "error: out of memory\n"),
+        (["eval", "--lambda", "300000", "--y", "zero"], 0, "0\n", ""),
+    ],
+    ids=["schur", "eval", "eval-long-row"],
+)
+def test_out_of_memory_is_one_line(argv, code, out, err):
+    # The column of a huge part cannot be allocated under a 1 GiB address
+    # space; the long row still fits.
+    proc = _run([sys.executable, "-c", _UNDER_ADDRESS_LIMIT, *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 @pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 2 * (MAX_EXPONENT + 1)])
 def test_coproduct_exponent_past_the_field(capsys, exponent):
     code, out, err = invoke(capsys, "coproduct", "--expr", f"p1^{exponent}")

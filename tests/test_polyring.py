@@ -29,7 +29,8 @@ from shiftedschur import (
     x,
     y,
 )
-from shiftedschur.polyring import divide_linear
+from shiftedschur import polyring
+from shiftedschur.polyring import FAMILY_X, FAMILY_Y, divide_linear, var_code
 
 
 def rand_poly(rng, max_terms=4, max_factors=2):
@@ -262,6 +263,96 @@ def test_divide_linear():
     assert divide_linear(ZERO, 1, 2) == 0
     with pytest.raises(InexactDivisionError):
         divide_linear(y(1) + 3, 1, 2)
+    # x2 - x1 leads with -1 in x1, the variable of the lower slot.
+    assert polyring._slot(var_code(FAMILY_X, 1)) < polyring._slot(var_code(FAMILY_X, 2))
+    p = (x(2) - x(1)) * (x(1) ** 2 + 2 * y(3)) * x(2)
+    q = divide_linear(p, 2, 1)
+    assert q == (x(1) ** 2 + 2 * y(3)) * x(2)
+    assert all(type(c) is int for c in q.terms.values())
+    with pytest.raises(InexactDivisionError):
+        divide_linear(p + x(1), 2, 1)
+
+
+def _trace_division(monkeypatch) -> dict:
+    """Wrap divide_exact, which its recursion calls by name, to record the
+    deepest nesting of its calls and the depth an InexactDivisionError
+    first passed through."""
+    seen = {"depth": 0, "deepest": 0, "raised_at": None}
+    divide = polyring.divide_exact
+
+    def traced(p, q):
+        seen["depth"] += 1
+        seen["deepest"] = max(seen["deepest"], seen["depth"])
+        try:
+            return divide(p, q)
+        except InexactDivisionError:
+            if seen["raised_at"] is None:
+                seen["raised_at"] = seen["depth"]
+            raise
+        finally:
+            seen["depth"] -= 1
+
+    monkeypatch.setattr(polyring, "divide_exact", traced)
+    return seen
+
+
+def test_divide_exact_recurses_on_a_polynomial_leading_coefficient(monkeypatch):
+    # In each of its variables q's leading coefficient is the other factor,
+    # a linear polynomial: the division recurses into it, then into a constant.
+    q = (x(1) + y(2)) * (y(1) + 1)
+    p = x(1) ** 2 * y(1) - 3 * x(2) * y(2) + 5
+    seen = _trace_division(monkeypatch)
+    assert polyring.divide_exact(p * q, q) == p
+    assert seen["deepest"] == 3
+
+
+def test_divide_exact_by_a_symbolic_diagonal():
+    delta = (3, 2, 1)
+    diag = shiftedschur.restrict_to_fixed_point(delta, delta, 4)
+    assert len(diag.variables()) > 1
+    p = x(1) * y(-2) - 2 * y(0) ** 2 + Fraction(1, 3)
+    assert divide_exact(p * diag, diag) == p
+    assert divide_exact(diag, diag) == ONE
+
+
+def test_divide_exact_inner_recursion_rejects(monkeypatch):
+    # Whichever variable leads, the top coefficient of p (y1*y2 + 1 or
+    # x1*y2 + 1) is not a multiple of q's leading coefficient (y1 or x1).
+    q = x(1) * y(1) + 1
+    p = x(1) * y(1) * y(2) + x(1) + y(1)
+    seen = _trace_division(monkeypatch)
+    with pytest.raises(InexactDivisionError):
+        polyring.divide_exact(p, q)
+    assert seen["raised_at"] == 2
+
+
+def test_constructor_adds_coefficients_of_equal_monomials():
+    cx1, cy1 = var_code(FAMILY_X, 1), var_code(FAMILY_Y, 1)
+    # Codes out of order, and an exponent-0 factor, pack to one monomial.
+    assert Poly({(cx1, 1, cy1, 1): 1, (cy1, 1, cx1, 1): 1}) == 2 * y(1) * x(1)
+    assert Poly({(cx1, 1): 1, (cx1, 1, cy1, 0): 1}) == 2 * x(1)
+    assert Poly({(cx1, 1): 1, (cx1, 1, cy1, 0): -1}) == ZERO
+    half = Poly({(cx1, 1): Fraction(1, 2), (cy1, 0, cx1, 1): Fraction(1, 2)})
+    assert half == x(1) and type(half.terms[(cx1, 1)]) is int
+    xy, yx = [["x", 1, 1], ["y", 1, 1]], [["y", 1, 1], ["x", 1, 1]]
+    for monomials, expected in (
+        ((xy, yx), 2 * y(1) * x(1)),
+        (([["x", 1, 1]], [["x", 1, 1], ["y", 1, 0]]), 2 * x(1)),
+        ((xy, xy), 2 * y(1) * x(1)),
+    ):
+        obj = [{"coeff": "1", "monomial": m} for m in monomials]
+        assert Poly.from_json_obj(obj) == expected
+
+
+def test_variable_index_range():
+    assert str(y(-(2**43))) == "y[-8796093022208]"
+    assert str(y(2**43 - 1)) == "y[8796093022207]"
+    assert str(useq(2**43 - 1) - x(2**43 - 1)) == "u[8796093022207] - x8796093022207"
+    for index in (2**43, -(2**43) - 1, 10**20):
+        with pytest.raises(DomainError, match="outside"):
+            y(index)
+    with pytest.raises(DomainError):
+        x(2**43)
 
 
 def test_poly_det():
