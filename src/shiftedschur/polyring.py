@@ -789,10 +789,10 @@ class YSpec(
             return ZERO
         if self.kind == "affine":
             return const(self.a * j + self.b)
-        if self.kind == "standard":
-            return u * (j + self.d)
-        if self.kind == "circle":
-            return u * self.window.lookup(j + self.d)
+        if self.kind in ("standard", "circle"):
+            k = j + self.d if self.kind == "standard" else self.window.lookup(j + self.d)
+            # k*u as one term, without a product: every table cell asks for y values.
+            return Poly._raw(dict.fromkeys(u._terms, k) if k else {})
         if self.kind == "torus":
             return useq(j + self.shift)
         raise DomainError(f"unknown yspec kind {self.kind!r}")

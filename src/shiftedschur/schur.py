@@ -224,12 +224,13 @@ def shifted_schur_stable(lam: Partition, x_values, yspec: YSpec = SYMBOLIC) -> P
     """The stable shifted Schur value at finitely many x arguments.
 
     x_values assigns x_1..x_m; later variables are zero.  The rank is
-    chosen as max(m, l(lambda)+1), and by stability the result does not
-    change for any larger choice.
+    chosen as max(m, l(lambda), 1): setting x_{n+1} = 0 sends s*_lambda at
+    rank n+1 to s*_lambda at rank n once n >= l(lambda), so the result does
+    not change for any larger choice.
     """
     lam = Partition(lam)
     values = list(x_values)
-    n = max(len(values), len(lam) + 1)
+    n = max(len(values), len(lam), 1)
     values += [0] * (n - len(values))
     return _shifted_at(lam, yspec, values, range(-1, -n - 1, -1))
 

@@ -166,12 +166,14 @@ def multiply_schubert(
     """Expansion of s*_lam * s*_mu in the shifted basis at rank n.
 
     With stable=True (the infinite-variable reading) the rank must exceed
-    l(lam)+l(mu); the coefficients are then independent of n, so the
-    product is built and expanded at the least such rank,
-    n0 = l(lam)+l(mu)+1, and the expansion reports the caller's n.
-    stable=False admits any rank >= max length and computes at n itself,
-    giving the finite-rank multiplication table when paired with the
-    matching torus yspec.
+    l(lam)+l(mu); the coefficients are then independent of n.  Setting
+    x_{n+1} = 0 is a ring map sending s*_nu to s*_nu, or to 0 when
+    l(nu) = n+1, and no nu longer than l(lam)+l(mu) occurs (Molev-Sagan
+    fill nu/mu column-strictly with entries at most l(lam)).  So the
+    product is built and expanded at n0 = max(l(lam)+l(mu), 1), and the
+    expansion reports the caller's n.  stable=False admits any rank >= max
+    length and computes at n itself, giving the finite-rank multiplication
+    table when paired with the matching torus yspec.
 
     An affine yspec with rational a, b is computed over the integers: with
     D the lcm of their denominators, the product is expanded under
@@ -182,7 +184,7 @@ def multiply_schubert(
     lam = Partition(lam)
     mu = Partition(mu)
     _check_rank(lam, mu, n, stable, "expansion")
-    n0 = len(lam) + len(mu) + 1 if stable else n
+    n0 = max(len(lam) + len(mu), 1) if stable else n
     scale = lcm(yspec.a.denominator, yspec.b.denominator) if yspec.kind == "affine" else 1
     work = YSpec.affine(scale * yspec.a, scale * yspec.b) if scale > 1 else yspec
     product = shifted_double_schur(lam, n0, work) * shifted_double_schur(mu, n0, work)
@@ -226,8 +228,9 @@ def structure_constants_via_localization(
     """Solve for the expansion coefficients by restriction to fixed points.
 
     Candidates nu (containing lam and mu, of weight at most |lam|+|mu| and
-    length at most n) are processed in canonical order; evaluating the
-    product identity at the fixed point delta = nu involves only
+    length at most min(n, l(lam)+l(mu)): no longer nu occurs, as
+    multiply_schubert notes) are processed in canonical order; evaluating
+    the product identity at the fixed point delta = nu involves only
     already-solved coefficients, so back-substitution suffices.  Vanishing
     and triangularity hold at any rank n >= l(delta), so stable=False
     admits any rank >= max length, as multiply_schubert does.  Raises
@@ -239,7 +242,7 @@ def structure_constants_via_localization(
     _check_rank(lam, mu, n, stable, "localization")
     candidates = [
         nu
-        for nu in partitions_up_to(lam.weight + mu.weight, n)
+        for nu in partitions_up_to(lam.weight + mu.weight, min(n, len(lam) + len(mu)))
         if contains(nu, lam) and contains(nu, mu)
     ]
     solved: dict[Partition, Poly] = {}
@@ -263,6 +266,8 @@ def structure_constants_via_localization(
 
 
 def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpansion:
+    """molev_coefficient for every nu of length at most min(n, l(lam)+l(mu)),
+    times the matching power of u; longer nu have coefficient 0."""
     if yspec.kind != "standard":
         raise DomainError(
             "the hook-function formula applies to the standard action only; "
@@ -272,7 +277,7 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpans
     mu = Partition(mu)
     _check_rank(lam, mu, n, stable, "the hook-function formula")
     coeffs: dict[Partition, Poly] = {}
-    for nu in partitions_up_to(lam.weight + mu.weight, n):
+    for nu in partitions_up_to(lam.weight + mu.weight, min(n, len(lam) + len(mu))):
         c = molev_coefficient(lam, mu, nu)
         if c:
             coeffs[nu] = const(c) * u ** (lam.weight + mu.weight - nu.weight)

@@ -508,6 +508,29 @@ def test_localize_fallback_that_fails_prints_one_line(capsys, tmp_path):
     assert err.startswith("note: ") and err.count("\n") == 1
 
 
+def test_stable_product_reads_no_y_below_its_rank(capsys):
+    # The product is built at rank l(lam)+l(mu) = 4, which reads y_{-4} but
+    # not y_{-5}: the window as given prints what it prints with y_{-5} set
+    # to either of two values.
+    argv = ("multiply", "--lambda", "1,1", "--mu", "1,1", "--n", "5", "--y")
+    code, out, err = invoke(capsys, *argv, "circle:d=0,window=-4:1,2,3,4,5,1,2,3")
+    assert (code, err) == (0, "")
+    assert out.startswith("[1,1] * [1,1] -> [1,1]: 2*u^2 | ")
+    for extended in ("-5:9,1,2,3,4,5,1,2,3", "-5:-7,1,2,3,4,5,1,2,3"):
+        assert invoke(capsys, *argv, "circle:d=0,window=" + extended) == (0, out, "")
+
+
+def test_localize_lists_no_candidate_longer_than_l_lam_plus_l_mu(capsys):
+    # Only (2,1,1) among the candidates of weight <= 4 containing (2) has a
+    # factor y_{-3} - y_{-2} in its diagonal, which this window makes 0; no
+    # coefficient of length 3 occurs, so localization needs no fallback.
+    argv = ("multiply", "--lambda", "2", "--mu", "2", "--n", "3")
+    argv += ("--y", "circle:d=0,window=-3:1,1,2,3,4;tail=1,10")
+    code, expected, err = invoke(capsys, *argv, "--method", "expand")
+    assert (code, err) == (0, "")
+    assert invoke(capsys, *argv, "--method", "localize") == (0, expected, "")
+
+
 _NO_TAIL = "circle:d=0,window=-4:3,1,4,1,5,9,2,6,5"
 
 

@@ -242,6 +242,19 @@ def test_point_evaluation_matches_symbolic_route():
                     assert got == restricted.specialize_y(spec)
 
 
+def test_stable_evaluation_rank_is_max_of_m_and_length():
+    # shifted_schur_stable evaluates at rank max(m, l(lam), 1); one rank
+    # more gives the same value.
+    lams = partitions_up_to(5, 5)
+    for values in ([], [Fraction(1, 2)], [2, -1], [Fraction(-3, 4), 5, 1]):
+        for lam in lams:
+            n = max(len(values), len(lam)) + 1
+            at = values + [0] * (n - len(values))
+            for spec in ROUTE_SPECS:
+                larger = schur._shifted_at(lam, spec, at, range(-1, -n - 1, -1))
+                assert shifted_schur_stable(lam, values, spec) == larger, (lam, values, spec)
+
+
 def _x_degree_part(p, d):
     """The terms of p of total degree d in the x variables."""
 

@@ -164,9 +164,10 @@ RANK_PAIRS = [
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
 def test_multiply_matches_full_rank_expansion(spec):
-    # multiply_schubert expands at the least stable rank l(lam)+l(mu)+1;
-    # the product built and expanded at a larger rank n must give the same
-    # coefficients, and the expansion keeps the caller's n.
+    # multiply_schubert expands at rank max(l(lam)+l(mu), 1), below the
+    # least rank the stable reading admits; the product built and expanded
+    # at a larger rank n must give the same coefficients, and the expansion
+    # keeps the caller's n.
     for lam, mu in RANK_PAIRS:
         n = len(lam) + len(mu) + 3
         exp = multiply_schubert(lam, mu, n, spec)
@@ -174,6 +175,37 @@ def test_multiply_matches_full_rank_expansion(spec):
         assert exp == expand_in_shifted_basis(product, n, spec)
         assert exp.n == n
         assert exp == multiply_schubert(mu, lam, n, spec)
+
+
+def test_multiply_builds_at_rank_l_lam_plus_l_mu(monkeypatch):
+    import shiftedschur.structconst as sc
+
+    ranks = []
+
+    def recording(lam, n, yspec=SYM):
+        ranks.append(n)
+        return shifted_double_schur(lam, n, yspec)
+
+    monkeypatch.setattr(sc, "shifted_double_schur", recording)
+    for lam, mu in RANK_PAIRS:
+        for stable, n in ((True, len(lam) + len(mu) + 2), (False, max(len(lam), len(mu)) + 1)):
+            ranks.clear()
+            exp = multiply_schubert(lam, mu, n, STD0, stable=stable)
+            built = max(len(lam) + len(mu), 1) if stable else n
+            assert set(ranks) == {built}, (lam, mu, stable)
+            assert exp.n == n
+
+
+def test_no_product_term_longer_than_l_lam_plus_l_mu():
+    # The bound on the rank multiply_schubert builds at, and on the
+    # candidates of localization and the hook-function formula.
+    parts = partitions_up_to(3, 3)
+    for a, lam in enumerate(parts):
+        for mu in parts[a:]:
+            n = len(lam) + len(mu) + 2
+            product = shifted_double_schur(lam, n, SYM) * shifted_double_schur(mu, n, SYM)
+            support = expand_in_shifted_basis(product, n, SYM).support()
+            assert max(map(len, support)) <= len(lam) + len(mu), (lam, mu)
 
 
 def test_top_degree_coefficients_classical():
