@@ -223,7 +223,8 @@ class PowerPolynomial(Poly):
         if not text:
             raise DomainError("empty power-sum expression")
         total = cls()
-        parts = re.split(r"([+-])", text if text[0] in "+-" else "+" + text)
+        # A sign after a decimal exponent's "e" (1e-3) does not start a term.
+        parts = re.split(r"(?<![0-9.][eE])([+-])", text if text[0] in "+-" else "+" + text)
         for sign, chunk in zip(parts[1::2], parts[2::2]):
             if not chunk:
                 raise DomainError(f"malformed power-sum expression {text!r}")
@@ -232,8 +233,10 @@ class PowerPolynomial(Poly):
             for factor in chunk.split("*"):
                 m = _GEN_RE.match(factor)
                 if m:
-                    k = int(m.group(1))
-                    e = int(m.group(2) or 1)
+                    try:
+                        k, e = int(m.group(1)), int(m.group(2) or 1)
+                    except ValueError:  # more digits than int() reads
+                        k = e = 0
                     if k < 1 or e < 1:
                         raise DomainError(f"bad generator factor {factor!r}")
                     mono[k] = mono.get(k, 0) + e
@@ -250,9 +253,6 @@ class PowerPolynomial(Poly):
                 flat.append(mono[k])
             total = total + cls({tuple(flat): coeff})
         return total
-
-    def constant_term(self):
-        return self._terms.get(0, 0)
 
     def __str__(self) -> str:
         # Ascending total degree, then generator index, higher powers first.

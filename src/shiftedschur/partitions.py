@@ -36,10 +36,6 @@ class Partition(tuple):
     def weight(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def part(self, i: int) -> int:
         """The 1-indexed part, 0 beyond the length."""
         return self[i - 1] if 1 <= i <= len(self) else 0

@@ -18,8 +18,8 @@ variable code a slot on first use, and the exponent of slot s sits in bits
 [W*s, W*s + W).  The top bit of each field is a guard bit that a valid
 monomial never sets, so a monomial multiply is one integer add, and an
 exponent that outgrows its field sets a guard bit instead of carrying into
-the next field.  At the boundary (Poly(terms), Poly.terms, leading_term,
-rendering, JSON and pickling) a monomial is a flat tuple
+the next field.  At the boundary (Poly(terms), Poly.terms, rendering,
+JSON and pickling) a monomial is a flat tuple
 (code, exp, code, exp, ...) with codes strictly increasing and exponents
 positive.
 
@@ -231,7 +231,7 @@ class Poly:
     or classmethods; the term dict is never mutated after construction.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, object] | None = None):
         acc: dict = {}
@@ -239,7 +239,6 @@ class Poly:
             m = _encode(m)
             acc[m] = acc.get(m, 0) + c
         self._terms = {m: _int_if_integral(c) for m, c in acc.items() if c}
-        self._hash = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "Poly":
@@ -247,7 +246,6 @@ class Poly:
         # by us.
         p = object.__new__(cls)
         p._terms = terms
-        p._hash = None
         return p
 
     @classmethod
@@ -262,9 +260,6 @@ class Poly:
     def terms(self) -> dict:
         """The monomial -> coefficient map, monomials as flat tuples."""
         return {_decode(m): c for m, c in self._terms.items()}
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -296,9 +291,7 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -337,10 +330,8 @@ class Poly:
         return self._raw({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = self.constant(other)
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
@@ -352,8 +343,6 @@ class Poly:
                 return NotImplemented
             other = self.constant(other)
         a, b = self._terms, other._terms
-        if not a or not b:
-            return self._raw({})
         if len(a) * len(b) > MAX_PRODUCT_PAIRS:
             raise DomainError(
                 f"a product of {len(a)} by {len(b)} terms exceeds the limit of "
@@ -604,15 +593,7 @@ def _latex_coeff(c) -> str:
     return str(c)
 
 
-# -- leading terms and division ---------------------------------------------------
-
-
-def leading_term(p: Poly) -> tuple[tuple, object]:
-    """The graded-lex maximal term (flat monomial, coefficient)."""
-    if not p._terms:
-        raise DomainError("zero polynomial has no leading term")
-    m = min(p._terms, key=_mono_sort_key)
-    return _decode(m), p._terms[m]
+# -- division -------------------------------------------------------------------
 
 
 def _split(p: Poly, shift: int) -> dict[int, Poly]:

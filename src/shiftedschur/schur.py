@@ -30,19 +30,11 @@ from .polyring import (
 METHODS = ("jacobi_trudi", "det_ratio")
 
 
-def _falling_powers(i: int, top: int) -> list[Poly]:
-    # (x_i|y)^p for p = 0..top as running products.
-    powers = [ONE]
-    for p in range(1, top + 1):
-        powers.append(powers[-1] * (x(i) - y(p)))
-    return powers
-
-
 def falling_factorial(i: int, p: int) -> Poly:
-    """The product (x_i - y_1)(x_i - y_2)...(x_i - y_p); 1 when p = 0."""
+    """(x_i - y_1)(x_i - y_2)...(x_i - y_p), 1 when p = 0: h_p of x_i alone."""
     if p < 0:
         raise DomainError(f"falling factorial needs p >= 0, got {p}")
-    return _falling_powers(i, p)[p]
+    return _column("h", p, 0, y, (x(i),))[p]
 
 
 # The h or e table of one column may hold at most this many terms at once;
@@ -156,7 +148,7 @@ def _alternant(lam: Partition, n: int) -> Poly:
     """The alternant det[(x_i|y)^{lam_j+n-j}] over i, j = 1..n."""
     rows = []
     for i in range(1, n + 1):
-        powers = _falling_powers(i, lam.part(1) + n - 1)
+        powers = _column("h", lam.part(1) + n - 1, 0, y, (x(i),))
         rows.append([powers[lam.part(j) + n - j] for j in range(1, n + 1)])
     return poly_det(rows)
 

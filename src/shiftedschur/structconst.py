@@ -76,9 +76,6 @@ class SchurExpansion:
     def items(self) -> list[tuple[Partition, Poly]]:
         return sorted(self.coefficients.items(), key=lambda kv: canonical_key(kv[0]))
 
-    def support(self) -> list[Partition]:
-        return [nu for nu, _ in self.items()]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SchurExpansion)
@@ -160,6 +157,14 @@ def _check_rank(lam: Partition, mu: Partition, n: int, stable: bool, engine: str
         )
 
 
+def _candidates(lam: Partition, mu: Partition, n: int) -> list[Partition]:
+    """The nu that may occur in s*_lam * s*_mu at rank n, canonically ordered:
+    nu contains lam and mu, |nu| <= |lam|+|mu| and l(nu) <= min(n, l(lam)+l(mu))
+    (no longer nu occurs, as multiply_schubert notes)."""
+    short = partitions_up_to(lam.weight + mu.weight, min(n, len(lam) + len(mu)))
+    return [nu for nu in short if contains(nu, lam) and contains(nu, mu)]
+
+
 def multiply_schubert(
     lam, mu, n: int, yspec: YSpec = SYMBOLIC, stable: bool = True
 ) -> SchurExpansion:
@@ -227,10 +232,8 @@ def structure_constants_via_localization(
 ) -> SchurExpansion:
     """Solve for the expansion coefficients by restriction to fixed points.
 
-    Candidates nu (containing lam and mu, of weight at most |lam|+|mu| and
-    length at most min(n, l(lam)+l(mu)): no longer nu occurs, as
-    multiply_schubert notes) are processed in canonical order; evaluating
-    the product identity at the fixed point delta = nu involves only
+    The _candidates are processed in canonical order; evaluating the
+    product identity at the fixed point delta = nu involves only
     already-solved coefficients, so back-substitution suffices.  Vanishing
     and triangularity hold at any rank n >= l(delta), so stable=False
     admits any rank >= max length, as multiply_schubert does.  Raises
@@ -240,13 +243,8 @@ def structure_constants_via_localization(
     lam = Partition(lam)
     mu = Partition(mu)
     _check_rank(lam, mu, n, stable, "localization")
-    candidates = [
-        nu
-        for nu in partitions_up_to(lam.weight + mu.weight, min(n, len(lam) + len(mu)))
-        if contains(nu, lam) and contains(nu, mu)
-    ]
     solved: dict[Partition, Poly] = {}
-    for delta in candidates:
+    for delta in _candidates(lam, mu, n):
         diag = restrict_to_fixed_point(delta, delta, n, yspec)
         if not diag:
             raise DegenerateSpecializationError(
@@ -266,8 +264,7 @@ def structure_constants_via_localization(
 
 
 def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpansion:
-    """molev_coefficient for every nu of length at most min(n, l(lam)+l(mu)),
-    times the matching power of u; longer nu have coefficient 0."""
+    """molev_coefficient times the matching power of u, for each of the _candidates."""
     if yspec.kind != "standard":
         raise DomainError(
             "the hook-function formula applies to the standard action only; "
@@ -277,7 +274,7 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpans
     mu = Partition(mu)
     _check_rank(lam, mu, n, stable, "the hook-function formula")
     coeffs: dict[Partition, Poly] = {}
-    for nu in partitions_up_to(lam.weight + mu.weight, min(n, len(lam) + len(mu))):
+    for nu in _candidates(lam, mu, n):
         c = molev_coefficient(lam, mu, nu)
         if c:
             coeffs[nu] = const(c) * u ** (lam.weight + mu.weight - nu.weight)

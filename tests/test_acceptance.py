@@ -127,7 +127,7 @@ def test_criterion_05_hook_formula_agreement(pairs_weight_3, standard_tables_n7)
                 )
                 checked += 1
             # no support outside the candidate set
-            assert set(exp.support()) <= set(candidates)
+            assert set(exp.coefficients) <= set(candidates)
     report(5, f"hook-function formula matches every coefficient, {checked} checked")
 
 
@@ -180,7 +180,7 @@ def test_criterion_09_fixed_point_restriction():
         for delta in partitions_up_to(4, 4):
             n = max(len(lam), len(delta)) + 1
             if not contains(delta, lam):
-                assert restrict_to_fixed_point(lam, delta, n).is_zero()
+                assert not restrict_to_fixed_point(lam, delta, n)
                 vanish += 1
             expected = oo_shifted_schur_value(lam, tuple(delta), n)
             for d in (-1, 0, 2):

@@ -170,6 +170,16 @@ def test_coproduct_command(capsys):
     assert (code, json.loads(out)) == (0, {"summands": []})
 
 
+@pytest.mark.parametrize(
+    "expr, same", [("1e-3*p1", "1/1000*p1"), ("1e+3*p1", "1000*p1"), ("p1*2.5e-1", "1/4*p1")]
+)
+def test_coproduct_reads_decimal_exponents(capsys, expr, same):
+    # The sign of a decimal exponent does not start a new term.
+    expected = invoke(capsys, "coproduct", "--expr", same)
+    assert expected[0] == 0
+    assert invoke(capsys, "coproduct", "--expr", expr) == expected
+
+
 def test_verify_commands(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--suite", "jacobi-trudi", "--max-weight", "2", "--n", "2"
@@ -414,6 +424,15 @@ def test_coproduct_exponent_past_the_field(capsys, exponent):
     assert code == 2
     assert out == ""
     assert err.startswith("error: exponent ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr", ["p" + "1" * 5000, "p1^" + "1" * 5000], ids=["index", "power"])
+def test_coproduct_generator_digits_past_the_limit(capsys, expr):
+    # int() refuses more digits than sys.get_int_max_str_digits(): that is a
+    # bad generator, not a coefficient too large to print.
+    assert invoke(capsys, "coproduct", "--expr", expr) == (
+        2, "", f"error: bad generator factor {expr!r}\n"
+    )
 
 
 def test_coproduct_summand_limit(capsys):

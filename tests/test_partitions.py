@@ -114,7 +114,7 @@ def test_contains_examples():
 def test_partition_accessors():
     p = Partition([4, 2, 1])
     assert p.weight == 7
-    assert p.length == 3
+    assert len(p) == 3
     assert p.part(1) == 4 and p.part(3) == 1 and p.part(4) == 0
     assert p.text() == "4,2,1"
     assert Partition().text() == "0"
@@ -217,7 +217,7 @@ def test_partitions_up_to_order_and_bounds():
     keys = [canonical_key(p) for p in out]
     assert keys == sorted(keys)
     assert len(set(out)) == len(out)
-    assert all(p.weight <= 5 and p.length <= 4 for p in out)
+    assert all(p.weight <= 5 and len(p) <= 4 for p in out)
     # Closure: every partition within the bounds is present.
     assert Partition([2, 2, 1]) in out
     assert Partition([1, 1, 1, 1, 1]) not in out  # length 5 > 4
