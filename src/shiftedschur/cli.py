@@ -430,7 +430,7 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except DomainError as e:
+    except (DomainError, OSError) as e:  # OSError: a --jobs worker did not start or died
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -9,6 +9,7 @@ power-sum polynomials extends this multiplicatively.
 from __future__ import annotations
 
 import re
+import reprlib
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -227,7 +228,7 @@ class PowerPolynomial(Poly):
         parts = re.split(r"(?<![0-9.][eE])([+-])", text if text[0] in "+-" else "+" + text)
         for sign, chunk in zip(parts[1::2], parts[2::2]):
             if not chunk:
-                raise DomainError(f"malformed power-sum expression {text!r}")
+                raise DomainError(f"malformed power-sum expression {reprlib.repr(text)}")
             coeff = Fraction(-1 if sign == "-" else 1)
             mono: dict[int, int] = {}
             for factor in chunk.split("*"):
@@ -238,14 +239,14 @@ class PowerPolynomial(Poly):
                     except ValueError:  # more digits than int() reads
                         k = e = 0
                     if k < 1 or e < 1:
-                        raise DomainError(f"bad generator factor {factor!r}")
+                        raise DomainError(f"bad generator factor {reprlib.repr(factor)}")
                     mono[k] = mono.get(k, 0) + e
                 else:
                     try:
                         coeff *= parse_rational(factor)
                     except ValueError:
                         raise DomainError(
-                            f"bad factor {factor!r} in power-sum expression"
+                            f"bad factor {reprlib.repr(factor)} in power-sum expression"
                         ) from None
             flat = []
             for k in sorted(mono):

@@ -294,11 +294,6 @@ def compute_expansion(
     raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
 
 
-def _table_entry(task) -> tuple[Partition, Partition, SchurExpansion]:
-    lam, mu, n, yspec, method, stable = task
-    return lam, mu, compute_expansion(lam, mu, n, yspec, method, stable)
-
-
 def multiplication_table(
     max_weight: int,
     n: int,
@@ -309,9 +304,9 @@ def multiplication_table(
 ) -> list[tuple[Partition, Partition, SchurExpansion]]:
     """Expansions for all unordered pairs of partitions of weight <= max_weight.
 
-    Rows appear in canonical pair order and are identical regardless of the
-    worker count.  Workers take the pairs one at a time, heaviest
-    |lam|+|mu| first, so that no heavy pair starts last.
+    Rows are in canonical pair order; an error is the first a serial run
+    meets.  The pairs are dealt, heaviest |lam|+|mu| first, into min(jobs,
+    CPUs, pairs) shares: one for this process and one per forked child.
     """
     if max_weight < 0:
         raise DomainError("max_weight must be nonnegative")
@@ -321,22 +316,51 @@ def multiplication_table(
             f"got n = {n}"
         )
     parts = partitions_up_to(max_weight, max_weight if not finite_rank else n)
-    tasks = [
-        (parts[a], parts[b], n, yspec, method, not finite_rank)
-        for a in range(len(parts))
-        for b in range(a, len(parts))
-    ]
-    # The fork-started pool starts every worker at once; more workers than
-    # CPUs only add processes.
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    pairs = [(p, q) for a, p in enumerate(parts) for q in parts[a:]]
 
-        order = sorted(range(len(tasks)), key=lambda i: -(tasks[i][0].weight + tasks[i][1].weight))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = dict(zip(order, pool.map(_table_entry, [tasks[i] for i in order], chunksize=1)))
-        return [rows[i] for i in range(len(tasks))]
-    return [_table_entry(t) for t in tasks]
+    def share_rows(share):  # (index, expansion) up to the first error, which takes its place
+        for i in share:
+            try:
+                yield i, compute_expansion(*pairs[i], n, yspec, method, not finite_rank)
+            except Exception as e:
+                yield i, e
+                return
+
+    jobs = max(1, min(jobs, os.cpu_count() or 1, len(pairs))) if hasattr(os, "fork") else 1
+    order = sorted(range(len(pairs)), key=lambda i: -(pairs[i][0].weight + pairs[i][1].weight))
+    shares = [sorted(order[k::jobs]) for k in range(jobs)]
+    readers, pids = [], []  # the read ends of the children's pipes, and their pids
+    try:
+        for share in shares[1:]:
+            import pickle
+            import signal
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(w, "wb") as fh:
+                pids.append(pid := os.fork())
+                if pid == 0:  # the child: send the rows, never flush inherited buffers or return
+                    try:
+                        pickle.dump(list(share_rows(share)), fh)
+                        fh.flush()
+                    finally:
+                        os._exit(0)
+        results = list(share_rows(shares[0]))
+        for fh in readers:
+            try:  # a child that died sent nothing or a truncated pickle
+                results += pickle.loads(fh.read())
+            except (pickle.UnpicklingError, EOFError):
+                raise ChildProcessError("a --jobs worker ended without a result") from None
+    finally:
+        for fh in readers:
+            fh.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results.sort(key=lambda item: item[0])
+    for _, exp in results:  # the first error comes before any pair a share skipped
+        if isinstance(exp, Exception):
+            raise exp
+    return [(*pairs[i], exp) for i, exp in results]
 
 
 # -- serialization ---------------------------------------------------------------

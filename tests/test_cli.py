@@ -284,6 +284,62 @@ def test_jobs_byte_identical(tmp_path, capsys):
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_jobs_same_error(capsys, monkeypatch):
+    # Each share stops at its first error and the lowest pair index wins, so
+    # --jobs 2 reports the pair a serial run fails on, not the heaviest one.
+    import shiftedschur.structconst as sc
+
+    monkeypatch.setattr(sc.os, "cpu_count", lambda: 4)
+    table = ("--max-weight", "2", "--n", "5", "--y", "circle:d=0,window=0:1,2,3,4")
+    want = (2, "", "error: sequence index -1 outside window [0, 3] and no tail rule\n")
+    for jobs in ("1", "2", "4"):
+        assert invoke(capsys, "table", *table, "--jobs", jobs, "--format", "json") == want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs forks its workers")
+def test_jobs_worker_killed(capsys, monkeypatch):
+    # A worker killed mid-table (as by the OOM killer) sends no rows: one
+    # error line and exit 2, and every child is reaped.
+    import shiftedschur.structconst as sc
+
+    me, real, real_fork, forked = os.getpid(), sc.compute_expansion, os.fork, []
+
+    def dies_in_child(*args):
+        if os.getpid() != me:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    def fork():
+        pid = real_fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(sc, "compute_expansion", dies_in_child)
+    monkeypatch.setattr(sc.os, "fork", fork)
+    monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
+    code, out, err = invoke(capsys, "table", "--max-weight", "2", "--n", "5", "--jobs", "2")
+    assert (code, out, err) == (2, "", "error: a --jobs worker ended without a result\n")
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):  # reaped, so no process is left
+        os.waitpid(forked[0], os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs forks its workers")
+def test_jobs_fork_refused(capsys, monkeypatch):
+    import errno
+
+    import shiftedschur.structconst as sc
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(sc.os, "fork", fork)
+    monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
+    code, out, err = invoke(capsys, "table", "--max-weight", "1", "--n", "3", "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
+
+
 # ---- exit codes -----------------------------------------------------------------
 
 
@@ -426,13 +482,32 @@ def test_coproduct_exponent_past_the_field(capsys, exponent):
     assert err.startswith("error: exponent ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("expr", ["p" + "1" * 5000, "p1^" + "1" * 5000], ids=["index", "power"])
-def test_coproduct_generator_digits_past_the_limit(capsys, expr):
+@pytest.mark.parametrize(
+    "expr, echo",
+    [
+        ("p" + "1" * 5000, "'p11111111111...1111111111111'"),
+        ("p1^" + "1" * 5000, "'p1^111111111...1111111111111'"),
+    ],
+    ids=["index", "power"],
+)
+def test_coproduct_generator_digits_past_the_limit(capsys, expr, echo):
     # int() refuses more digits than sys.get_int_max_str_digits(): that is a
-    # bad generator, not a coefficient too large to print.
+    # bad generator, not a coefficient too large to print.  The echo keeps
+    # the head and tail of the factor.
     assert invoke(capsys, "coproduct", "--expr", expr) == (
-        2, "", f"error: bad generator factor {expr!r}\n"
+        2, "", f"error: bad generator factor {echo}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["p" + "1" * 5000, "q" * 5000 + "*p1", "p1+" + "p2*" * 2000 + "-", "p1++" + "p2" * 2000],
+    ids=["generator", "factor", "trailing-sign", "double-sign"],
+)
+def test_coproduct_error_echo_is_bounded(capsys, expr):
+    code, out, err = invoke(capsys, "coproduct", "--expr", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 def test_coproduct_summand_limit(capsys):
@@ -701,6 +776,23 @@ def test_cold_start_imports_only_the_product_modules():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\nTrue\n"
     assert proc.stderr == ""
+
+
+# A parallel table forks its workers with os.fork: it loads no pool module.
+_JOBS_PROBE = """\
+import os, sys
+import shiftedschur.cli
+import shiftedschur.structconst as sc
+sc.os.cpu_count = lambda: 2
+code = shiftedschur.cli.run(["table", "--max-weight", "2", "--n", "5", "--jobs", "2",
+                             "--output", os.devnull])
+print(code, ",".join(m for m in sys.argv[1:] if m in sys.modules))
+"""
+
+
+def test_parallel_table_loads_no_pool_module():
+    proc = _run([sys.executable, "-c", _JOBS_PROBE, "concurrent.futures", "multiprocessing"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 \n", "")
 
 
 # Runs argv[2:] and writes its peak RSS in kilobytes, read with os.wait4, to

@@ -1,5 +1,5 @@
-import concurrent.futures
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -397,62 +397,70 @@ def test_table_jobs_parallel_identical():
     ]
 
 
+def _record_forks(monkeypatch):
+    """List the pid of every child the table forks."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
 def test_table_jobs_capped_at_cpu_count(monkeypatch):
-    import shiftedschur.structconst as sc
-
-    requested = []
-
-    class RecordingPool:
-        # Records the worker count and maps in-process, so nothing is spawned.
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    # multiplication_table imports the pool class when jobs > 1.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
+    # One process per share: this one and a child for each other share, at
+    # most os.cpu_count() and at most one per pair in all.
     seq = multiplication_table(1, 3, STD0, jobs=1)
+    forked = _record_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert multiplication_table(1, 3, STD0, jobs=64) == seq
-    assert requested == [2]
-    monkeypatch.setattr(sc.os, "cpu_count", lambda: 1)
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(forked[0], os.WNOHANG)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert multiplication_table(1, 3, STD0, jobs=64) == seq
-    assert requested == [2]
+    assert len(forked) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert multiplication_table(0, 1, STD0, jobs=8) == multiplication_table(0, 1, STD0)
+    assert len(forked) == 1  # one pair, one share
 
 
-def test_table_jobs_heaviest_pairs_first(monkeypatch):
+def test_table_jobs_heaviest_pairs_first(monkeypatch, tmp_path):
     import shiftedschur.structconst as sc
 
-    dispatched = []
+    # Each process appends the pairs it computes, in its order, to one file.
+    log = tmp_path / "pairs"
+    real = sc.compute_expansion
 
-    class RecordingPool:
-        # Records the dispatch order and chunk size and maps in-process.
-        def __init__(self, max_workers):
-            pass
+    def logged(lam, mu, *rest):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {list(lam)} {list(mu)}\n")
+        return real(lam, mu, *rest)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            tasks = list(tasks)
-            dispatched.append(([t[0].weight + t[1].weight for t in tasks], chunksize))
-            return map(fn, tasks)
-
-    # multiplication_table imports the pool class when jobs > 1.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
     seq = multiplication_table(2, 5, STD0, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sc, "compute_expansion", logged)
     assert multiplication_table(2, 5, STD0, jobs=2) == seq
-    [(weights, chunksize)] = dispatched
-    assert weights == sorted(weights, reverse=True) and weights[0] == 4
-    assert chunksize == 1
+    pairs = [f"{list(lam)} {list(mu)}" for lam, mu, _ in seq]
+    by_pid = {}
+    for line in log.read_text().splitlines():
+        pid, pair = line.split(" ", 1)
+        by_pid.setdefault(int(pid), []).append(pairs.index(pair))
+    # Heaviest |lam|+|mu| first, dealt round-robin; this process takes share 0
+    # and each share is computed in canonical order.
+    order = sorted(range(len(seq)), key=lambda i: -(seq[i][0].weight + seq[i][1].weight))
+    assert seq[order[0]][0].weight + seq[order[0]][1].weight == 4
+    assert by_pid.pop(os.getpid()) == sorted(order[0::2])
+    assert list(by_pid.values()) == [sorted(order[1::2])]
+
+
+def test_table_without_fork_is_serial(monkeypatch):
+    seq = multiplication_table(1, 3, STD0, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert multiplication_table(1, 3, STD0, jobs=2) == seq
