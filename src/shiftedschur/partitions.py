@@ -135,45 +135,35 @@ def canonical_key(p: Partition) -> tuple:
     return (sum(p), tuple(-a for a in p))
 
 
-def _partitions_of(total: int, max_part: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    # Yields partitions of `total` in descending lexicographic order.
-    if total == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions_of(total - first, first, max_len - 1):
-            yield (first,) + rest
+def _partitions_of(total: int, lower: tuple, cap: tuple, i=0, prev=0) -> Iterator[tuple]:
+    # Yields, in descending lexicographic order, the partitions of `total`
+    # with lower_i <= rho_i <= cap_i in every row (lower padded with zeros,
+    # rho no longer than cap): one weight of an interval of Young's lattice.
+    # Rows 0..i-1 are placed, and prev is the last of them (0 before any).
+    if not total:
+        if i >= len(lower):
+            yield ()
+    elif i < len(cap):
+        low = lower[i] if i < len(lower) else 1
+        for first in range(min(total, cap[i], prev or total), low - 1, -1):
+            for rest in _partitions_of(total - first, lower, cap, i + 1, first):
+                yield (first,) + rest
+
+
+def _interval(lower: tuple, cap: tuple, top: int) -> list[Partition]:
+    # The partitions of weight <= top in the interval, canonically ordered;
+    # the generator yields partitions only, so Partition's checks are skipped.
+    weights = range(sum(lower), top + 1)
+    return [tuple.__new__(Partition, p) for w in weights for p in _partitions_of(w, lower, cap)]
 
 
 def partitions_up_to(weight: int, max_length: int) -> list[Partition]:
     """All partitions of weight <= `weight` and length <= `max_length`, canonically ordered."""
     if weight < 0 or max_length < 0:
         raise DomainError("weight and max_length must be nonnegative")
-    out: list[Partition] = []
-    for w in range(weight + 1):
-        out.extend(Partition(p) for p in _partitions_of(w, w, max_length))
-    return out
+    return _interval((), (weight,) * min(weight, max_length), weight)
 
 
 def partitions_between(lower: Partition, upper: Partition) -> list[Partition]:
-    """All partitions rho with lower <= rho <= upper in containment order."""
-    if not contains(upper, lower):
-        return []
-    rows: list[Partition] = []
-
-    def extend(prefix: list[int], r: int, prev: int) -> None:
-        if r == len(upper):
-            rows.append(Partition(prefix))
-            return
-        lo = lower.part(r + 1)
-        hi = min(upper[r], prev)
-        for v in range(max(lo, 1), hi + 1):
-            extend(prefix + [v], r + 1, v)
-        if lo == 0:
-            # The partition may end here; all later rows of `lower` are zero too.
-            rows.append(Partition(prefix))
-
-    extend([], 0, upper[0] if upper else 0)
-    return sorted(rows, key=canonical_key)
+    """All partitions lower <= rho <= upper in containment order, canonically ordered."""
+    return _interval(lower, upper, upper.weight)

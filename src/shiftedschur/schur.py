@@ -107,7 +107,7 @@ def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
     return _column("h", p, y_shift, y, _xs(n))[p]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _jacobi_trudi(lam: Partition, point: tuple, shift: int, yspec: YSpec) -> Poly:
     # The n x n matrix det[h_{lam_i-i+j}(x | tau^{shift+j-1} y)] has unit
     # rows below l(lam), so it collapses to its top-left l(lam) x l(lam)
@@ -181,11 +181,14 @@ def double_schur(
     return _det_ratio(lam, n).specialize_y(yspec)
 
 
-def _shifted_at(lam: Partition, yspec: YSpec, base, labels) -> Poly:
-    # The shifted function is the double Schur function with sequence
-    # argument tau^{n+1} y in the shifted coordinates x_i + y_{-i}; here
-    # they take the values base_i + y_{labels_i}.
-    n = len(base)
+def _shifted_at(lam: Partition, yspec: YSpec, base, labels=()) -> Poly:
+    # The shifted function at rank n is the double Schur function with
+    # sequence argument tau^{n+1} y at x_i + y_{-i} = base_i + y_{labels_i},
+    # padded with base_i = 0, labels_i = -i up to the rank max(len(base),
+    # len(labels), l(lam), 1), which gives the value at every larger rank.
+    n = max(len(base), len(labels), len(lam), 1)
+    base = list(base) + [0] * (n - len(base))
+    labels = list(labels) + list(range(-len(labels) - 1, -n - 1, -1))
 
     def point(spec: YSpec) -> tuple:
         return tuple(b + spec.value(j) for b, j in zip(base, labels))
@@ -206,7 +209,7 @@ def shifted_double_schur(
     lam = Partition(lam)
     _check_args("shifted_double_schur", lam, n, method)
     if method == "jacobi_trudi":
-        return _shifted_at(lam, yspec, _xs(n), range(-1, -n - 1, -1))
+        return _shifted_at(lam, yspec, _xs(n))
     # The determinant-ratio reference route: shift and substitute afterwards.
     values = {x(i): x(i) + y(-i) for i in range(1, n + 1)}
     return _det_ratio(lam, n).shift_y(n + 1).substitute(values).specialize_y(yspec)
@@ -215,16 +218,12 @@ def shifted_double_schur(
 def shifted_schur_stable(lam: Partition, x_values, yspec: YSpec = SYMBOLIC) -> Poly:
     """The stable shifted Schur value at finitely many x arguments.
 
-    x_values assigns x_1..x_m; later variables are zero.  The rank is
-    chosen as max(m, l(lambda), 1): setting x_{n+1} = 0 sends s*_lambda at
-    rank n+1 to s*_lambda at rank n once n >= l(lambda), so the result does
-    not change for any larger choice.
+    x_values assigns x_1..x_m; later variables are zero.  The value is
+    computed at rank max(m, l(lambda), 1): setting x_{n+1} = 0 sends
+    s*_lambda at rank n+1 to s*_lambda at rank n once n >= l(lambda), so
+    the result does not change for any larger rank.
     """
-    lam = Partition(lam)
-    values = list(x_values)
-    n = max(len(values), len(lam), 1)
-    values += [0] * (n - len(values))
-    return _shifted_at(lam, yspec, values, range(-1, -n - 1, -1))
+    return _shifted_at(Partition(lam), yspec, tuple(x_values))
 
 
 def restrict_to_fixed_point(
@@ -233,7 +232,9 @@ def restrict_to_fixed_point(
     """Evaluate the shifted double Schur function of lam at the fixed point
     labeled by delta, then specialize y.
 
-    There the shifted coordinates x_i + y_{-i} equal y_{delta_i - i}.
+    There the shifted coordinates x_i + y_{-i} equal y_{delta_i - i}.  By
+    stability the value is computed at rank max(l(lambda), l(delta), 1);
+    n is only checked.
     """
     lam = Partition(lam)
     delta = Partition(delta)
@@ -241,7 +242,7 @@ def restrict_to_fixed_point(
         raise RankTooSmallError(
             f"need n >= l(lambda) = {len(lam)} and n >= l(delta) = {len(delta)}, got n = {n}"
         )
-    return _shifted_at(lam, yspec, (ZERO,) * n, [delta.part(i) - i for i in range(1, n + 1)])
+    return _shifted_at(lam, yspec, (), [p - i for i, p in enumerate(delta, 1)])
 
 
 def vandermonde(n: int) -> Poly:

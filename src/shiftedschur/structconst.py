@@ -27,6 +27,7 @@ from .errors import (
 from .partitions import (
     Partition,
     SkewShape,
+    _interval,
     _partitions_of,
     canonical_key,
     contains,
@@ -121,7 +122,7 @@ def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurEx
     """
     coeffs: dict[Partition, Poly] = {}
     parts = _x_split(p._terms)
-    for nu in (nu for w in range(p.x_degree(), -1, -1) for nu in _partitions_of(w, w, n)):
+    for nu in (nu for w in range(p.x_degree(), -1, -1) for nu in _partitions_of(w, (), (w,) * n)):
         if not parts:
             break
         rests = parts.get(_x_monomial(nu))
@@ -157,12 +158,17 @@ def _check_rank(lam: Partition, mu: Partition, n: int, stable: bool, engine: str
         )
 
 
+def _union(lam: Partition, mu: Partition) -> Partition:
+    """lam ∪ mu, the smallest partition containing both."""
+    return Partition(max(lam.part(i), mu.part(i)) for i in range(1, max(len(lam), len(mu)) + 1))
+
+
 def _candidates(lam: Partition, mu: Partition, n: int) -> list[Partition]:
     """The nu that may occur in s*_lam * s*_mu at rank n, canonically ordered:
     nu contains lam and mu, |nu| <= |lam|+|mu| and l(nu) <= min(n, l(lam)+l(mu))
     (no longer nu occurs, as multiply_schubert notes)."""
-    short = partitions_up_to(lam.weight + mu.weight, min(n, len(lam) + len(mu)))
-    return [nu for nu in short if contains(nu, lam) and contains(nu, mu)]
+    top = lam.weight + mu.weight
+    return _interval(_union(lam, mu), (top,) * min(n, len(lam) + len(mu)), top)
 
 
 def multiply_schubert(
@@ -209,11 +215,8 @@ def molev_coefficient(lam, mu, nu) -> Fraction:
     lam = Partition(lam)
     mu = Partition(mu)
     nu = Partition(nu)
-    lower = Partition(
-        max(lam.part(i), mu.part(i)) for i in range(1, max(len(lam), len(mu)) + 1)
-    )
     total = Fraction(0)
-    for rho in partitions_between(lower, nu):
+    for rho in partitions_between(_union(lam, mu), nu):
         sign = -1 if (nu.weight - rho.weight) % 2 else 1
         total += (
             sign

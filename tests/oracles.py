@@ -156,3 +156,55 @@ def oo_shifted_schur_value(lam, delta, n):
         [falling_number(shifted[i], n - (j + 1)) for j in range(n)] for i in range(n)
     ]
     return Fraction(int_det(num), int_det(den))
+
+
+# ---- restriction to fixed points (Ikeda-Naruse) -------------------------------------
+
+
+def excited_diagrams(lam, delta):
+    """E_delta(lam): the cell sets reached from the diagram of lam by excited
+    moves, cells (i, j) 1-indexed.  A move takes (i, j) in D to (i+1, j+1)
+    when that cell is in delta and none of (i, j+1), (i+1, j), (i+1, j+1) is
+    in D.  Empty when lam is not contained in delta."""
+    delta = tuple(delta)
+
+    def inside(i, j):
+        return i <= len(delta) and j <= delta[i - 1]
+
+    start = frozenset((i, j) for i, row in enumerate(lam, 1) for j in range(1, row + 1))
+    if not all(inside(i, j) for i, j in start):
+        return []
+    seen = {start}
+    todo = [start]
+    while todo:
+        cells = todo.pop()
+        for i, j in cells:
+            if inside(i + 1, j + 1) and not {(i, j + 1), (i + 1, j), (i + 1, j + 1)} & cells:
+                moved = (cells - {(i, j)}) | {(i + 1, j + 1)}
+                if moved not in seen:
+                    seen.add(moved)
+                    todo.append(moved)
+    return sorted(seen, key=sorted)
+
+
+def excited_restriction(lam, delta):
+    """s*_lam at the fixed point delta by the excited-diagram sum
+        sum over D in E_delta(lam) of prod over (i, j) in D of
+        (y_{delta_i - i} - y_{j - delta'_j - 1}),
+    delta' the conjugate, as {sorted tuple of y indices: coefficient}."""
+    delta = tuple(delta)
+    conjugate = [sum(1 for p in delta if p >= j) for j in range(1, (delta[0] if delta else 0) + 1)]
+    total = {}
+    for cells in excited_diagrams(lam, delta):
+        term = {(): 1}
+        for i, j in cells:
+            factor = ((delta[i - 1] - i, 1), (j - conjugate[j - 1] - 1, -1))
+            product = {}
+            for mono, c in term.items():
+                for k, sign in factor:
+                    key = tuple(sorted(mono + (k,)))
+                    product[key] = product.get(key, 0) + sign * c
+            term = product
+        for mono, c in term.items():
+            total[mono] = total.get(mono, 0) + c
+    return {mono: c for mono, c in total.items() if c}

@@ -652,6 +652,28 @@ def test_tall_partition_in_window_without_tail(capsys, argv, code, out, err):
     assert invoke(capsys, *argv) == (code, out, err)
 
 
+@pytest.mark.parametrize(
+    "lam, delta, spec, code",
+    [
+        ("2,1", "3,2,1", "symbolic", 0),
+        ("1,1", "2,1", "standard:d=1", 0),
+        ("2,1,1", "2,2,1", _NO_TAIL, 0),
+        ("3", "3,1", _NO_TAIL, 0),
+        ("8", "8", _NO_TAIL, 2),
+    ],
+)
+def test_restrict_is_rank_independent(capsys, lam, delta, spec, code):
+    # The value is computed at rank max(l(lam), l(delta), 1) for every n,
+    # so a larger n prints the same bytes, and the same error line.
+    length = len(delta.split(","))
+    at_length, above = (
+        invoke(capsys, "restrict", "--lambda", lam, "--delta", delta, "--n", str(n), "--y", spec)
+        for n in (length, length + 5)
+    )
+    assert at_length[0] == code
+    assert above == at_length
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     class FakeReport:
         passed = False

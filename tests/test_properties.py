@@ -6,6 +6,7 @@ triples stay cheap; the affine expansion is checked against the symbolic
 one, of which each product is computed once.
 """
 
+import itertools
 import json
 import pickle
 from functools import lru_cache
@@ -26,9 +27,11 @@ from shiftedschur import (  # noqa: E402
     Poly,
     SkewShape,
     YSpec,
+    canonical_key,
     canonical_string,
     contains,
     parse_partition,
+    partitions_between,
     partitions_up_to,
     u,
     useq,
@@ -36,6 +39,7 @@ from shiftedschur import (  # noqa: E402
     y,
 )
 from shiftedschur.structconst import (  # noqa: E402
+    _candidates,
     multiply_schubert,
     structure_constants_via_localization,
 )
@@ -162,6 +166,36 @@ partitions = st.lists(st.integers(1, 12), max_size=6).map(
 @given(partitions)
 def test_parse_partition_inverts_text(p):
     assert parse_partition(p.text()) == p
+
+
+@lru_cache(maxsize=None)
+def _all_partitions(weight: int, length: int) -> list:
+    """Partitions of weight <= weight and length <= length, canonically
+    ordered, listed without the package's enumeration."""
+    rows = itertools.combinations_with_replacement(range(weight, -1, -1), length)
+    return sorted((Partition(r) for r in rows if sum(r) <= weight), key=canonical_key)
+
+
+small_partitions = st.lists(st.integers(1, 3), max_size=3).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_partitions, small_partitions, st.integers(1, 4))
+def test_intervals_are_the_filtered_lists(a, b, n):
+    # The Young's-lattice interval generator yields exactly the filtered
+    # candidates, in the canonical order.
+    union = Partition(map(max, itertools.zip_longest(a, b, fillvalue=0)))
+    for lower, upper in ((a, b), (Partition(), b), (a, union)):
+        expected = [
+            rho
+            for rho in _all_partitions(upper.weight, len(upper))
+            if contains(upper, rho) and contains(rho, lower)
+        ]
+        assert partitions_between(lower, upper) == expected, (lower, upper)
+    short = _all_partitions(a.weight + b.weight, min(n, len(a) + len(b)))
+    assert _candidates(a, b, n) == [nu for nu in short if contains(nu, a) and contains(nu, b)]
 
 
 GENERATORS = (x(1), x(2), y(-1), y(0), useq(1), u)

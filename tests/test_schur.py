@@ -1,8 +1,9 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
-from oracles import oo_shifted_schur_value
+from oracles import excited_restriction, oo_shifted_schur_value
 
 from shiftedschur import (
     ONE,
@@ -12,6 +13,7 @@ from shiftedschur import (
     Partition,
     Poly,
     RankTooSmallError,
+    SkewShape,
     UnresolvableIndexError,
     YSpec,
     alternant_denominator,
@@ -20,6 +22,8 @@ from shiftedschur import (
     double_h,
     double_schur,
     falling_factorial,
+    hook_h,
+    partitions_between,
     partitions_up_to,
     restrict_to_fixed_point,
     shifted_double_schur,
@@ -31,6 +35,7 @@ from shiftedschur import (
 )
 from shiftedschur import schur
 from shiftedschur.polyring import FAMILY_X, poly_det, var_family
+from shiftedschur.structconst import multiplication_table
 
 P = Partition
 SYM = YSpec.symbolic()
@@ -201,6 +206,70 @@ def test_restrict_diagonal_nonzero_symbolic():
     for delta in partitions_up_to(3, 3):
         n = len(delta) + 1
         assert restrict_to_fixed_point(delta, delta, n) != ZERO
+
+
+def test_restrict_is_the_excited_diagram_sum():
+    # Ikeda-Naruse's formula, an independent route to the restriction, at
+    # the smallest rank and three above it; standard:d=2 is y_k -> (k+2)u.
+    # A lam not contained in delta has no excited diagram: the value is 0.
+    parts = partitions_up_to(5, 5)
+    std = YSpec.standard(2)
+    for delta in parts:
+        for lam in parts:
+            terms = excited_restriction(lam, delta)
+            assert bool(terms) == contains(delta, lam), (lam, delta)
+            symbolic = ZERO
+            for mono, c in terms.items():
+                symbolic = symbolic + const(c) * prod(map(y, mono), start=ONE)
+            value = sum(c * prod(k + 2 for k in mono) for mono, c in terms.items())
+            rank = max(len(lam), len(delta))
+            for n in (rank, rank + 3):
+                assert restrict_to_fixed_point(lam, delta, n) == symbolic, (lam, delta, n)
+                got = restrict_to_fixed_point(lam, delta, n, std)
+                assert got == const(value) * u ** lam.weight, (lam, delta, n)
+
+
+def test_restrict_standard_is_naruse_hook_formula():
+    # Under standard:d=0 the factor of cell c is its hook length in delta,
+    # and the sum over excited diagrams is hook_h(delta) / hook_h(delta/lam)
+    # (Naruse), which ties the restriction to Aitken's determinant.
+    pairs = [
+        (lam, delta)
+        for delta in partitions_up_to(8, 8)
+        for lam in partitions_between(P(), delta)
+    ]
+    assert len(pairs) == 862
+    for lam, delta in pairs:
+        ratio = hook_h(SkewShape(delta)) / hook_h(SkewShape(delta, lam))
+        got = restrict_to_fixed_point(lam, delta, len(delta), YSpec.standard(0))
+        assert got == const(ratio) * u ** lam.weight, (lam, delta)
+
+
+def test_restriction_builds_at_the_stable_rank(monkeypatch):
+    # Restriction evaluates at rank max(l(lam), l(delta), 1), whatever n is.
+    lengths = []
+    jacobi_trudi = schur._jacobi_trudi
+
+    def recording(lam, point, shift, spec):
+        lengths.append(len(point))
+        return jacobi_trudi(lam, point, shift, spec)
+
+    monkeypatch.setattr(schur, "_jacobi_trudi", recording)
+    cases = (((1,), (2, 1), 2), ((2, 2), (1,), 2), ((), (), 1), ((1, 1, 1), (3,), 3))
+    for lam, delta, rank in cases:
+        lengths.clear()
+        restrict_to_fixed_point(P(lam), P(delta), 9)
+        assert lengths == [rank], (lam, delta)
+
+
+def test_jacobi_trudi_memo_is_bounded():
+    # The one memo in the package has a finite size, and the bound leaves
+    # the reuse of a localization table as it was.
+    assert schur._jacobi_trudi.cache_info().maxsize is not None
+    schur._jacobi_trudi.cache_clear()
+    multiplication_table(4, 9, YSpec.standard(0), "localize")
+    info = schur._jacobi_trudi.cache_info()
+    assert (info.hits, info.misses) == (3308, 628)
 
 
 # ---- evaluation at the point against the symbolic route ------------------------------
