@@ -28,7 +28,6 @@ _EXPORTS = {
     ),
     "errors": (
         "AsymmetricInputError",
-        "DegenerateSpecializationError",
         "DomainError",
         "InexactDivisionError",
         "InternalInconsistencyError",

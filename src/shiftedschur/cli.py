@@ -10,12 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .errors import (
-    DegenerateSpecializationError,
-    DomainError,
-    InternalInconsistencyError,
-    UsageError,
-)
+from .errors import DomainError, InternalInconsistencyError, UsageError
 from .partitions import Partition, parse_partition, partitions_up_to
 from .polyring import (
     IntSeqWindow,
@@ -239,28 +234,11 @@ def _cmd_eval(args) -> str:
     return _poly_output(poly, args.format)
 
 
-def _with_fallback(args, compute):
-    """compute(args.method), or compute("expand") if the y-specialization is
-    degenerate for the chosen method.  A fallback leaves args.note, which
-    run prints only once the output is written: a nonzero exit prints its
-    error line alone."""
-    try:
-        return compute(args.method)
-    except DegenerateSpecializationError as e:
-        args.note = f"note: {e}; falling back to the expansion method"
-        return compute("expand")
-
-
 def _cmd_multiply(args) -> str:
     lam = _partition_flag(args.lam)
     mu = _partition_flag(args.mu)
     yspec = parse_yspec(args.y)
-    exp = _with_fallback(
-        args,
-        lambda method: compute_expansion(
-            lam, mu, args.n, yspec, method, stable=not args.finite_rank
-        ),
-    )
+    exp = compute_expansion(lam, mu, args.n, yspec, args.method, stable=not args.finite_rank)
     rows = [(lam, mu, exp)]
     if args.format != "json":
         return table_to_latex(rows) if args.format == "latex" else table_to_text(rows)
@@ -272,11 +250,8 @@ def _cmd_multiply(args) -> str:
 
 def _cmd_table(args) -> str:
     yspec = parse_yspec(args.y)
-    rows = _with_fallback(
-        args,
-        lambda method: multiplication_table(
-            args.max_weight, args.n, yspec, method, jobs=args.jobs, finite_rank=args.finite_rank
-        ),
+    rows = multiplication_table(
+        args.max_weight, args.n, yspec, args.method, jobs=args.jobs, finite_rank=args.finite_rank
     )
     if args.format == "json":
         return dumps_canonical(table_to_json_obj(rows, args.n, yspec))
@@ -425,8 +400,6 @@ def run(argv=None) -> int:
         return 0 if e.code in (0, None) else int(e.code)
     try:
         _emit(args, args.command(args))
-        if hasattr(args, "note"):
-            print(args.note, file=sys.stderr)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

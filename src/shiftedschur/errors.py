@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: usage errors exit 1, mathematical
 domain errors exit 2, internal inconsistencies (identities that must hold
-by theorem failing to hold) exit 3.
+by theorem failing to hold) exit 3.  No y-specialization is an error for
+localization, even one under which a fixed-point weight vanishes.
 """
 
 
@@ -20,10 +21,6 @@ class AsymmetricInputError(DomainError):
 
 class UnresolvableIndexError(DomainError):
     """A sequence index fell outside a window with no tail rule."""
-
-
-class DegenerateSpecializationError(DomainError):
-    """A y-specialization under which fixed-point localization breaks down."""
 
 
 class InternalInconsistencyError(RuntimeError):

@@ -30,7 +30,6 @@ actually contains.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections import namedtuple
@@ -808,9 +807,6 @@ class YSpec(
         if kind == "torus":
             return cls.torus(obj["shift"])
         raise DomainError(f"unknown yspec kind {kind!r}")
-
-    def describe(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 SYMBOLIC = YSpec.symbolic()

@@ -18,12 +18,7 @@ import os
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    AsymmetricInputError,
-    DegenerateSpecializationError,
-    DomainError,
-    RankTooSmallError,
-)
+from .errors import AsymmetricInputError, DomainError, RankTooSmallError
 from .partitions import (
     Partition,
     SkewShape,
@@ -177,14 +172,14 @@ def multiply_schubert(
     """Expansion of s*_lam * s*_mu in the shifted basis at rank n.
 
     With stable=True (the infinite-variable reading) the rank must exceed
-    l(lam)+l(mu); the coefficients are then independent of n.  Setting
-    x_{n+1} = 0 is a ring map sending s*_nu to s*_nu, or to 0 when
-    l(nu) = n+1, and no nu longer than l(lam)+l(mu) occurs (Molev-Sagan
-    fill nu/mu column-strictly with entries at most l(lam)).  So the
-    product is built and expanded at n0 = max(l(lam)+l(mu), 1), and the
-    expansion reports the caller's n.  stable=False admits any rank >= max
-    length and computes at n itself, giving the finite-rank multiplication
-    table when paired with the matching torus yspec.
+    l(lam)+l(mu); the coefficients are then independent of n.  stable=False
+    admits any rank >= max length, giving the finite-rank multiplication
+    table when paired with the matching torus yspec.  Setting x_{n+1} = 0
+    is a ring map sending s*_nu to s*_nu, or to 0 when l(nu) = n+1, and no
+    nu longer than l(lam)+l(mu) occurs (Molev-Sagan fill nu/mu
+    column-strictly with entries at most l(lam)).  So under both readings
+    the product is built and expanded at n0 = max(min(n, l(lam)+l(mu)), 1),
+    and the expansion reports the caller's n.
 
     An affine yspec with rational a, b is computed over the integers: with
     D the lcm of their denominators, the product is expanded under
@@ -195,7 +190,7 @@ def multiply_schubert(
     lam = Partition(lam)
     mu = Partition(mu)
     _check_rank(lam, mu, n, stable, "expansion")
-    n0 = max(len(lam) + len(mu), 1) if stable else n
+    n0 = max(min(n, len(lam) + len(mu)), 1)
     scale = lcm(yspec.a.denominator, yspec.b.denominator) if yspec.kind == "affine" else 1
     work = YSpec.affine(scale * yspec.a, scale * yspec.b) if scale > 1 else yspec
     product = shifted_double_schur(lam, n0, work) * shifted_double_schur(mu, n0, work)
@@ -239,9 +234,15 @@ def structure_constants_via_localization(
     product identity at the fixed point delta = nu involves only
     already-solved coefficients, so back-substitution suffices.  Vanishing
     and triangularity hold at any rank n >= l(delta), so stable=False
-    admits any rank >= max length, as multiply_schubert does.  Raises
-    DegenerateSpecializationError if some candidate's restriction to its own
-    fixed point vanishes (zero, affine with a = 0, some circle windows).
+    admits any rank >= max length, as multiply_schubert does.
+
+    A candidate's restriction to its own fixed point is a product of
+    differences y_a - y_b, which vanishes when the yspec equates two of
+    them.  Each coefficient is a polynomial in such differences (Molev-Sagan),
+    so the pair is then solved under a yspec whose diagonals do not vanish:
+    under zero or affine (there a = 0: every y_j is equal) the coefficients
+    are the degree-0 ones, |nu| = |lam|+|mu|, of the standard action, and
+    under a circle window they are the symbolic ones, specialized.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -250,10 +251,13 @@ def structure_constants_via_localization(
     for delta in _candidates(lam, mu, n):
         diag = restrict_to_fixed_point(delta, delta, n, yspec)
         if not diag:
-            raise DegenerateSpecializationError(
-                f"restriction of {tuple(delta)} to its own fixed point vanishes "
-                f"under {yspec.describe()}"
-            )
+            if yspec.kind in ("zero", "affine"):
+                lifted = structure_constants_via_localization(lam, mu, n, YSpec.standard(0), stable)
+                solved = {nu: c for nu, c in lifted.items() if nu.weight == lam.weight + mu.weight}
+            else:
+                lifted = structure_constants_via_localization(lam, mu, n, SYMBOLIC, stable)
+                solved = {nu: c.specialize_y(yspec) for nu, c in lifted.items()}
+            break
         lhs = restrict_to_fixed_point(lam, delta, n, yspec) * restrict_to_fixed_point(
             mu, delta, n, yspec
         )
@@ -318,7 +322,7 @@ def multiplication_table(
             f"stability for all pairs needs n > 2*max_weight = {2 * max_weight}, "
             f"got n = {n}"
         )
-    parts = partitions_up_to(max_weight, max_weight if not finite_rank else n)
+    parts = partitions_up_to(max_weight, n)
     pairs = [(p, q) for a, p in enumerate(parts) for q in parts[a:]]
 
     def share_rows(share):  # (index, expansion) up to the first error, which takes its place

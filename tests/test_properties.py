@@ -9,6 +9,7 @@ one, of which each product is computed once.
 import itertools
 import json
 import pickle
+from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
@@ -125,7 +126,7 @@ yspecs = st.one_of(
 def test_yspec_survives_pickle_and_json(spec, protocol):
     for copy in (
         pickle.loads(pickle.dumps(spec, protocol)),
-        YSpec.from_json_obj(json.loads(spec.describe())),
+        YSpec.from_json_obj(json.loads(json.dumps(spec.to_json_obj()))),
     ):
         assert type(copy) is YSpec and type(copy.window) is type(spec.window)
         assert copy == spec and hash(copy) == hash(spec)
@@ -141,6 +142,56 @@ def test_unpickling_checks_window_and_shape():
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             with pytest.raises(DomainError):
                 pickle.loads(pickle.dumps(record, protocol))
+
+
+# ---- the structure constants as polynomials in the differences y_a - y_b ----
+
+WEIGHT3 = partitions_up_to(3, 3)
+pairs3 = st.tuples(st.sampled_from(WEIGHT3), st.sampled_from(WEIGHT3))
+
+
+@lru_cache(maxsize=None)
+def _localized(lam: Partition, mu: Partition, spec: YSpec) -> dict:
+    return structure_constants_via_localization(lam, mu, 7, spec).coefficients
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pairs3)
+def test_symbolic_constants_are_graham_positive(pair):
+    # Graham: each coefficient is a polynomial with nonnegative integer
+    # coefficients in the y_k - y_{k-1}.  With lo the least y index it
+    # reads, y_j -> z_{lo+1} + ... + z_j (z_k written useq(k)) turns it
+    # into a polynomial in the z with positive integer coefficients.
+    for c in _localized(*pair, YSpec.symbolic()).values():
+        lo = min(c.y_indices(), default=0)
+        z = {y(j): sum((useq(k) for k in range(lo + 1, j + 1)), ZERO) for j in c.y_indices()}
+        terms = c.substitute(z).terms.values()
+        assert terms and all(type(t) is int and t > 0 for t in terms), (pair, c)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pairs3, st.integers(-9, 9))
+def test_standard_constants_do_not_depend_on_d(pair, d):
+    # y_j -> (j+d)u moves every y_j by the same d*u.
+    assert _localized(*pair, YSpec.standard(d)) == _localized(*pair, YSpec.standard(0))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    pairs3,
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+def test_affine_and_zero_are_standard_at_u_equal_a(pair, a, b):
+    # y_j -> a*j + b is y_j -> (j+d)u at u = a, moved by b; zero is a = b = 0.
+    # The specialized sides come from the expansion, which never localizes.
+    lam, mu = pair
+    standard = _localized(lam, mu, YSpec.standard(0))
+    for spec, at in ((YSpec.affine(a, b), a), (YSpec.zero(), 0)):
+        expected = {nu: c.substitute({u: at}) for nu, c in standard.items()}
+        assert multiply_schubert(lam, mu, 7, spec).coefficients == {
+            nu: c for nu, c in expected.items() if c
+        }, (pair, spec)
 
 
 SHAPE_PARTS = partitions_up_to(3, 3)

@@ -8,7 +8,6 @@ from oracles import brute_force_lr
 from shiftedschur import (
     ONE,
     AsymmetricInputError,
-    DegenerateSpecializationError,
     DomainError,
     IntSeqWindow,
     Partition,
@@ -188,10 +187,11 @@ def test_multiply_builds_at_rank_l_lam_plus_l_mu(monkeypatch):
 
     monkeypatch.setattr(sc, "shifted_double_schur", recording)
     for lam, mu in RANK_PAIRS:
-        for stable, n in ((True, len(lam) + len(mu) + 2), (False, max(len(lam), len(mu)) + 1)):
+        finite = (max(len(lam), len(mu)) + 1, len(lam) + len(mu) + 3)
+        for stable, n in ((True, len(lam) + len(mu) + 2), *((False, m) for m in finite)):
             ranks.clear()
             exp = multiply_schubert(lam, mu, n, STD0, stable=stable)
-            built = max(len(lam) + len(mu), 1) if stable else n
+            built = max(min(n, len(lam) + len(mu)), 1)
             assert set(ranks) == {built}, (lam, mu, stable)
             assert exp.n == n
 
@@ -261,11 +261,13 @@ def test_localization_matches_multiply():
 
 def test_localization_rejects_degenerate():
     # Every y_j is 5/7 under affine(0, 5/7), so each weight difference
-    # y_a - y_b in a restriction to its own fixed point vanishes.
-    with pytest.raises(DegenerateSpecializationError):
-        structure_constants_via_localization(P([1]), P([1]), 3, ZSPEC)
-    with pytest.raises(DegenerateSpecializationError):
-        structure_constants_via_localization(P([1]), P([1]), 3, YSpec.affine(0, Fraction(5, 7)))
+    # y_a - y_b in a restriction to its own fixed point vanishes; the
+    # coefficients are then the degree-0 ones of the standard action.
+    for spec in (ZSPEC, YSpec.affine(0, Fraction(5, 7))):
+        for lam, mu, n in ((P([1]), P([1]), 3), (P([2, 1]), P([1]), 4), (P([2]), P([1, 1]), 5)):
+            assert structure_constants_via_localization(lam, mu, n, spec) == multiply_schubert(
+                lam, mu, n, spec
+            )
 
 
 @pytest.mark.parametrize("spec", [YSpec.affine(1, 0), YSpec.affine(Fraction(1, 2), Fraction(1, 3))])
