@@ -5,9 +5,9 @@ x/y/torus-weight variable universe, double and shifted double Schur
 functions, equivariant Littlewood-Richardson structure constants by three
 independent algorithms, and the coproduct on shifted power sums.
 
-The names below are exported lazily: a submodule is imported the first time
-one of its names is read, so importing the package, or the CLI, loads only
-the code that is used.
+The names below are exported lazily (PEP 562), so `import shiftedschur`
+loads no submodule.  The CLI imports errors, partitions, polyring, schur and
+structconst for every verb; comult loads only in the verbs that use it.
 """
 
 from importlib import import_module

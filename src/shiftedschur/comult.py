@@ -175,9 +175,6 @@ class TensorElement:
                 out.append((l1 * l2, r1 * r2, w1 * w2))
         return TensorElement(out)
 
-    def is_zero(self) -> bool:
-        return not self._expanded()
-
     def __str__(self) -> str:
         if not self._table:
             return "0"
@@ -210,12 +207,6 @@ class PowerPolynomial(Poly):
     # An own class entry, so that the product can be looked up (and timed)
     # on this class separately from Poly's.
     __mul__ = __rmul__ = Poly.__mul__
-
-    @classmethod
-    def generator(cls, k: int) -> "PowerPolynomial":
-        if k < 1:
-            raise DomainError(f"generator index must be >= 1, got {k}")
-        return cls({(k, 1): 1})
 
     @classmethod
     def parse(cls, text: str) -> "PowerPolynomial":

@@ -40,10 +40,6 @@ class Partition(tuple):
         """The 1-indexed part, 0 beyond the length."""
         return self[i - 1] if 1 <= i <= len(self) else 0
 
-    def text(self) -> str:
-        """Comma-separated form; the empty partition renders as "0"."""
-        return ",".join(str(p) for p in self) if self else "0"
-
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
 
@@ -90,12 +86,6 @@ class SkewShape(namedtuple("SkewShape", "outer inner")):
     @property
     def size(self) -> int:
         return self.outer.weight - self.inner.weight
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """Cells (row, col), 0-indexed, of the skew diagram."""
-        for r, p in enumerate(self.outer):
-            for c in range(self.inner.part(r + 1), p):
-                yield (r, c)
 
 
 def count_standard_tableaux(shape: SkewShape) -> int:

@@ -266,10 +266,6 @@ class Poly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max(map(_mono_degree, self._terms), default=-1)
-
     def x_degree(self) -> int:
         """Total degree in the x variables only; -1 for zero."""
         return max((_mono_degree(m & _X_MASK) for m in self._terms), default=-1)
@@ -471,26 +467,6 @@ class Poly:
                 mono.append([_FAMILY_NAMES[fam], idx, m[i + 1]])
             out.append({"coeff": str(c), "monomial": mono})
         return out
-
-    @classmethod
-    def from_json_obj(cls, obj: list) -> "Poly":
-        terms = {}
-        for entry in obj:
-            mono = []
-            for fam_name, idx, exp in entry["monomial"]:
-                if fam_name == "x":
-                    fam = FAMILY_X
-                elif fam_name == "y":
-                    fam = FAMILY_Y
-                elif fam_name == "u":
-                    fam = FAMILY_U if idx is None else FAMILY_USEQ
-                else:
-                    raise DomainError(f"unknown variable family {fam_name!r}")
-                mono.append(var_code(fam, 0 if idx is None else idx))
-                mono.append(exp)
-            key = tuple(mono)
-            terms[key] = terms.get(key, 0) + parse_rational(entry["coeff"])
-        return cls(terms)
 
     def __reduce__(self):
         # Slots differ between processes (a forked worker registers
@@ -713,11 +689,6 @@ class IntSeqWindow(namedtuple("IntSeqWindow", "lo values tail")):
             obj["tail"] = list(self.tail)
         return obj
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "IntSeqWindow":
-        tail = tuple(obj["tail"]) if obj.get("tail") is not None else None
-        return cls(lo=obj["lo"], values=tuple(obj["values"]), tail=tail)
-
 
 class YSpec(
     namedtuple(
@@ -790,23 +761,6 @@ class YSpec(
         elif self.kind == "torus":
             obj["shift"] = self.shift
         return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "YSpec":
-        kind = obj["kind"]
-        if kind == "symbolic":
-            return cls.symbolic()
-        if kind == "zero":
-            return cls.zero()
-        if kind == "affine":
-            return cls.affine(parse_rational(obj["a"]), parse_rational(obj["b"]))
-        if kind == "standard":
-            return cls.standard(obj["d"])
-        if kind == "circle":
-            return cls.circle(IntSeqWindow.from_json_obj(obj["window"]), obj["d"])
-        if kind == "torus":
-            return cls.torus(obj["shift"])
-        raise DomainError(f"unknown yspec kind {kind!r}")
 
 
 SYMBOLIC = YSpec.symbolic()

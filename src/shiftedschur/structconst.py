@@ -18,7 +18,7 @@ import os
 from fractions import Fraction
 from math import lcm
 
-from .errors import AsymmetricInputError, DomainError, RankTooSmallError
+from .errors import AsymmetricInputError, DomainError, RankTooSmallError, UnresolvableIndexError
 from .partitions import (
     Partition,
     SkewShape,
@@ -291,14 +291,21 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpans
 def compute_expansion(
     lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True
 ) -> SchurExpansion:
-    """Dispatch a product expansion to one of the three algorithms."""
-    if method == "expand":
-        return multiply_schubert(lam, mu, n, yspec, stable=stable)
-    if method == "localize":
-        return structure_constants_via_localization(lam, mu, n, yspec, stable=stable)
-    if method == "molev":
-        return _molev_expansion(lam, mu, n, yspec, stable)
-    raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
+    """Dispatch a product expansion to one of the three algorithms.  One that
+    reads a y_j outside a circle window without a tail rule runs again
+    symbolically, and each coefficient is specialized, as schur._shifted_at does."""
+    engine = {
+        "expand": multiply_schubert,
+        "localize": structure_constants_via_localization,
+        "molev": _molev_expansion,
+    }.get(method)
+    if engine is None:
+        raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
+    try:
+        return engine(lam, mu, n, yspec, stable)
+    except UnresolvableIndexError:  # the coefficients may read only y_j in the window
+        symbolic = engine(lam, mu, n, SYMBOLIC, stable)
+        return SchurExpansion(n, yspec, {nu: c.specialize_y(yspec) for nu, c in symbolic.items()})
 
 
 def multiplication_table(

@@ -629,6 +629,49 @@ def test_localize_lists_no_candidate_longer_than_l_lam_plus_l_mu(capsys):
     assert invoke(capsys, *argv, "--method", "localize") == (0, expected, "")
 
 
+# Circle windows without a tail rule, and products and tables that read y_j
+# on both sides of each window.
+TAILLESS_WINDOWS = (
+    "circle:d=0,window=-3:2,2,1,1,0,0",
+    "circle:d=1,window=-4:1,2,3,5,8,13",
+    "circle:d=0,window=-1:3,1,4",
+    "circle:d=2,window=-5:1,2,3,4,5,6,7,8,9",
+    "circle:d=0,window=-6:3,1,4,1,5,9,2,6,5,3,5",
+    "circle:d=-1,window=0:2,7,1,8",
+)
+WINDOW_CASES = {
+    "1x1": ("multiply", "--lambda", "1", "--mu", "1", "--n", "3"),
+    "21x21": ("multiply", "--lambda", "2,1", "--mu", "2,1", "--n", "5"),
+    "2x11": ("multiply", "--lambda", "2", "--mu", "1,1", "--n", "5"),
+    "21x1-finite": ("multiply", "--lambda", "2,1", "--mu", "1", "--n", "3", "--finite-rank"),
+    "table": ("table", "--max-weight", "2", "--n", "5"),
+    "table-finite": ("table", "--max-weight", "2", "--n", "3", "--finite-rank"),
+}
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES.values(), ids=WINDOW_CASES)
+@pytest.mark.parametrize("window", TAILLESS_WINDOWS)
+def test_methods_answer_the_same_windows(capsys, window, case):
+    # Only the y_j left in the coefficients need a value: both methods answer
+    # exactly when two different tail rules give one answer, and give that.
+    argv = (*case, "--method")
+    code, out, err = invoke(capsys, *argv, "expand", "--y", window)
+    assert invoke(capsys, *argv, "localize", "--y", window)[:2] == (code, out)
+    tailed = [invoke(capsys, *argv, "expand", "--y", f"{window};tail={t}") for t in ("1,0", "-3,7")]
+    if code == 0:
+        assert tailed == [(0, out, "")] * 2
+    else:
+        assert tailed[0] != tailed[1] and err.startswith("error: sequence index ")
+
+
+@pytest.mark.parametrize("window", TAILLESS_WINDOWS[:2])
+def test_window_tables_at_two_jobs(capsys, window):
+    argv = (*WINDOW_CASES["table"], "--y", window, "--format", "json", "--method")
+    expected = invoke(capsys, *argv, "expand")
+    for method in ("expand", "localize"):
+        assert invoke(capsys, *argv, method, "--jobs", "2") == expected
+
+
 _NO_TAIL = "circle:d=0,window=-4:3,1,4,1,5,9,2,6,5"
 
 

@@ -108,7 +108,7 @@ def test_tensor_normal_form():
     assert t.summands == [(x(1), ONE, 3)]
     t = TensorElement([(x(1), ONE), (x(1), ONE, -1)])
     assert t.summands == []
-    assert t.is_zero()
+    assert t == TensorElement()
 
 
 def test_tensor_equality_is_bilinear():
@@ -136,9 +136,9 @@ def test_tensor_product():
 
 def test_power_polynomial_parse():
     p = PP.parse("p1^2*p3 - 1/2*p2 + 3")
-    q = PP.generator(1) ** 2 * PP.generator(3) - PP.constant(Fraction(1, 2)) * PP.generator(2) + 3
+    q = PP({(1, 1): 1}) ** 2 * PP({(3, 1): 1}) - PP.constant(Fraction(1, 2)) * PP({(2, 1): 1}) + 3
     assert p == q
-    assert PP.parse("-p1") == -PP.generator(1)
+    assert PP.parse("-p1") == -PP({(1, 1): 1})
     with pytest.raises(DomainError):
         PP.parse("")
     with pytest.raises(DomainError):
@@ -197,7 +197,7 @@ def test_power_polynomial_arithmetic_keeps_class():
     p, q = PP.parse("p1^2 - 1/2*p3"), PP.parse("p2 + 4")
     for value in (p + q, p * q, p - q, p**3, -p, p + 1, 2 * p, 1 - p, p * 0, p**0):
         assert type(value) is PP
-    p2 = PP.generator(2)
+    p2 = PP({(2, 1): 1})
     seven = p2
     for _ in range(6):
         seven = seven * p2
@@ -217,7 +217,7 @@ def test_coproduct_matches_repeated_primitive_products():
         for m, c in PP.parse(expr).terms.items():
             term = TensorElement([(one, one, c)])
             for i in range(0, len(m), 2):
-                pk = PP.generator(m[i])
+                pk = PP({(m[i], 1): 1})
                 for _ in range(m[i + 1]):
                     term = term * TensorElement([(pk, one), (one, pk)])
             expected = expected + term
@@ -228,7 +228,7 @@ def test_coproduct_matches_repeated_primitive_products():
 
 def test_coproduct_examples():
     one = PP.constant(1)
-    p1 = PP.generator(1)
+    p1 = PP({(1, 1): 1})
     assert coproduct_power_polynomial("p1") == TensorElement([(p1, one), (one, p1)])
     assert coproduct_power_polynomial("p1^2") == TensorElement(
         [(p1 ** 2, one), (p1, p1, 2), (one, p1 ** 2)]
@@ -244,7 +244,7 @@ def test_coproduct_is_algebra_map():
         for _ in range(rng.randint(1, 3)):
             term = PP.constant(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)))
             for _ in range(rng.randint(0, 2)):
-                term = term * PP.generator(rng.randint(1, 3))
+                term = term * PP({(rng.randint(1, 3), 1): 1})
             total = total + term
         return total
 
@@ -298,7 +298,7 @@ def test_rendering_refuses_weights_past_the_digit_limit():
     for weight, ok in ((10 ** (limit - 1), True), (10 ** limit - 1, True),
                        (10 ** limit, False), (Fraction(1, 10 ** (limit + 50)), False),
                        (-(2 ** (4 * limit)), False)):
-        tensor = TensorElement([(one, PP.generator(1), weight)])
+        tensor = TensorElement([(one, PP({(1, 1): 1}), weight)])
         if ok:
             assert str(weight) in str(tensor)
         else:

@@ -122,14 +122,14 @@ yspecs = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
-@given(yspecs, st.integers(0, pickle.HIGHEST_PROTOCOL))
-def test_yspec_survives_pickle_and_json(spec, protocol):
-    for copy in (
-        pickle.loads(pickle.dumps(spec, protocol)),
-        YSpec.from_json_obj(json.loads(json.dumps(spec.to_json_obj()))),
-    ):
-        assert type(copy) is YSpec and type(copy.window) is type(spec.window)
-        assert copy == spec and hash(copy) == hash(spec)
+@given(yspecs, yspecs, st.integers(0, pickle.HIGHEST_PROTOCOL))
+def test_yspec_survives_pickle_and_json(spec, other, protocol):
+    copy = pickle.loads(pickle.dumps(spec, protocol))
+    assert type(copy) is YSpec and type(copy.window) is type(spec.window)
+    assert copy == spec and hash(copy) == hash(spec)
+    obj = spec.to_json_obj()
+    assert json.loads(json.dumps(obj)) == obj and copy.to_json_obj() == obj
+    assert (other.to_json_obj() == obj) == (other == spec)
 
 
 def test_unpickling_checks_window_and_shape():
@@ -216,7 +216,7 @@ partitions = st.lists(st.integers(1, 12), max_size=6).map(
 @settings(max_examples=100, deadline=None)
 @given(partitions)
 def test_parse_partition_inverts_text(p):
-    assert parse_partition(p.text()) == p
+    assert parse_partition(",".join(map(str, p)) or "0") == p
 
 
 @lru_cache(maxsize=None)
