@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: usage errors exit 1, mathematical
 domain errors exit 2, internal inconsistencies (identities that must hold
-by theorem failing to hold) exit 3.  No y-specialization is an error for
-localization, even one under which a fixed-point weight vanishes.
+by theorem failing to hold) exit 3.  A y-specialization is an error only
+where a value reads a y_j that a window without a tail rule lacks.
 """
 
 

@@ -437,10 +437,12 @@ class Poly:
         return Poly._raw({m: _int_if_integral(c) for m, c in acc.items() if c})
 
     def specialize_y(self, spec: "YSpec") -> "Poly":
-        """Apply a y-specialization rule to every y_j occurrence."""
+        """Apply a y-specialization rule to every y_j, asking from the highest
+        index down: a window without a tail rule names the highest one read."""
         if spec.kind == "symbolic":
             return self
-        return self.substitute({y(j): spec.value(j) for j in self.y_indices()})
+        top_down = sorted(self.y_indices(), reverse=True)
+        return self.substitute({y(j): spec.value(j) for j in top_down})
 
     # -- rendering ------------------------------------------------------------
 
@@ -747,6 +749,14 @@ class YSpec(
         if self.kind == "torus":
             return useq(j + self.shift)
         raise DomainError(f"unknown yspec kind {self.kind!r}")
+
+    def evaluate(self, compute):
+        """compute(self), or, where that reads a y_j a window without a tail
+        rule lacks, compute(SYMBOLIC) specialized: only the y_j left need one."""
+        try:
+            return compute(self)
+        except UnresolvableIndexError:
+            return compute(SYMBOLIC).specialize_y(self)
 
     def to_json_obj(self) -> dict:
         obj: dict = {"kind": self.kind}

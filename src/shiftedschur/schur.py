@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, RankTooSmallError, UnresolvableIndexError
+from .errors import DomainError, RankTooSmallError
 from .partitions import Partition
 from .polyring import (
     ONE,
@@ -45,20 +45,6 @@ def falling_factorial(i: int, p: int) -> Poly:
 # is refused at 262,143 of them, near 50 MB on an x86-64 host; so is
 # (1^20) at n = 20, whose one column e_0..e_20 would end in 2^20 terms.
 MAX_H_TERMS = 250_000
-
-
-def _y_values(yspec: YSpec, lo: int, hi: int) -> dict:
-    # {k: y_k} for k = lo..hi, asked for bottom up: new y variables get
-    # registry slots in ascending index order, so the cells filled first,
-    # which hold only low-index y, stay short packed ints.  A window without
-    # a tail rule reports the highest index it lacks.
-    indices = range(lo, hi + 1)
-    try:
-        return {k: yspec.value(k) for k in indices}
-    except UnresolvableIndexError:
-        for k in reversed(indices):
-            yspec.value(k)
-        raise
 
 
 def _column(family: str, top: int, s: int, y_at, point: tuple) -> list[Poly]:
@@ -129,7 +115,9 @@ def _jacobi_trudi(lam: Partition, point: tuple, shift: int, yspec: YSpec) -> Pol
     if yspec.kind == "zero":
         columns = [_column(family, top, 0, yspec.value, point)] * r
     else:
-        y_at = _y_values(yspec, lo, hi).__getitem__
+        # Asked for bottom up: new y get registry slots in ascending index order,
+        # so the cells filled first, holding only low-index y, stay short ints.
+        y_at = {k: yspec.value(k) for k in range(lo, hi + 1)}.__getitem__
         columns = [
             _column(family, lam.part(1) + j - 1, shift + step * (j - 1), y_at, point)
             for j in range(1, r + 1)
@@ -177,7 +165,7 @@ def double_schur(
     lam = Partition(lam)
     _check_args("double_schur", lam, n, method)
     if method == "jacobi_trudi":
-        return _jacobi_trudi(lam, _xs(n), 0, yspec)
+        return yspec.evaluate(lambda spec: _jacobi_trudi(lam, _xs(n), 0, spec))
     return _det_ratio(lam, n).specialize_y(yspec)
 
 
@@ -190,16 +178,11 @@ def _shifted_at(lam: Partition, yspec: YSpec, base, labels=()) -> Poly:
     base = list(base) + [0] * (n - len(base))
     labels = list(labels) + list(range(-len(labels) - 1, -n - 1, -1))
 
-    def point(spec: YSpec) -> tuple:
-        return tuple(b + spec.value(j) for b, j in zip(base, labels))
+    def value(spec: YSpec) -> Poly:
+        point = tuple(b + spec.value(j) for b, j in zip(base, labels))
+        return _jacobi_trudi(lam, point, n + 1, spec)
 
-    try:
-        return _jacobi_trudi(lam, point(yspec), n + 1, yspec)
-    except UnresolvableIndexError:
-        # A window without a tail rule defines only some y_j, and only the
-        # y_j left in the value need one: evaluate symbolically, then
-        # specialize the result.
-        return _jacobi_trudi(lam, point(SYMBOLIC), n + 1, SYMBOLIC).specialize_y(yspec)
+    return yspec.evaluate(value)
 
 
 def shifted_double_schur(

@@ -16,9 +16,8 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from math import lcm
 
-from .errors import AsymmetricInputError, DomainError, RankTooSmallError, UnresolvableIndexError
+from .errors import AsymmetricInputError, DomainError, RankTooSmallError
 from .partitions import (
     Partition,
     SkewShape,
@@ -90,6 +89,9 @@ class SchurExpansion:
         for nu, c in self.items():
             total = total + c * shifted_double_schur(nu, self.n, self.yspec)
         return total
+
+    def specialize_y(self, spec: YSpec) -> "SchurExpansion":
+        return SchurExpansion(self.n, spec, {nu: c.specialize_y(spec) for nu, c in self.items()})
 
     def to_json_terms(self) -> list[dict]:
         return [
@@ -180,24 +182,13 @@ def multiply_schubert(
     column-strictly with entries at most l(lam)).  So under both readings
     the product is built and expanded at n0 = max(min(n, l(lam)+l(mu)), 1),
     and the expansion reports the caller's n.
-
-    An affine yspec with rational a, b is computed over the integers: with
-    D the lcm of their denominators, the product is expanded under
-    y_j -> D*(a*j + b).  The coefficient of nu is homogeneous of degree
-    |lam|+|mu|-|nu| in y at any rank, so it is that result divided by
-    D^(|lam|+|mu|-|nu|).
     """
     lam = Partition(lam)
     mu = Partition(mu)
     _check_rank(lam, mu, n, stable, "expansion")
     n0 = max(min(n, len(lam) + len(mu)), 1)
-    scale = lcm(yspec.a.denominator, yspec.b.denominator) if yspec.kind == "affine" else 1
-    work = YSpec.affine(scale * yspec.a, scale * yspec.b) if scale > 1 else yspec
-    product = shifted_double_schur(lam, n0, work) * shifted_double_schur(mu, n0, work)
-    coeffs = expand_in_shifted_basis(product, n0, work).coefficients
-    if scale > 1:
-        top = lam.weight + mu.weight
-        coeffs = {nu: c * Fraction(1, scale ** (top - nu.weight)) for nu, c in coeffs.items()}
+    product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
+    coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 
@@ -240,9 +231,8 @@ def structure_constants_via_localization(
     differences y_a - y_b, which vanishes when the yspec equates two of
     them.  Each coefficient is a polynomial in such differences (Molev-Sagan),
     so the pair is then solved under a yspec whose diagonals do not vanish:
-    under zero or affine (there a = 0: every y_j is equal) the coefficients
-    are the degree-0 ones, |nu| = |lam|+|mu|, of the standard action, and
-    under a circle window they are the symbolic ones, specialized.
+    under zero the coefficients are the standard ones at u = 0, and under
+    any other spec the symbolic ones, specialized.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -251,13 +241,10 @@ def structure_constants_via_localization(
     for delta in _candidates(lam, mu, n):
         diag = restrict_to_fixed_point(delta, delta, n, yspec)
         if not diag:
-            if yspec.kind in ("zero", "affine"):
-                lifted = structure_constants_via_localization(lam, mu, n, YSpec.standard(0), stable)
-                solved = {nu: c for nu, c in lifted.items() if nu.weight == lam.weight + mu.weight}
-            else:
-                lifted = structure_constants_via_localization(lam, mu, n, SYMBOLIC, stable)
-                solved = {nu: c.specialize_y(yspec) for nu, c in lifted.items()}
-            break
+            engine = structure_constants_via_localization
+            if yspec.kind == "zero":
+                return _standard_at(engine, lam, mu, n, yspec, 0, stable)
+            return engine(lam, mu, n, SYMBOLIC, stable).specialize_y(yspec)
         lhs = restrict_to_fixed_point(lam, delta, n, yspec) * restrict_to_fixed_point(
             mu, delta, n, yspec
         )
@@ -288,12 +275,20 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpans
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 
+def _standard_at(engine, lam, mu, n: int, yspec: YSpec, a, stable: bool) -> SchurExpansion:
+    """The engine's expansion under standard:d=0 with u = a, reported under
+    yspec.  Each coefficient is a polynomial in the differences y_i - y_j
+    (Molev-Sagan), which are (i-j)*a under any yspec of constant step a."""
+    standard = engine(lam, mu, n, YSpec.standard(0), stable)
+    return SchurExpansion(n, yspec, {nu: c.substitute({u: a}) for nu, c in standard.items()})
+
+
 def compute_expansion(
     lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True
 ) -> SchurExpansion:
-    """Dispatch a product expansion to one of the three algorithms.  One that
-    reads a y_j outside a circle window without a tail rule runs again
-    symbolically, and each coefficient is specialized, as schur._shifted_at does."""
+    """Dispatch a product expansion to one of the three algorithms: under
+    affine through the standard action at u = a (_standard_at), under any
+    other yspec directly, or symbolically and specialized (YSpec.evaluate)."""
     engine = {
         "expand": multiply_schubert,
         "localize": structure_constants_via_localization,
@@ -301,11 +296,9 @@ def compute_expansion(
     }.get(method)
     if engine is None:
         raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
-    try:
-        return engine(lam, mu, n, yspec, stable)
-    except UnresolvableIndexError:  # the coefficients may read only y_j in the window
-        symbolic = engine(lam, mu, n, SYMBOLIC, stable)
-        return SchurExpansion(n, yspec, {nu: c.specialize_y(yspec) for nu, c in symbolic.items()})
+    if yspec.kind == "affine":
+        return _standard_at(engine, lam, mu, n, yspec, yspec.a, stable)
+    return yspec.evaluate(lambda spec: engine(lam, mu, n, spec, stable))
 
 
 def multiplication_table(

@@ -672,6 +672,28 @@ def test_window_tables_at_two_jobs(capsys, window):
         assert invoke(capsys, *argv, method, "--jobs", "2") == expected
 
 
+SCHUR_WINDOWS = (
+    "circle:d=0,window=-3:2,2,1,1,0,0",
+    "circle:d=0,window=-1:3,1,4",
+    "circle:d=-1,window=0:2,7,1,8",
+    "circle:d=2,window=-5:1,2,3,4,5,6,7,8,9",
+    "circle:d=0,window=1:5,6",
+    "circle:d=0,window=1:1,2",
+)
+
+
+@pytest.mark.parametrize("shifted", [(), ("--shifted",)], ids=["double", "shifted"])
+@pytest.mark.parametrize("window", SCHUR_WINDOWS)
+def test_schur_methods_answer_the_same_windows(capsys, window, shifted):
+    # Each method needs only the y_j left in the value, and refuses naming
+    # the highest one the value reads: stdout, exit code and stderr agree.
+    for lam in ("0", "1", "2", "1,1", "2,1", "1,1,1", "3,1"):
+        for n in "123":
+            argv = ("schur", "--lambda", lam, "--n", n, *shifted, "--y", window, "--method")
+            jt, ratio = (invoke(capsys, *argv, method) for method in ("jacobi-trudi", "det-ratio"))
+            assert jt == ratio, (lam, n)
+
+
 _NO_TAIL = "circle:d=0,window=-4:3,1,4,1,5,9,2,6,5"
 
 
@@ -692,8 +714,8 @@ _NO_TAIL = "circle:d=0,window=-4:3,1,4,1,5,9,2,6,5"
 )
 def test_tall_partition_in_window_without_tail(capsys, argv, code, out, err):
     # A tall partition is built from its conjugate's e determinant, which
-    # reads other y_k than the h determinant; the bytes and the error line
-    # are those of the h determinant.
+    # reads other y_k than the h determinant; the bytes are those of the h
+    # determinant, and the error line names the highest index the value reads.
     if "--y" not in argv:
         argv = [*argv, "--y", _NO_TAIL]
     assert invoke(capsys, *argv) == (code, out, err)

@@ -40,7 +40,9 @@ from shiftedschur import (  # noqa: E402
     y,
 )
 from shiftedschur.structconst import (  # noqa: E402
+    TABLE_METHODS,
     _candidates,
+    compute_expansion,
     multiply_schubert,
     structure_constants_via_localization,
 )
@@ -90,9 +92,8 @@ def _symbolic_product(lam: Partition, mu: Partition, n: int, stable: bool) -> di
     st.integers(0, 1),
 )
 def test_affine_expansion_specializes_the_symbolic_one(lam, mu, a, b, stable, extra):
-    # The affine engine expands over the integers with y scaled by the lcm
-    # of the denominators; the result must be the symbolic expansion with
-    # y_j -> a*j + b put into each coefficient.
+    # The affine engine expands over the rationals; the result must be the
+    # symbolic expansion with y_j -> a*j + b put into each coefficient.
     n = (len(lam) + len(mu) + 1 if stable else max(len(lam), len(mu), 1)) + extra
     spec = YSpec.affine(a, b)
     exp = multiply_schubert(lam, mu, n, spec, stable=stable)
@@ -101,6 +102,25 @@ def test_affine_expansion_specializes_the_symbolic_one(lam, mu, a, b, stable, ex
     }
     assert exp.yspec == spec and exp.n == n
     assert exp.coefficients == {nu: c for nu, c in expected.items() if c}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(SMALL),
+    st.sampled_from(SMALL),
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=7)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.booleans(),
+)
+def test_every_method_answers_affine_as_the_direct_expansion(lam, mu, a, b, stable):
+    # compute_expansion puts u = a into the standard:d=0 coefficients of each
+    # method; multiply_schubert called directly puts y_j -> a*j + b into the
+    # factors and expands their product over the rationals.
+    n = len(lam) + len(mu) + 1 if stable else max(len(lam), len(mu), 1)
+    spec = YSpec.affine(a, b)
+    direct = multiply_schubert(lam, mu, n, spec, stable=stable)
+    for method in TABLE_METHODS:
+        assert compute_expansion(lam, mu, n, spec, method, stable) == direct, method
 
 
 # ---- value records and text forms -------------------------------------------------

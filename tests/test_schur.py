@@ -361,7 +361,7 @@ def test_window_without_tail_specializes_the_value():
 
 def test_window_without_tail_names_the_top_missing_index():
     # The chain over the variables is filled from below, but the missing
-    # index reported is the one the top-down recursion meets first.
+    # index reported is the highest one that the value reads.
     spec = YSpec.circle(IntSeqWindow(lo=0, values=(1, 2), tail=None), d=0)
     for lam, n, index in ((P([1]), 4, 4), (P([3]), 3, 5), (P([2, 1]), 4, 5)):
         with pytest.raises(UnresolvableIndexError, match=f"index {index} "):
