@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 mathematical domain error,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 
@@ -41,6 +42,10 @@ from .structconst import (
     table_to_latex,
     table_to_text,
 )
+
+# The start-up heap lives until exit: frozen, no later collection traces it
+# (those at exit included), and no forked child's copies its pages.
+gc.freeze()
 
 
 def parse_yspec(text: str) -> YSpec:
@@ -101,8 +106,10 @@ def _parse_circle(rest: str) -> YSpec:
     opts = _parse_options(tokens, ("d", "window", "tail"))
     tail = None
     if "tail" in opts:
-        a, b = opts["tail"].split(",")
-        tail = (int(a), int(b))
+        values = opts["tail"].split(",")
+        if len(values) != 2:
+            raise ValueError(f"expected tail=<a>,<b>, got 'tail={opts['tail']}'")
+        tail = tuple(map(int, values))
     lo, values = 0, ()
     if "window" in opts:
         j0_text, _, values_text = opts["window"].partition(":")

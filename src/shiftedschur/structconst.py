@@ -287,8 +287,9 @@ def compute_expansion(
     lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True
 ) -> SchurExpansion:
     """Dispatch a product expansion to one of the three algorithms: under
-    affine through the standard action at u = a (_standard_at), under any
-    other yspec directly, or symbolically and specialized (YSpec.evaluate)."""
+    affine, and molev under zero, through the standard action at u = a
+    (_standard_at), under any other yspec directly, or symbolically and
+    specialized (YSpec.evaluate)."""
     engine = {
         "expand": multiply_schubert,
         "localize": structure_constants_via_localization,
@@ -296,7 +297,7 @@ def compute_expansion(
     }.get(method)
     if engine is None:
         raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
-    if yspec.kind == "affine":
+    if yspec.kind == "affine" or (yspec.kind == "zero" and method == "molev"):
         return _standard_at(engine, lam, mu, n, yspec, yspec.a, stable)
     return yspec.evaluate(lambda spec: engine(lam, mu, n, spec, stable))
 

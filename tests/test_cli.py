@@ -64,6 +64,15 @@ def test_yspec_key_without_value_is_usage_error(capsys):
     )
 
 
+@pytest.mark.parametrize("tail", ["1", "1,2,3"])
+def test_circle_tail_needs_two_values(capsys, tail):
+    spec = f"circle:window=0:1;tail={tail}"
+    argv = ("multiply", "--lambda", "1", "--mu", "1", "--n", "3", "--y", spec)
+    assert invoke(capsys, *argv) == (
+        1, "", f"usage error: malformed yspec {spec!r}: expected tail=<a>,<b>, got 'tail={tail}'\n"
+    )
+
+
 # ---- commands -------------------------------------------------------------------
 
 
@@ -867,6 +876,23 @@ def test_cold_start_imports_only_the_product_modules():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\nTrue\n"
     assert proc.stderr == ""
+
+
+# The CLI freezes the start-up heap once, at import; the library leaves the
+# collector alone, and it stays enabled for what a verb allocates.
+_FREEZE_PROBE = """\
+import gc
+import shiftedschur
+library_frozen = gc.get_freeze_count()
+tracked = len(gc.get_objects())
+import shiftedschur.cli
+print(library_frozen, gc.get_freeze_count() >= tracked, gc.isenabled())
+"""
+
+
+def test_cli_import_freezes_the_start_up_heap():
+    proc = _run([sys.executable, "-c", _FREEZE_PROBE])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 True True\n", "")
 
 
 # A parallel table forks its workers with os.fork: it loads no pool module.

@@ -363,17 +363,19 @@ def test_zero_expansion_renders_as_zero():
 
 
 def test_table_molev_method_matches_expand():
-    rows_e = multiplication_table(2, 5, STD0, method="expand")
-    rows_m = multiplication_table(2, 5, STD0, method="molev")
-    assert len(rows_e) == len(rows_m)
-    for (l1, m1, e1), (l2, m2, e2) in zip(rows_e, rows_m):
-        assert (l1, m1) == (l2, m2)
-        assert e1.coefficients == e2.coefficients
+    # Under zero, molev answers through the standard action at u = 0.
+    for spec in (STD0, ZSPEC):
+        rows_e = multiplication_table(2, 5, spec, method="expand")
+        rows_m = multiplication_table(2, 5, spec, method="molev")
+        assert len(rows_e) == len(rows_m)
+        for (l1, m1, e1), (l2, m2, e2) in zip(rows_e, rows_m):
+            assert (l1, m1) == (l2, m2)
+            assert e1.coefficients == e2.coefficients
 
 
 def test_molev_method_requires_standard():
     with pytest.raises(DomainError):
-        compute_expansion(P([1]), P([1]), 3, ZSPEC, method="molev")
+        compute_expansion(P([1]), P([1]), 3, SYM, method="molev")
 
 
 @pytest.mark.parametrize("method", ["expand", "localize", "molev"])
