@@ -744,7 +744,7 @@ class YSpec(
             return const(self.a * j + self.b)
         if self.kind in ("standard", "circle"):
             k = j + self.d if self.kind == "standard" else self.window.lookup(j + self.d)
-            # k*u as one term, without a product: every table cell asks for y values.
+            # k*u as one term, without a product.
             return Poly._raw(dict.fromkeys(u._terms, k) if k else {})
         if self.kind == "torus":
             return useq(j + self.shift)

@@ -11,7 +11,7 @@ stable under adding variables.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import DomainError, RankTooSmallError
 from .partitions import Partition
@@ -94,15 +94,18 @@ def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
 
 
 @lru_cache(maxsize=1 << 15)
-def _jacobi_trudi(lam: Partition, point: tuple, shift: int, yspec: YSpec) -> Poly:
-    # The n x n matrix det[h_{lam_i-i+j}(x | tau^{shift+j-1} y)] has unit
-    # rows below l(lam), so it collapses to its top-left l(lam) x l(lam)
-    # block; the dual det[e_{lam'_i-i+j}(x | tau^{shift-j+1} y)] collapses
-    # to lam_1 x lam_1, and the smaller one is built.  Both read y_k up to
-    # k = n+lam_1-1-shift, the h side down to 2-shift-l(lam), the e side to
-    # 1-shift.  The zero rule cannot see a column's shift: one table serves.
+def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec: YSpec) -> Poly:
+    # At x_i = base_i + y_{labels_i}, or base_i without labels: the key holds
+    # no point, so a restriction builds its point once per miss.  The n x n
+    # matrix det[h_{lam_i-i+j}(x | tau^{shift+j-1} y)] has unit rows below
+    # l(lam), so it collapses to its top-left l(lam) x l(lam) block; the dual
+    # det[e_{lam'_i-i+j}(x | tau^{shift-j+1} y)] collapses to lam_1 x lam_1,
+    # and the smaller one is built.  Both read y_k up to k = n+lam_1-1-shift,
+    # the h side down to 2-shift-l(lam), the e side to 1-shift.  The zero
+    # rule cannot see a column's shift: one table serves.
     if not lam:
         return ONE
+    point = tuple(b + yspec.value(j) for b, j in zip(base, labels)) if labels else base
     n, r = len(point), len(lam)
     hi = n + lam.part(1) - 1 - shift
     if lam.part(1) >= r:
@@ -165,7 +168,7 @@ def double_schur(
     lam = Partition(lam)
     _check_args("double_schur", lam, n, method)
     if method == "jacobi_trudi":
-        return yspec.evaluate(lambda spec: _jacobi_trudi(lam, _xs(n), 0, spec))
+        return yspec.evaluate(partial(_jacobi_trudi, lam, _xs(n), (), 0))
     return _det_ratio(lam, n).specialize_y(yspec)
 
 
@@ -175,14 +178,9 @@ def _shifted_at(lam: Partition, yspec: YSpec, base, labels=()) -> Poly:
     # padded with base_i = 0, labels_i = -i up to the rank max(len(base),
     # len(labels), l(lam), 1), which gives the value at every larger rank.
     n = max(len(base), len(labels), len(lam), 1)
-    base = list(base) + [0] * (n - len(base))
-    labels = list(labels) + list(range(-len(labels) - 1, -n - 1, -1))
-
-    def value(spec: YSpec) -> Poly:
-        point = tuple(b + spec.value(j) for b, j in zip(base, labels))
-        return _jacobi_trudi(lam, point, n + 1, spec)
-
-    return yspec.evaluate(value)
+    base = tuple(base) + (0,) * (n - len(base))
+    labels = tuple(labels) + tuple(range(-len(labels) - 1, -n - 1, -1))
+    return yspec.evaluate(partial(_jacobi_trudi, lam, base, labels, n + 1))
 
 
 def shifted_double_schur(

@@ -48,8 +48,6 @@ from .polyring import (
 )
 from .schur import restrict_to_fixed_point, shifted_double_schur
 
-TABLE_METHODS = ("expand", "localize", "molev")
-
 
 class SchurExpansion:
     """An expansion sum_nu C_nu(y) * s*_nu(x|y) at rank n under a yspec.
@@ -143,9 +141,10 @@ def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurEx
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 
-def _check_rank(lam: Partition, mu: Partition, n: int, stable: bool, engine: str) -> None:
-    """The rank guard every engine applies: n >= max length, and under the
-    stable reading n > l(lam)+l(mu)."""
+def _check_rank(lam, mu, n: int, stable: bool, engine: str) -> tuple[Partition, Partition]:
+    """The rank guard every engine applies to lam and mu, returned as
+    partitions: n >= max length, and under the stable reading n > l(lam)+l(mu)."""
+    lam, mu = Partition(lam), Partition(mu)
     if n < max(len(lam), len(mu)):
         raise RankTooSmallError(f"need n >= max length, got n = {n}")
     if stable and n <= len(lam) + len(mu):
@@ -153,6 +152,7 @@ def _check_rank(lam: Partition, mu: Partition, n: int, stable: bool, engine: str
             f"{engine} uses the stable reading; need n > l(lam)+l(mu) = "
             f"{len(lam) + len(mu)}, got n = {n}"
         )
+    return lam, mu
 
 
 def _union(lam: Partition, mu: Partition) -> Partition:
@@ -183,9 +183,7 @@ def multiply_schubert(
     the product is built and expanded at n0 = max(min(n, l(lam)+l(mu)), 1),
     and the expansion reports the caller's n.
     """
-    lam = Partition(lam)
-    mu = Partition(mu)
-    _check_rank(lam, mu, n, stable, "expansion")
+    lam, mu = _check_rank(lam, mu, n, stable, "expansion")
     n0 = max(min(n, len(lam) + len(mu)), 1)
     product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
     coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients
@@ -234,9 +232,7 @@ def structure_constants_via_localization(
     under zero the coefficients are the standard ones at u = 0, and under
     any other spec the symbolic ones, specialized.
     """
-    lam = Partition(lam)
-    mu = Partition(mu)
-    _check_rank(lam, mu, n, stable, "localization")
+    lam, mu = _check_rank(lam, mu, n, stable, "localization")
     solved: dict[Partition, Poly] = {}
     for delta in _candidates(lam, mu, n):
         diag = restrict_to_fixed_point(delta, delta, n, yspec)
@@ -264,9 +260,7 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpans
             "the hook-function formula applies to the standard action only; "
             f"got yspec kind {yspec.kind!r}"
         )
-    lam = Partition(lam)
-    mu = Partition(mu)
-    _check_rank(lam, mu, n, stable, "the hook-function formula")
+    lam, mu = _check_rank(lam, mu, n, stable, "the hook-function formula")
     coeffs: dict[Partition, Poly] = {}
     for nu in _candidates(lam, mu, n):
         c = molev_coefficient(lam, mu, nu)
@@ -283,6 +277,14 @@ def _standard_at(engine, lam, mu, n: int, yspec: YSpec, a, stable: bool) -> Schu
     return SchurExpansion(n, yspec, {nu: c.substitute({u: a}) for nu, c in standard.items()})
 
 
+_ENGINES = {
+    "expand": multiply_schubert,
+    "localize": structure_constants_via_localization,
+    "molev": _molev_expansion,
+}
+TABLE_METHODS = tuple(_ENGINES)
+
+
 def compute_expansion(
     lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True
 ) -> SchurExpansion:
@@ -290,11 +292,7 @@ def compute_expansion(
     affine, and molev under zero, through the standard action at u = a
     (_standard_at), under any other yspec directly, or symbolically and
     specialized (YSpec.evaluate)."""
-    engine = {
-        "expand": multiply_schubert,
-        "localize": structure_constants_via_localization,
-        "molev": _molev_expansion,
-    }.get(method)
+    engine = _ENGINES.get(method)
     if engine is None:
         raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
     if yspec.kind == "affine" or (yspec.kind == "zero" and method == "molev"):

@@ -250,9 +250,9 @@ def test_restriction_builds_at_the_stable_rank(monkeypatch):
     lengths = []
     jacobi_trudi = schur._jacobi_trudi
 
-    def recording(lam, point, shift, spec):
-        lengths.append(len(point))
-        return jacobi_trudi(lam, point, shift, spec)
+    def recording(lam, base, labels, shift, spec):
+        lengths.append(len(base))
+        return jacobi_trudi(lam, base, labels, shift, spec)
 
     monkeypatch.setattr(schur, "_jacobi_trudi", recording)
     cases = (((1,), (2, 1), 2), ((2, 2), (1,), 2), ((), (), 1), ((1, 1, 1), (3,), 3))
@@ -260,6 +260,24 @@ def test_restriction_builds_at_the_stable_rank(monkeypatch):
         lengths.clear()
         restrict_to_fixed_point(P(lam), P(delta), 9)
         assert lengths == [rank], (lam, delta)
+
+
+def test_repeated_restriction_asks_the_spec_for_nothing(monkeypatch):
+    # The memo is keyed by the labels of the fixed point, not by its value,
+    # so a repeated restriction builds no point.
+    calls = []
+    value = YSpec.value
+
+    def recording(spec, j):
+        calls.append(j)
+        return value(spec, j)
+
+    monkeypatch.setattr(YSpec, "value", recording)
+    lam, delta, spec = P((3, 1)), P((4, 2, 1)), YSpec.standard(2)
+    first = restrict_to_fixed_point(lam, delta, 5, spec)
+    calls.clear()
+    assert restrict_to_fixed_point(lam, delta, 5, spec) == first
+    assert calls == []
 
 
 def test_jacobi_trudi_memo_is_bounded():
@@ -429,7 +447,7 @@ def test_e_and_h_determinants_agree():
                     case = (lam, n, shift, spec.kind)
                     assert _route_det("e", lam, point, shift, spec) == h, case
                     # Uncached, so that the values do not stay in the memo.
-                    assert schur._jacobi_trudi.__wrapped__(lam, point, shift, spec) == h, case
+                    assert schur._jacobi_trudi.__wrapped__(lam, point, (), shift, spec) == h, case
 
 
 def test_tall_partition_builds_the_smaller_determinant(monkeypatch):
