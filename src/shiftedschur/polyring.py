@@ -750,14 +750,6 @@ class YSpec(
             return useq(j + self.shift)
         raise DomainError(f"unknown yspec kind {self.kind!r}")
 
-    def evaluate(self, compute):
-        """compute(self), or, where that reads a y_j a window without a tail
-        rule lacks, compute(SYMBOLIC) specialized: only the y_j left need one."""
-        try:
-            return compute(self)
-        except UnresolvableIndexError:
-            return compute(SYMBOLIC).specialize_y(self)
-
     def to_json_obj(self) -> dict:
         obj: dict = {"kind": self.kind}
         if self.kind == "affine":

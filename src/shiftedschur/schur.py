@@ -11,9 +11,9 @@ stable under adding variables.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .errors import DomainError, RankTooSmallError
+from .errors import DomainError, RankTooSmallError, UnresolvableIndexError
 from .partitions import Partition
 from .polyring import (
     ONE,
@@ -102,25 +102,26 @@ def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec:
     # det[e_{lam'_i-i+j}(x | tau^{shift-j+1} y)] collapses to lam_1 x lam_1,
     # and the smaller one is built.  Both read y_k up to k = n+lam_1-1-shift,
     # the h side down to 2-shift-l(lam), the e side to 1-shift.  The zero
-    # rule cannot see a column's shift: one table serves.
+    # rule cannot see a column's shift: one table serves.  Where a window
+    # without a tail rule lacks one, this key keeps the symbolic value, specialized.
     if not lam:
         return ONE
-    point = tuple(b + yspec.value(j) for b, j in zip(base, labels)) if labels else base
-    n, r = len(point), len(lam)
-    hi = n + lam.part(1) - 1 - shift
-    if lam.part(1) >= r:
-        family, step, lo = "h", 1, 2 - shift - r
-    else:
-        family, step, lo = "e", -1, 1 - shift
-        lam = Partition(sum(1 for q in lam if q >= i) for i in range(1, lam.part(1) + 1))
-        r = len(lam)
-    top = lam.part(1) + r - 1
-    if yspec.kind == "zero":
-        columns = [_column(family, top, 0, yspec.value, point)] * r
-    else:
+    n, r = len(base), len(lam)
+    family, step, lo = ("h", 1, 2 - shift - r) if lam.part(1) >= r else ("e", -1, 1 - shift)
+    try:
+        point = tuple(b + yspec.value(j) for b, j in zip(base, labels)) if labels else base
         # Asked for bottom up: new y get registry slots in ascending index order,
         # so the cells filled first, holding only low-index y, stay short ints.
-        y_at = {k: yspec.value(k) for k in range(lo, hi + 1)}.__getitem__
+        ys = range(lo, n + lam.part(1) - shift)
+        y_at = yspec.value if yspec.kind == "zero" else {k: yspec.value(k) for k in ys}.__getitem__
+    except UnresolvableIndexError:  # the key's lam, before the e side conjugates it
+        return _jacobi_trudi(lam, base, labels, shift, SYMBOLIC).specialize_y(yspec)
+    if step < 0:
+        lam = Partition(sum(1 for q in lam if q >= i) for i in range(1, lam.part(1) + 1))
+        r = len(lam)
+    if yspec.kind == "zero":
+        columns = [_column(family, lam.part(1) + r - 1, 0, y_at, point)] * r
+    else:
         columns = [
             _column(family, lam.part(1) + j - 1, shift + step * (j - 1), y_at, point)
             for j in range(1, r + 1)
@@ -168,7 +169,7 @@ def double_schur(
     lam = Partition(lam)
     _check_args("double_schur", lam, n, method)
     if method == "jacobi_trudi":
-        return yspec.evaluate(partial(_jacobi_trudi, lam, _xs(n), (), 0))
+        return _jacobi_trudi(lam, _xs(n), (), 0, yspec)
     return _det_ratio(lam, n).specialize_y(yspec)
 
 
@@ -180,7 +181,7 @@ def _shifted_at(lam: Partition, yspec: YSpec, base, labels=()) -> Poly:
     n = max(len(base), len(labels), len(lam), 1)
     base = tuple(base) + (0,) * (n - len(base))
     labels = tuple(labels) + tuple(range(-len(labels) - 1, -n - 1, -1))
-    return yspec.evaluate(partial(_jacobi_trudi, lam, base, labels, n + 1))
+    return _jacobi_trudi(lam, base, labels, n + 1, yspec)
 
 
 def shifted_double_schur(

@@ -17,7 +17,9 @@ import json
 import os
 from fractions import Fraction
 
-from .errors import AsymmetricInputError, DomainError, RankTooSmallError
+from .errors import (
+    AsymmetricInputError, DomainError, RankTooSmallError, UnresolvableIndexError
+)
 from .partitions import (
     Partition,
     SkewShape,
@@ -226,21 +228,16 @@ def structure_constants_via_localization(
     admits any rank >= max length, as multiply_schubert does.
 
     A candidate's restriction to its own fixed point is a product of
-    differences y_a - y_b, which vanishes when the yspec equates two of
-    them.  Each coefficient is a polynomial in such differences (Molev-Sagan),
-    so the pair is then solved under a yspec whose diagonals do not vanish:
-    under zero the coefficients are the standard ones at u = 0, and under
-    any other spec the symbolic ones, specialized.
+    differences y_a - y_b, which vanishes when the yspec equates two of them:
+    zero, an all-equal affine spec or a repeating window.  _indirect then
+    solves the pair, the first two at standard:d=0, the last symbolically.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "localization")
     solved: dict[Partition, Poly] = {}
     for delta in _candidates(lam, mu, n):
         diag = restrict_to_fixed_point(delta, delta, n, yspec)
         if not diag:
-            engine = structure_constants_via_localization
-            if yspec.kind == "zero":
-                return _standard_at(engine, lam, mu, n, yspec, 0, stable)
-            return engine(lam, mu, n, SYMBOLIC, stable).specialize_y(yspec)
+            return _indirect(structure_constants_via_localization, lam, mu, n, yspec, stable)
         lhs = restrict_to_fixed_point(lam, delta, n, yspec) * restrict_to_fixed_point(
             mu, delta, n, yspec
         )
@@ -269,12 +266,15 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpans
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 
-def _standard_at(engine, lam, mu, n: int, yspec: YSpec, a, stable: bool) -> SchurExpansion:
-    """The engine's expansion under standard:d=0 with u = a, reported under
-    yspec.  Each coefficient is a polynomial in the differences y_i - y_j
-    (Molev-Sagan), which are (i-j)*a under any yspec of constant step a."""
-    standard = engine(lam, mu, n, YSpec.standard(0), stable)
-    return SchurExpansion(n, yspec, {nu: c.substitute({u: a}) for nu, c in standard.items()})
+def _indirect(engine, lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpansion:
+    """The engine's expansion under a yspec that it cannot apply directly.  Each
+    coefficient is a polynomial in the differences y_i - y_j (Molev-Sagan),
+    which are (i-j)*a under zero and affine: there it is the coefficient under
+    standard:d=0 at u = a; under any other yspec the symbolic one, specialized."""
+    if yspec.kind not in ("zero", "affine"):
+        return engine(lam, mu, n, SYMBOLIC, stable).specialize_y(yspec)
+    standard = engine(lam, mu, n, YSpec.standard(0), stable).items()
+    return SchurExpansion(n, yspec, {nu: c.substitute({u: yspec.a}) for nu, c in standard})
 
 
 _ENGINES = {
@@ -288,16 +288,18 @@ TABLE_METHODS = tuple(_ENGINES)
 def compute_expansion(
     lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True
 ) -> SchurExpansion:
-    """Dispatch a product expansion to one of the three algorithms: under
-    affine, and molev under zero, through the standard action at u = a
-    (_standard_at), under any other yspec directly, or symbolically and
-    specialized (YSpec.evaluate)."""
+    """Dispatch a product expansion to one of the three algorithms: through
+    _indirect under affine, and molev under zero, or where the expansion
+    reads a y_j that a window without a tail rule lacks; else directly."""
     engine = _ENGINES.get(method)
     if engine is None:
         raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
     if yspec.kind == "affine" or (yspec.kind == "zero" and method == "molev"):
-        return _standard_at(engine, lam, mu, n, yspec, yspec.a, stable)
-    return yspec.evaluate(lambda spec: engine(lam, mu, n, spec, stable))
+        return _indirect(engine, lam, mu, n, yspec, stable)
+    try:
+        return engine(lam, mu, n, yspec, stable)
+    except UnresolvableIndexError:
+        return _indirect(engine, lam, mu, n, yspec, stable)
 
 
 def multiplication_table(

@@ -769,6 +769,32 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert err == "internal inconsistency: the primitivity suite failed\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_reports_the_first_failing_case(monkeypatch, capsys, fmt):
+    # A suite checked case by case stops at the first case that fails and
+    # reports it; here the determinant ratio is made wrong at one lambda.
+    from shiftedschur import cli
+
+    real = cli.double_schur
+
+    def wrong_at_1_1(lam, n, yspec=YSpec.symbolic(), method="jacobi_trudi"):
+        value = real(lam, n, yspec, method)
+        return value + 1 if method == "det_ratio" and tuple(lam) == (1, 1) else value
+
+    monkeypatch.setattr(cli, "double_schur", wrong_at_1_1)
+    code, out, err = invoke(
+        capsys, "verify", "--suite", "jacobi-trudi", "--max-weight", "2", "--n", "2",
+        "--format", fmt,
+    )
+    line = "FAIL at lambda=(1, 1), n=2"
+    if fmt == "json":
+        assert json.loads(out) == {"suite": "jacobi-trudi", "passed": False, "lines": [line]}
+    else:
+        assert out == line + "\n"
+    assert err == "internal inconsistency: the jacobi-trudi suite failed\n"
+    assert code == 3
+
+
 def test_every_verb_has_a_handler():
     parser = build_parser()
     (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

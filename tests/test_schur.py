@@ -386,6 +386,19 @@ def test_window_without_tail_names_the_top_missing_index():
             double_schur(lam, n, spec)
 
 
+def test_window_fallback_is_memoized():
+    # The window covers the y_k the value reads (-2, -1, 0 and 2) but not
+    # every index the y table asks for.  The memo keeps the value found
+    # symbolically under the window's own key, so a repeat misses nothing.
+    spec = YSpec.circle(IntSeqWindow(lo=-2, values=(1, 2, 3, 4, 5), tail=None), d=0)
+    schur._jacobi_trudi.cache_clear()
+    misses = []
+    for _ in range(3):
+        assert restrict_to_fixed_point(P([2, 1]), P([3, 2]), 4, spec) == 24 * u**3
+        misses.append(schur._jacobi_trudi.cache_info().misses)
+    assert misses[1:] == misses[:1] * 2
+
+
 # ---- the two Jacobi-Trudi determinants ------------------------------------------------
 
 ROUTE_SPECS = (

@@ -270,6 +270,24 @@ def test_localization_rejects_degenerate():
             )
 
 
+def test_all_equal_affine_localizes_at_the_standard_action(monkeypatch):
+    # Every diagonal vanishes under affine(0, 5/7).  The pair is then solved
+    # under standard:d=0 at u = 0, the constant step, not symbolically.
+    import shiftedschur.structconst as sc
+
+    restrict, kinds = sc.restrict_to_fixed_point, set()
+
+    def recording(lam, delta, n, yspec=SYM):
+        kinds.add(yspec.kind)
+        return restrict(lam, delta, n, yspec)
+
+    monkeypatch.setattr(sc, "restrict_to_fixed_point", recording)
+    spec = YSpec.affine(0, Fraction(5, 7))
+    exp = structure_constants_via_localization(P([2, 1]), P([1]), 5, spec)
+    assert "standard" in kinds and "symbolic" not in kinds
+    assert exp == multiply_schubert(P([2, 1]), P([1]), 5, spec)
+
+
 @pytest.mark.parametrize("spec", [YSpec.affine(1, 0), YSpec.affine(Fraction(1, 2), Fraction(1, 3))])
 @pytest.mark.parametrize("lam, mu", [((1,), (1,)), ((2, 1), (1,)), ((2,), (1, 1))])
 def test_localization_under_affine_with_nonzero_slope(spec, lam, mu):
