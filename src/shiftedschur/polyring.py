@@ -133,12 +133,13 @@ def _decode(m: int) -> tuple:
 
 
 # One product may multiply at most this many pairs of terms; a larger one
-# is refused (DomainError) before it starts.  The largest products of the
-# inputs that complete are far below it: schur --lambda 3,3,3 --n 6 has
-# 12,422,592 pairs (232 MB peak on an x86-64 host), while --n 9 asks for
-# 155,358,720 and grew past 960 MB.  The limit bounds one product, not a whole computation:
-# schur --lambda 3,2,1 --n 6 --method det-ratio stays under it and still
-# peaks near 1.6 GB.
+# is refused (DomainError) before it starts.  This holds for each group's
+# product in Poly.substitute too, though no test or reference comes near it
+# there.  The largest products of the inputs that complete are far below it:
+# schur --lambda 3,3,3 --n 6 has 12,422,592 pairs (232 MB peak on an x86-64
+# host), while --n 9 asks for 155,358,720 and grew past 960 MB.  The limit
+# bounds one product, not a whole computation: schur --lambda 3,2,1 --n 6
+# --method det-ratio stays under it and still peaks near 1.6 GB.
 MAX_PRODUCT_PAIRS = 50_000_000
 
 
@@ -171,13 +172,14 @@ def _mono_sort_key(m: int):
     return _flat_sort_key(_decode(m))
 
 
-def _x_split(terms: dict) -> dict[int, dict]:
-    """Group packed terms by x part: {x part: {non-x part: coefficient}}."""
+def _group(terms: dict, mask: int) -> dict[int, dict]:
+    """Packed terms grouped as {part: {rest: coefficient}}, part = m & mask and
+    rest = m - part: the peel groups by x part, exact division by the field
+    of one variable and substitution by the fields it replaces."""
     groups: dict[int, dict] = {}
-    mask = _X_MASK
     for m, c in terms.items():
-        xm = m & mask
-        groups.setdefault(xm, {})[m ^ xm] = c
+        part = m & mask
+        groups.setdefault(part, {})[m ^ part] = c
     return groups
 
 
@@ -271,7 +273,7 @@ class Poly:
         return max((_mono_degree(m & _X_MASK) for m in self._terms), default=-1)
 
     def variables(self) -> set[int]:
-        return {_code_of[s] for m in self._terms for s, _ in _fields(m)}
+        return {_code_of[s] for s, _ in _fields(reduce(or_, self._terms, 0))}
 
     def y_indices(self) -> set[int]:
         return {var_index(c) for c in self.variables() if var_family(c) == FAMILY_Y}
@@ -394,9 +396,10 @@ class Poly:
     def substitute(self, assignment: Mapping["Poly", object]) -> "Poly":
         """Simultaneous substitution; keys are single-variable polynomials.
 
-        One pass over the terms; the power of each substituted value is
-        computed once per (slot, exponent).  A one-term power is folded into
-        the packed monomial and the coefficient, a longer one multiplied in.
+        The terms are grouped by their substituted part, and each group (its
+        terms with that part removed) is multiplied by the part's image, the
+        product of the values' powers, each computed once per (slot, exponent).
+        The products are summed: groups whose images meet add up or cancel.
         """
         table = {
             _single_variable_slot(key): value if isinstance(value, Poly) else const(value)
@@ -404,36 +407,16 @@ class Poly:
         }
         if not table:
             return self
-        mask = sum(_FIELD << (_W * s) for s in table)
-        # (slot, exponent) -> (monomial, coefficient) for a one-term power,
-        # else the power itself (ZERO included).
-        powers: dict[tuple[int, int], object] = {}
+        powers: dict[tuple[int, int], Poly] = {}
         acc: dict = {}
-        for m, c in self._terms.items():
-            hits = m & mask
-            mono = m ^ hits
-            rest = None  # the product of the multi-term powers
-            for s, e in _fields(hits):
-                pw = powers.get((s, e))
-                if pw is None:
-                    pw = table[s] ** e
-                    if len(pw._terms) == 1:
-                        (pw,) = pw._terms.items()
-                    powers[(s, e)] = pw
-                if pw.__class__ is tuple:
-                    # Two valid monomials: an overflow sets a guard bit and
-                    # carries no further.
-                    mono += pw[0]
-                    if mono & _GUARD:
-                        raise _overflow()
-                    c = c * pw[1]
-                else:
-                    rest = pw if rest is None else rest * pw
-            if rest is None:
-                acc[mono] = acc.get(mono, 0) + c
-            else:
-                for mm, cc in (Poly._raw({mono: c}) * rest)._terms.items():
-                    acc[mm] = acc.get(mm, 0) + cc
+        for part, rest in _group(self._terms, sum(_FIELD << (_W * s) for s in table)).items():
+            image = ONE
+            for s, e in _fields(part):
+                if (s, e) not in powers:
+                    powers[s, e] = table[s] ** e
+                image = image * powers[s, e]
+            for m, c in (Poly._raw(rest) * image)._terms.items():
+                acc[m] = acc.get(m, 0) + c
         return Poly._raw({m: _int_if_integral(c) for m, c in acc.items() if c})
 
     def specialize_y(self, spec: "YSpec") -> "Poly":
@@ -573,21 +556,13 @@ def _latex_coeff(c) -> str:
 # -- division -------------------------------------------------------------------
 
 
-def _split(p: Poly, shift: int) -> dict[int, Poly]:
-    """p's coefficients in the variable whose field starts at bit `shift`."""
-    by_power: dict[int, dict] = {}
-    for m, c in p._terms.items():
-        e = (m >> shift) & _FIELD
-        by_power.setdefault(e, {})[m - (e << shift)] = c
-    return {e: Poly._raw(t) for e, t in by_power.items()}
-
-
 def divide_exact(p: Poly, q: Poly) -> Poly:
     """Exact division p / q; raises InexactDivisionError if q does not divide p.
 
     Long division in v, the variable of q with the lowest slot: each
     coefficient of the quotient in v is an exact division by q's leading
-    coefficient in v, a polynomial in one variable fewer.
+    coefficient in v, a polynomial in one variable fewer.  Powers of v
+    are kept as packed monomials v^k, so one step in k adds 1 << shift.
     """
     if not q:
         raise DomainError("division by the zero polynomial")
@@ -595,18 +570,19 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
     if not low:
         return p if q._terms[0] == 1 else p * (1 / Fraction(q._terms[0]))
     shift = _W * (((low & -low).bit_length() - 1) // _W)
-    rem = _split(p, shift)
-    (dq, lead), *lower = sorted(_split(q, shift).items(), reverse=True)
+    field, step = _FIELD << shift, 1 << shift
+    rem = {k: Poly._raw(t) for k, t in _group(p._terms, field).items()}
+    by_power = [(k, Poly._raw(t)) for k, t in _group(q._terms, field).items()]
+    (dq, lead), *lower = sorted(by_power, reverse=True)
     lower = [(e - dq, -t) for e, t in lower]
     quotient: dict = {}
-    for k in range(max(rem, default=dq - 1), dq - 1, -1):
+    for k in range(max(rem, default=dq - step), dq - step, -step):
         top = rem.pop(k, None)
         if not top:
             continue
         c = divide_exact(top, lead)
         # c lacks v, so the terms of different k share no monomial.
-        raise_k = (k - dq) << shift
-        quotient.update((m + raise_k, cc) for m, cc in c._terms.items())
+        quotient.update((m + k - dq, cc) for m, cc in c._terms.items())
         for e, t in lower:
             rem[k + e] = c * t + rem.get(k + e, ZERO)
     if any(rem.values()):

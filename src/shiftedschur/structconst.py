@@ -31,6 +31,7 @@ from .partitions import (
     partitions_between,
     partitions_up_to,
 )
+from . import polyring
 from .polyring import (
     FAMILY_X,
     SYMBOLIC,
@@ -39,8 +40,8 @@ from .polyring import (
     YSpec,
     _decode,
     _encode,
+    _group,
     _mono_sort_key,
-    _x_split,
     canonical_string,
     const,
     divide_exact,
@@ -118,7 +119,8 @@ def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurEx
     x^nu term of what is left.
     """
     coeffs: dict[Partition, Poly] = {}
-    parts = _x_split(p._terms)
+    # The x mask grows as x slots register, so it is read here, not imported.
+    parts = _group(p._terms, polyring._X_MASK)
     for nu in (nu for w in range(p.x_degree(), -1, -1) for nu in _partitions_of(w, (), (w,) * n)):
         if not parts:
             break
@@ -127,7 +129,7 @@ def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurEx
             nu = Partition(nu)
             coeffs[nu] = c = Poly._raw(rests)
             p = p - c * shifted_double_schur(nu, n, yspec)
-            parts = _x_split(p._terms)
+            parts = _group(p._terms, polyring._X_MASK)
     if parts:
         # What is left comes after every partition of length <= n in the peel
         # order, so its leading x-monomial is too long or not a partition.

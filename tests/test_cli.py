@@ -299,6 +299,14 @@ def test_jobs_byte_identical(tmp_path, capsys):
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_runs_serially(capsys, jobs):
+    table = ("table", "--max-weight", "1", "--n", "3")
+    serial = invoke(capsys, *table, "--jobs", "1")
+    assert serial[0] == 0
+    assert invoke(capsys, *table, "--jobs", jobs) == serial
+
+
 def test_jobs_same_error(capsys, monkeypatch):
     # Each share stops at its first error and the lowest pair index wins, so
     # --jobs 2 reports the pair a serial run fails on, not the heaviest one.

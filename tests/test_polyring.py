@@ -164,6 +164,17 @@ def test_substitute_general_values():
     assert out == (x(2) + 1) ** 2 * u - 3 * x(2)
 
 
+def test_substitute_adds_groups_with_the_same_image():
+    # x1*y1 and x1*y2 fall in different groups whose images are both x1*u.
+    diff = (x(1) * y(1) - x(1) * y(2)).substitute({y(1): u, y(2): u})
+    assert diff == ZERO and not diff._terms
+    total = (x(1) * y(1) + x(1) * y(2)).substitute({y(1): u, y(2): u})
+    assert total == 2 * x(1) * u
+    half = total.substitute({u: Fraction(1, 2)})
+    assert half == x(1)
+    assert [type(c) for c in half.terms.values()] == [int]
+
+
 def test_substitute_rejects_non_variable_keys():
     with pytest.raises(DomainError):
         (x(1)).substitute({x(1) + x(2): 0})
@@ -238,6 +249,19 @@ def test_divide_exact():
         divide_exact(x(1) ** 2 + 1, x(1) - y(1))
     with pytest.raises(DomainError):
         divide_exact(x(1), ZERO)
+
+
+def test_divide_exact_in_a_variable_past_slot_zero():
+    # v = y(4001) has a field above bit 0, so each step in its power is
+    # 1 << shift, not 1.
+    low, high = y(4001), y(4002)
+    shift = polyring._W * polyring._slot(var_code(FAMILY_Y, 4001))
+    assert shift > 0 and polyring._slot(var_code(FAMILY_Y, 4002)) * polyring._W > shift
+    quotient = divide_exact(high ** 4 - low ** 4, high - low)
+    assert quotient == high ** 3 + high ** 2 * low + high * low ** 2 + low ** 3
+    assert max(m >> shift & polyring._FIELD for m in quotient._terms) == 3
+    with pytest.raises(InexactDivisionError):
+        divide_exact(high ** 4 - low ** 3, high - low)
 
 
 def test_scalar_products_keep_value_class_and_int_coefficients():
