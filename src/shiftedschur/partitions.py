@@ -40,6 +40,11 @@ class Partition(tuple):
         """The 1-indexed part, 0 beyond the length."""
         return self[i - 1] if 1 <= i <= len(self) else 0
 
+    def conjugate(self) -> "Partition":
+        """The transposed diagram: its part j counts the parts of self that are >= j."""
+        columns = (sum(q >= j for q in self) for j in range(1, self.part(1) + 1))
+        return tuple.__new__(Partition, columns)
+
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
 

@@ -400,6 +400,7 @@ class Poly:
         terms with that part removed) is multiplied by the part's image, the
         product of the values' powers, each computed once per (slot, exponent).
         The products are summed: groups whose images meet add up or cancel.
+        The group without substituted variables is taken as it is.
         """
         table = {
             _single_variable_slot(key): value if isinstance(value, Poly) else const(value)
@@ -410,12 +411,12 @@ class Poly:
         powers: dict[tuple[int, int], Poly] = {}
         acc: dict = {}
         for part, rest in _group(self._terms, sum(_FIELD << (_W * s) for s in table)).items():
-            image = ONE
+            image = None
             for s, e in _fields(part):
                 if (s, e) not in powers:
                     powers[s, e] = table[s] ** e
-                image = image * powers[s, e]
-            for m, c in (Poly._raw(rest) * image)._terms.items():
+                image = powers[s, e] if image is None else image * powers[s, e]
+            for m, c in (rest if image is None else (Poly._raw(rest) * image)._terms).items():
                 acc[m] = acc.get(m, 0) + c
         return Poly._raw({m: _int_if_integral(c) for m, c in acc.items() if c})
 

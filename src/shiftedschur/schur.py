@@ -117,7 +117,7 @@ def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec:
     except UnresolvableIndexError:  # the key's lam, before the e side conjugates it
         return _jacobi_trudi(lam, base, labels, shift, SYMBOLIC).specialize_y(yspec)
     if step < 0:
-        lam = Partition(sum(1 for q in lam if q >= i) for i in range(1, lam.part(1) + 1))
+        lam = lam.conjugate()
         r = len(lam)
     if yspec.kind == "zero":
         columns = [_column(family, lam.part(1) + r - 1, 0, y_at, point)] * r

@@ -48,6 +48,7 @@ from .polyring import (
     u,
     var_code,
     var_index,
+    y,
 )
 from .schur import restrict_to_fixed_point, shifted_double_schur
 
@@ -185,9 +186,20 @@ def multiply_schubert(
     nu longer than l(lam)+l(mu) occurs (Molev-Sagan fill nu/mu
     column-strictly with entries at most l(lam)).  So under both readings
     the product is built and expanded at n0 = max(min(n, l(lam)+l(mu)), 1),
-    and the expansion reports the caller's n.
+    and the expansion reports the caller's n.  The stable product commutes
+    with omega, which conjugates labels and sends y_j to -y_{-1-j}; so when
+    lam_1+mu_1 < l(lam)+l(mu), the conjugate pair is expanded at rank
+    lam_1+mu_1.  Omega only translates zero, standard and affine values, which
+    moves no s*_nu; a circle, torus or finite-rank product keeps its route.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "expansion")
+    omega = yspec.kind in ("zero", "standard", "affine", "symbolic")
+    if stable and omega and lam.part(1) + mu.part(1) < len(lam) + len(mu):
+        dual = multiply_schubert(lam.conjugate(), mu.conjugate(), n, yspec).coefficients
+        return SchurExpansion(n, yspec, {  # only symbolic coefficients hold y to relabel
+            nu.conjugate(): c.substitute({y(j): -y(-1 - j) for j in c.y_indices()})
+            for nu, c in dual.items()
+        })
     n0 = max(min(n, len(lam) + len(mu)), 1)
     product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
     coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients

@@ -118,6 +118,16 @@ def test_partition_accessors():
     assert p.part(1) == 4 and p.part(3) == 1 and p.part(4) == 0
 
 
+def test_conjugate_transposes_the_diagram():
+    assert Partition([4, 2, 1]).conjugate() == (3, 2, 1, 1)
+    assert Partition().conjugate() == ()
+    for p in partitions_up_to(6, 6):
+        q = p.conjugate()
+        assert type(q) is Partition and q.weight == p.weight and q.conjugate() == p
+        cells = {(r, c) for r, row in enumerate(p) for c in range(row)}
+        assert cells == {(c, r) for r, row in enumerate(q) for c in range(row)}
+
+
 def test_skew_shape_validation():
     s = SkewShape(Partition([2, 2]), Partition([1]))
     assert s.size == 3

@@ -60,3 +60,13 @@ W4_TABLES = {
 @pytest.mark.parametrize("key, digest", W4_TABLES.items(), ids=list(W4_TABLES))
 def test_weight_four_table_output(key, digest):
     test_reference_output(key, digest)
+
+
+# The symbolic weight-3 expand table, the one whose coefficients the
+# conjugate route of multiply_schubert relabels, serially and in two shares.
+SYMBOLIC_W3 = "table --max-weight 3 --n 7 --y symbolic --method expand --format json"
+
+
+@pytest.mark.parametrize("key", [SYMBOLIC_W3, SYMBOLIC_W3 + " --jobs 2"])
+def test_symbolic_weight_three_table_output(key):
+    test_reference_output(key, "4dc212279cdd5fb4cd09b5befffc85925dfe5d23b2d1171526c0ed9e1f1d11ef")

@@ -1,6 +1,7 @@
 import json
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from oracles import brute_force_lr
@@ -14,6 +15,7 @@ from shiftedschur import (
     RankTooSmallError,
     SchurExpansion,
     YSpec,
+    canonical_key,
     const,
     contains,
     expand_in_shifted_basis,
@@ -25,6 +27,7 @@ from shiftedschur import (
     structure_constants_via_localization,
     u,
     x,
+    y,
 )
 from shiftedschur.structconst import (
     compute_expansion,
@@ -176,7 +179,10 @@ def test_multiply_matches_full_rank_expansion(spec):
         assert exp == multiply_schubert(mu, lam, n, spec)
 
 
-def test_multiply_builds_at_rank_l_lam_plus_l_mu(monkeypatch):
+def test_multiply_build_rank(monkeypatch):
+    # Under the stable reading with STD0 the pair or its conjugate is built,
+    # whichever has the lower rank; a finite-rank product, and a circle or
+    # torus one, is built at l(lam)+l(mu), or at n when that is lower.
     import shiftedschur.structconst as sc
 
     ranks = []
@@ -186,14 +192,73 @@ def test_multiply_builds_at_rank_l_lam_plus_l_mu(monkeypatch):
         return shifted_double_schur(lam, n, yspec)
 
     monkeypatch.setattr(sc, "shifted_double_schur", recording)
+    circle, torus = SPECS[4], SPECS[5]
     for lam, mu in RANK_PAIRS:
-        finite = (max(len(lam), len(mu)) + 1, len(lam) + len(mu) + 3)
-        for stable, n in ((True, len(lam) + len(mu) + 2), *((False, m) for m in finite)):
+        length, width = len(lam) + len(mu), lam.part(1) + mu.part(1)
+        finite = (max(len(lam), len(mu)) + 1, length + 3)
+        for spec, stable, n, built in (
+            (STD0, True, length + 2, min(length, width)),
+            *((STD0, False, m, min(m, length)) for m in finite),
+            (circle, True, length + 2, length),
+            (torus, True, length + 2, length),
+        ):
             ranks.clear()
-            exp = multiply_schubert(lam, mu, n, STD0, stable=stable)
-            built = max(min(n, len(lam) + len(mu)), 1)
-            assert set(ranks) == {built}, (lam, mu, stable)
+            exp = multiply_schubert(lam, mu, n, spec, stable=stable)
+            assert set(ranks) == {max(built, 1)}, (lam, mu, spec.kind, stable)
             assert exp.n == n
+
+
+# What the conjugate route of multiply_schubert relies on, each side expanded
+# directly at rank l(lam)+l(mu), for every pair of partitions of weight <= 3.
+W3 = partitions_up_to(3, 3)
+W3_PAIRS = [(lam, mu) for a, lam in enumerate(W3) for mu in W3[a:]]
+
+
+@lru_cache(maxsize=None)
+def _direct(lam, mu, spec):
+    n0 = max(len(lam) + len(mu), 1)
+    product = shifted_double_schur(lam, n0, spec) * shifted_double_schur(mu, n0, spec)
+    return expand_in_shifted_basis(product, n0, spec).coefficients
+
+
+def _conjugate_pair_expansion(lam, mu, spec):
+    # In W3_PAIRS order: the product commutes, and _direct's cache is shared.
+    lam, mu = sorted((lam.conjugate(), mu.conjugate()), key=canonical_key)
+    return {nu.conjugate(): c for nu, c in _direct(lam, mu, spec).items()}
+
+
+def test_omega_maps_symbolic_constants_to_the_conjugate_pair():
+    # omega sends y_j to -y_{-1-j}.
+    for lam, mu in W3_PAIRS:
+        dual = _conjugate_pair_expansion(lam, mu, SYM)
+        for nu, c in dual.items():
+            dual[nu] = c.substitute({y(j): -y(-1 - j) for j in c.y_indices()})
+        assert dual == _direct(lam, mu, SYM), (lam, mu)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ZSPEC,
+        YSpec.standard(3),
+        YSpec.affine(Fraction(1, 2), Fraction(-3, 5)),
+        YSpec.affine(Fraction(-3, 2), Fraction(2, 5)),
+    ],
+    ids=["zero", "standard:d=3", "affine:a=1/2,b=-3/5", "affine:a=-3/2,b=2/5"],
+)
+def test_arithmetic_progressions_keep_conjugate_pair_constants(spec):
+    for lam, mu in W3_PAIRS:
+        assert _conjugate_pair_expansion(lam, mu, spec) == _direct(lam, mu, spec), (lam, mu)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_shifted_schur_does_not_see_a_translation_of_y(n):
+    for lam in W3:
+        std = shifted_double_schur(lam, n, STD0)
+        assert all(shifted_double_schur(lam, n, YSpec.standard(d)) == std for d in (-2, 1, 3))
+        for a, b in ((Fraction(1, 2), Fraction(-3, 5)), (Fraction(-3, 2), Fraction(2, 5))):
+            affine = shifted_double_schur(lam, n, YSpec.affine(a, b))
+            assert affine == shifted_double_schur(lam, n, YSpec.affine(a, 0)), (lam, a, b)
 
 
 def test_no_product_term_longer_than_l_lam_plus_l_mu():
