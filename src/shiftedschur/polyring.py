@@ -329,7 +329,14 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)  # other's terms go in negated, without a negated copy
+        for m, c in (other if isinstance(other, Poly) else self.constant(other))._terms.items():
+            s = out.get(m, 0) - c
+            if s:
+                out[m] = _int_if_integral(s)
+            else:
+                del out[m]
+        return self._raw(out)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -345,6 +352,8 @@ class Poly:
                 f"a product of {len(a)} by {len(b)} terms exceeds the limit of "
                 f"{MAX_PRODUCT_PAIRS} term pairs"
             )
+        if a == ONE._terms or b == ONE._terms:  # a factor 1: share the other's terms
+            return self._raw(b if a == ONE._terms else a)
         if len(a) > len(b):
             a, b = b, a
         # The loop multiplies integers: each rational factor is scaled by

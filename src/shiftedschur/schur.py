@@ -93,10 +93,16 @@ def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
     return _column("h", p, y_shift, y, _xs(n))[p]
 
 
+# The h and e columns of the last point _jacobi_trudi filled, by (family, shift),
+# and under "point" its key (base, labels, yspec) and value.  The determinants at
+# one point share columns, each a prefix of the same column at a larger top.
+_columns: dict = {}
+
+
 @lru_cache(maxsize=1 << 15)
 def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec: YSpec) -> Poly:
     # At x_i = base_i + y_{labels_i}, or base_i without labels: the key holds
-    # no point, so a restriction builds its point once per miss.  The n x n
+    # no point, and a point is built only where it differs from the last.  The n x n
     # matrix det[h_{lam_i-i+j}(x | tau^{shift+j-1} y)] has unit rows below
     # l(lam), so it collapses to its top-left l(lam) x l(lam) block; the dual
     # det[e_{lam'_i-i+j}(x | tau^{shift-j+1} y)] collapses to lam_1 x lam_1,
@@ -108,32 +114,30 @@ def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec:
         return ONE
     n, r = len(base), len(lam)
     family, step, lo = ("h", 1, 2 - shift - r) if lam.part(1) >= r else ("e", -1, 1 - shift)
+    zero = yspec.kind == "zero"
     try:
-        point = tuple(b + yspec.value(j) for b, j in zip(base, labels)) if labels else base
+        if _columns.get("point", (None,))[0] != (base, labels, yspec):
+            point = tuple(b + yspec.value(j) for b, j in zip(base, labels)) if labels else base
+            _columns.clear()
+            _columns["point"] = (base, labels, yspec), point
         # Asked for bottom up: new y get registry slots in ascending index order,
         # so the cells filled first, holding only low-index y, stay short ints.
         ys = range(lo, n + lam.part(1) - shift)
-        y_at = yspec.value if yspec.kind == "zero" else {k: yspec.value(k) for k in ys}.__getitem__
+        y_at = yspec.value if zero else {k: yspec.value(k) for k in ys}.__getitem__
     except UnresolvableIndexError:  # the key's lam, before the e side conjugates it
         return _jacobi_trudi(lam, base, labels, shift, SYMBOLIC).specialize_y(yspec)
     if step < 0:
-        lam = lam.conjugate()
-        r = len(lam)
-    if yspec.kind == "zero":
-        columns = [_column(family, lam.part(1) + r - 1, 0, y_at, point)] * r
-    else:
-        columns = [
-            _column(family, lam.part(1) + j - 1, shift + step * (j - 1), y_at, point)
-            for j in range(1, r + 1)
-        ]
-    rows = []
-    for i in range(1, r + 1):
-        row = []
-        for j in range(1, r + 1):
-            p = lam.part(i) + j - i
-            row.append(columns[j - 1][p] if p >= 0 else ZERO)
-        rows.append(row)
-    return poly_det(rows)
+        lam, r = lam.conjugate(), lam.part(1)
+    columns = []
+    for j in range(r):  # matrix column j+1 is family_0..family_top at sequence shift s
+        s, top = (0, lam.part(1) + r - 1) if zero else (shift + step * j, lam.part(1) + j)
+        if len(_columns.get((family, s), ())) <= top:
+            _columns[family, s] = _column(family, top, s, y_at, _columns["point"][1])
+        columns.append(_columns[family, s])
+    return poly_det([
+        [c[p] if (p := lam.part(i) + j - i) >= 0 else ZERO for j, c in enumerate(columns, 1)]
+        for i in range(1, r + 1)
+    ])
 
 
 def _alternant(lam: Partition, n: int) -> Poly:

@@ -41,6 +41,7 @@ from .polyring import (
     _decode,
     _encode,
     _group,
+    _int_if_integral,
     _mono_sort_key,
     canonical_string,
     const,
@@ -120,6 +121,8 @@ def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurEx
     x^nu term of what is left.
     """
     coeffs: dict[Partition, Poly] = {}
+    # What is left, as {x part: {rest: coefficient}}; c * s*_nu is subtracted
+    # from the groups its terms fall in, and a group that empties is dropped.
     # The x mask grows as x slots register, so it is read here, not imported.
     parts = _group(p._terms, polyring._X_MASK)
     for nu in (nu for w in range(p.x_degree(), -1, -1) for nu in _partitions_of(w, (), (w,) * n)):
@@ -128,9 +131,18 @@ def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurEx
         rests = parts.get(_x_monomial(nu))
         if rests:
             nu = Partition(nu)
-            coeffs[nu] = c = Poly._raw(rests)
-            p = p - c * shifted_double_schur(nu, n, yspec)
-            parts = _group(p._terms, polyring._X_MASK)
+            coeffs[nu] = c = Poly._raw(dict(rests))  # a copy: the group changes below
+            terms, mask = (c * shifted_double_schur(nu, n, yspec))._terms, polyring._X_MASK
+            for m, v in terms.items():
+                part = m & mask
+                group, rest = parts.setdefault(part, {}), m ^ part
+                v = group.get(rest, 0) - v
+                if v:
+                    group[rest] = _int_if_integral(v)
+                elif len(group) > 1:
+                    del group[rest]
+                else:
+                    del parts[part]
     if parts:
         # What is left comes after every partition of length <= n in the peel
         # order, so its leading x-monomial is too long or not a partition.

@@ -61,6 +61,34 @@ def test_mul_examples():
     assert (x(1) - y(1)) * ZERO == ZERO
 
 
+def test_sub_equals_adding_the_negation():
+    rng = random.Random(5)
+    polys = [ZERO, ONE, const(Fraction(-3, 2))] + [rand_poly(rng) for _ in range(12)]
+    for p in polys:
+        for q in polys + [0, 4, Fraction(5, 3)]:
+            d = p - q
+            assert d._terms == (p + (-q))._terms, (p, q)
+            assert [type(c) for c in d._terms.values()] == [
+                type(c) for c in (p + (-q))._terms.values()
+            ]
+        assert not (p - p)._terms
+    # A Fraction difference that comes out integral is stored as an int.
+    d = Fraction(7, 2) * x(1) - Fraction(3, 2) * x(1) - Fraction(1, 2)
+    assert d._terms == (2 * x(1) - Fraction(1, 2))._terms
+    assert [type(c) for c in d.terms.values()].count(int) == 1
+
+
+def test_product_with_one_shares_the_other_factor(monkeypatch):
+    p = 2 * x(1) * y(3) - Fraction(5, 2)
+    for q in (p * ONE, ONE * p, p * 1, p * Fraction(1)):
+        assert q == p and q._terms is p._terms and type(q) is Poly
+    pp = PowerPolynomial.parse("p1^2 - 3*p2 + 4")
+    assert type(pp * ONE) is PowerPolynomial and type(ONE * pp) is Poly
+    monkeypatch.setattr(polyring, "MAX_PRODUCT_PAIRS", 1)
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        p * ONE
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(421)
     for _ in range(60):

@@ -3,10 +3,8 @@
 perfbench/references.json holds the sha256 of stdout for every invocation
 the benchmark can make.  Each is run here through shiftedschur.cli.run and
 must print the same bytes, so a change to the output surfaces in the test
-suite, not first in a benchmark run.  The weight-3 expand tables take
-seconds each; three of them stand for the rest: the zero spec with integer
-coefficients, and the standard and an affine spec, whose coefficients are
-polynomials in u and rationals, at n = 7.
+suite, not first in a benchmark run.  All of them replay, the twelve
+weight-3 expand tables among them, which take a fraction of a second together.
 """
 
 import contextlib
@@ -20,20 +18,11 @@ import pytest
 from shiftedschur.cli import run
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
-EXPAND_W3_KEPT = {
-    f"table --max-weight 3 --n 7 --y {spec} --method expand --format json"
-    for spec in ("zero", "standard:d=0", "affine:a=1/2,b=-3/5")
-}
 
 
 def _cases() -> list:
     refs = json.loads(REFERENCES.read_text())
-    return [
-        pytest.param(key, digest, id=key)
-        for key, digest in refs.items()
-        if key in EXPAND_W3_KEPT
-        or not (key.startswith("table --max-weight 3 ") and "--method expand" in key)
-    ]
+    return [pytest.param(key, digest, id=key) for key, digest in refs.items()]
 
 
 @pytest.mark.parametrize("key, digest", _cases())

@@ -281,13 +281,86 @@ def test_repeated_restriction_asks_the_spec_for_nothing(monkeypatch):
 
 
 def test_jacobi_trudi_memo_is_bounded():
-    # The one memo in the package has a finite size, and the bound leaves
-    # the reuse of a localization table as it was.
+    # The determinant memo has a finite size (the column store beside it
+    # holds one point's columns), and the bound leaves the reuse of a
+    # localization table as it was.
     assert schur._jacobi_trudi.cache_info().maxsize is not None
     schur._jacobi_trudi.cache_clear()
     multiplication_table(4, 9, YSpec.standard(0), "localize")
     info = schur._jacobi_trudi.cache_info()
     assert (info.hits, info.misses) == (3308, 628)
+
+
+# The shifted point at rank 5: base 0 and labels -1..-5, sequence shift 6.
+SHIFTED_5 = ((0,) * 5, (-1, -2, -3, -4, -5), 6)
+# Each row's first partition asks for every column the others read, at a top
+# at least theirs: the h side, then the e side (lam_1 < l(lam)).
+SHARING = (
+    (P([4, 2, 1]), P([3, 3, 1]), P([2, 1])),
+    (P([2, 1, 1, 1, 1]), P([2, 2, 1, 1]), P([1, 1, 1])),
+)
+
+
+@pytest.mark.parametrize("spec", (YSpec.standard(1), ZSPEC, SYM), ids=lambda s: s.kind)
+@pytest.mark.parametrize("lams", SHARING, ids=("h", "e"))
+def test_columns_are_shared_at_one_point_in_either_order(lams, spec, monkeypatch):
+    # Larger tops first, the later determinants fill no column; smaller tops
+    # first, the stored columns are refilled to the larger top.  Either way
+    # each value equals one built from an empty store.
+    fills = []
+    column = schur._column
+
+    def recording(family, top, s, y_at, point):
+        fills.append((family, top, s))
+        return column(family, top, s, y_at, point)
+
+    monkeypatch.setattr(schur, "_column", recording)
+    for order in (lams, lams[::-1]):
+        schur._jacobi_trudi.cache_clear()
+        schur._columns.clear()
+        values = []
+        for lam in order:
+            fills.clear()
+            values.append(schur._jacobi_trudi(lam, *SHIFTED_5, spec))
+            if order is lams and lam is not lams[0]:
+                assert fills == [], lam
+        for lam, value in zip(order, values):
+            schur._columns.clear()
+            assert value == schur._jacobi_trudi.__wrapped__(lam, *SHIFTED_5, spec), (lam, spec)
+    schur._columns.clear()
+
+
+def test_column_store_holds_only_the_last_point():
+    spec = YSpec.standard(0)
+    schur._jacobi_trudi.cache_clear()
+    restrict_to_fixed_point(P([2, 1]), P([3, 1]), 4, spec)
+    restrict_to_fixed_point(P([2, 1]), P([2, 2]), 4, spec)
+    (key, point) = schur._columns.pop("point")
+    # delta = (2, 2) labels its rank-2 fixed point y_{delta_i - i} = y_1, y_0.
+    assert key == ((0, 0), (1, 0), spec) and point == (spec.value(1), spec.value(0))
+    assert schur._columns
+    for (family, s), held in schur._columns.items():
+        assert held == schur._column(family, len(held) - 1, s, spec.value, point)
+    schur._columns.clear()
+
+
+def test_memo_values_match_a_fresh_build_after_a_table(monkeypatch):
+    # The peel subtracts c * s*_nu from groups it owns, and a product with 1
+    # shares the other factor's terms: neither may reach a memoized value.
+    built = {}
+    jacobi_trudi = schur._jacobi_trudi
+
+    def recording(*key):
+        built[key] = jacobi_trudi(*key)
+        return built[key]
+
+    monkeypatch.setattr(schur, "_jacobi_trudi", recording)
+    jacobi_trudi.cache_clear()
+    multiplication_table(3, 7, YSpec.standard(1), "expand")
+    assert len(built) == jacobi_trudi.cache_info().currsize > 0
+    for key, value in built.items():
+        schur._columns.clear()
+        assert value._terms == jacobi_trudi.__wrapped__(*key)._terms, key
 
 
 # ---- evaluation at the point against the symbolic route ------------------------------
