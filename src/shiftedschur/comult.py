@@ -25,6 +25,7 @@ from .polyring import (
     ZERO,
     Poly,
     YSpec,
+    _add_into,
     _encode,
     parse_rational,
     render_terms,
@@ -121,22 +122,8 @@ class TensorElement:
     """
 
     def __init__(self, summands: Iterable = ()):
-        table: dict = {}
-        for entry in summands:
-            if len(entry) == 3:
-                left, right, weight = entry
-            else:
-                left, right = entry
-                weight = 1
-            if not left or not right or not weight:
-                continue
-            key = (left, right)
-            w = table.get(key, 0) + weight
-            if w:
-                table[key] = w
-            else:
-                table.pop(key, None)
-        self._table = table
+        entries = (entry if len(entry) == 3 else (*entry, 1) for entry in summands)
+        self._table = _add_into({}, (((l, r), w) for l, r, w in entries if l and r and w))
 
     @property
     def summands(self) -> list:
@@ -146,17 +133,12 @@ class TensorElement:
         )
 
     def _expanded(self) -> dict:
-        out: dict = {}
-        for (left, right), w in self._table.items():
-            for ml, cl in left._terms.items():
-                for mr, cr in right._terms.items():
-                    key = (ml, mr)
-                    c = out.get(key, 0) + w * cl * cr
-                    if c:
-                        out[key] = c
-                    else:
-                        out.pop(key, None)
-        return out
+        return _add_into({}, (
+            ((ml, mr), w * cl * cr)
+            for (left, right), w in self._table.items()
+            for ml, cl in left._terms.items()
+            for mr, cr in right._terms.items()
+        ))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorElement):

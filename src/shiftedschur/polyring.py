@@ -205,6 +205,27 @@ def _int_if_integral(c):
     return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
+def _add_into(out: dict, terms, sign: int = 1) -> dict:
+    """Add sign (1 or -1) times terms, (key, nonzero coefficient) pairs, into the
+    dict out in place and return out; a key whose sum is 0 is deleted and an
+    integral Fraction sum is stored as an int.  The one accumulator of the sparse
+    core: Poly's +, - and substitute, the tensor's table and its expansion."""
+    neg = sign < 0
+    for m, c in terms:
+        s = out.get(m)
+        if s is None:
+            out[m] = -c if neg else c
+        else:
+            s = s - c if neg else s + c
+            if not s:
+                del out[m]
+            elif s.__class__ is Fraction and s.denominator == 1:
+                out[m] = s.numerator
+            else:
+                out[m] = s
+    return out
+
+
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
@@ -306,20 +327,7 @@ class Poly:
             return other
         if not b:
             return self
-        out = dict(a)
-        for m, c in b.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if not s:
-                    del out[m]
-                elif s.__class__ is Fraction and s.denominator == 1:
-                    out[m] = s.numerator
-                else:
-                    out[m] = s
-        return self._raw(out)
+        return self._raw(_add_into(dict(a), b.items()))
 
     __radd__ = __add__
 
@@ -329,14 +337,8 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        out = dict(self._terms)  # other's terms go in negated, without a negated copy
-        for m, c in (other if isinstance(other, Poly) else self.constant(other))._terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = _int_if_integral(s)
-            else:
-                del out[m]
-        return self._raw(out)
+        b = (other if isinstance(other, Poly) else self.constant(other))._terms
+        return self._raw(_add_into(dict(self._terms), b.items(), -1))  # no negated copy
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -425,9 +427,8 @@ class Poly:
                 if (s, e) not in powers:
                     powers[s, e] = table[s] ** e
                 image = powers[s, e] if image is None else image * powers[s, e]
-            for m, c in (rest if image is None else (Poly._raw(rest) * image)._terms).items():
-                acc[m] = acc.get(m, 0) + c
-        return Poly._raw({m: _int_if_integral(c) for m, c in acc.items() if c})
+            _add_into(acc, (rest if image is None else (Poly._raw(rest) * image)._terms).items())
+        return Poly._raw(acc)
 
     def specialize_y(self, spec: "YSpec") -> "Poly":
         """Apply a y-specialization rule to every y_j, asking from the highest

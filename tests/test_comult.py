@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from shiftedschur import (
     ZERO,
     DomainError,
     Partition,
+    Poly,
     PowerPolynomial,
     TensorElement,
     YSpec,
@@ -120,6 +122,51 @@ def test_tensor_equality_is_bilinear():
     assert c == d
     # x2 (x) x1 cancels in the expansion, though no summand does.
     assert TensorElement([(x(1) + x(2), x(1)), (x(2), -x(1))]) == TensorElement([(x(1), x(1))])
+
+
+def test_tensor_tables_agree_with_an_expanded_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    palette = [x(1), x(2), y(-1), y(0), y(2), useq(-1), useq(1)]
+    # The oracle moves the right factor onto indices no factor uses, so that
+    # sum w * left * moved(right) is an ordinary polynomial.
+    moved = {x(1): x(101), x(2): x(102), y(-1): y(99), y(0): y(100), y(2): y(102),
+             useq(-1): useq(99), useq(1): useq(101)}
+    factors = st.lists(
+        st.tuples(st.integers(-2, 2), st.lists(st.sampled_from(palette), max_size=2)),
+        min_size=1, max_size=3,
+    ).map(lambda terms: sum((c * prod(vs, start=ONE) for c, vs in terms), ZERO))
+    weights = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    summands = st.lists(st.tuples(factors, factors, weights), max_size=4)
+
+    def oracle(entries):
+        return sum((w * l * r.substitute(moved) for l, r, w in entries), ZERO)
+
+    def regrouped(entries):
+        # The same element: each left factor split into its terms (the right
+        # factor and the weight negated), then a pair that cancels in the
+        # table and a pair that cancels only when expanded.
+        out = []
+        for l, r, w in entries:
+            out += [(Poly(dict([term])), -r, -w) for term in l.terms.items()]
+            out += [(l, r, w), (l, r, -w), (l, 2 * r, Fraction(w, 2)), (-l, r, w)]
+        return out[::-1]
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(summands, summands, summands)
+    def check(a, b, extra):
+        ta, tb = TensorElement(a), TensorElement(b)
+        same = TensorElement(regrouped(a))
+        assert same == ta
+        for other in (b, regrouped(a) + extra):
+            assert (TensorElement(other) == ta) == (oracle(other) == oracle(a))
+        assert (ta + tb).summands == TensorElement(a + b).summands
+        assert ta + tb == TensorElement(a + b)
+        for t in (ta, tb, same, ta + tb, TensorElement(a + b)):
+            assert all(l and r and w for l, r, w in t.summands)
+            assert all(t._expanded().values())
+
+    check()
 
 
 def test_tensor_product():

@@ -4,7 +4,8 @@ perfbench/references.json holds the sha256 of stdout for every invocation
 the benchmark can make.  Each is run here through shiftedschur.cli.run and
 must print the same bytes, so a change to the output surfaces in the test
 suite, not first in a benchmark run.  All of them replay, the twelve
-weight-3 expand tables among them, which take a fraction of a second together.
+weight-3 expand tables among them, which take a fraction of a second together,
+and each of the 29 tables replays once more in two shares (--jobs 2).
 """
 
 import contextlib
@@ -20,9 +21,12 @@ from shiftedschur.cli import run
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 
 
-def _cases() -> list:
+def _cases(suffix: str = "", verb: str = "") -> list:
     refs = json.loads(REFERENCES.read_text())
-    return [pytest.param(key, digest, id=key) for key, digest in refs.items()]
+    return [
+        pytest.param(key + suffix, digest, id=key + suffix)
+        for key, digest in refs.items() if key.startswith(verb)
+    ]
 
 
 @pytest.mark.parametrize("key, digest", _cases())
@@ -32,6 +36,12 @@ def test_reference_output(key, digest):
         code = run(key.split(" "))
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# Every reference table again in two forked shares: --jobs changes no byte.
+@pytest.mark.parametrize("key, digest", _cases(" --jobs 2", "table "))
+def test_reference_table_output_in_two_shares(key, digest):
+    test_reference_output(key, digest)
 
 
 # Weight-4 tables users wait for, beyond the benchmark's references; the
