@@ -400,16 +400,12 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _emit(args, args.command(args))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else int(e.code)
-    try:
-        _emit(args, args.command(args))
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
     except (DomainError, OSError) as e:  # OSError: a --jobs worker did not start or died
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -158,15 +158,13 @@ class TensorElement:
         return TensorElement(out)
 
     def __str__(self) -> str:
-        if not self._table:
-            return "0"
         chunks = []
         for left, right, w in self.summands:
             body = f"({left}) (x) ({right})"
             if w != 1:
                 body = f"{w}*{body}"
             chunks.append(body)
-        return " + ".join(chunks)
+        return " + ".join(chunks) or "0"
 
     def __repr__(self) -> str:
         return f"TensorElement({self})"

@@ -209,7 +209,7 @@ def _add_into(out: dict, terms, sign: int = 1) -> dict:
     """Add sign (1 or -1) times terms, (key, nonzero coefficient) pairs, into the
     dict out in place and return out; a key whose sum is 0 is deleted and an
     integral Fraction sum is stored as an int.  The one accumulator of the sparse
-    core: Poly's +, - and substitute, the tensor's table and its expansion."""
+    core: Poly's +, - and substitute, schur._column, the tensor's table and expansion."""
     neg = sign < 0
     for m, c in terms:
         s = out.get(m)
@@ -417,8 +417,6 @@ class Poly:
             _single_variable_slot(key): value if isinstance(value, Poly) else const(value)
             for key, value in assignment.items()
         }
-        if not table:
-            return self
         powers: dict[tuple[int, int], Poly] = {}
         acc: dict = {}
         for part, rest in _group(self._terms, sum(_FIELD << (_W * s) for s in table)).items():
@@ -683,7 +681,7 @@ class YSpec(
     namedtuple(
         "YSpec",
         "kind a b d window shift",
-        defaults=(Fraction(0), Fraction(0), 0, None, 0),
+        defaults=(0, 0, 0, None, 0),
     )
 ):
     """A finitely described substitution rule for the y sequence.

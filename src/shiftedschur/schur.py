@@ -21,6 +21,7 @@ from .polyring import (
     ZERO,
     Poly,
     YSpec,
+    _add_into,
     divide_linear,
     poly_det,
     x,
@@ -65,14 +66,19 @@ def _column(family: str, top: int, s: int, y_at, point: tuple) -> list[Poly]:
     held = 1
     for m, xm in enumerate(point, 1):
         for p in range(1, top + 1) if step == 1 else range(min(m, top), 0, -1):
-            cell = table[p] + (xm - y_at(m - s + step * (p - 1))) * table[p - 1]
-            held += len(cell) - len(table[p])
+            prev = table[p - 1]
+            add = (xm - y_at(m - s + step * (p - 1))) * prev
+            held -= len(table[p])
+            if table[p]:  # in place: a written cell's dict is its own, never ZERO's
+                _add_into(table[p]._terms, add._terms.items())
+            else:  # the product, copied where a factor 1 returned its neighbour's terms
+                table[p] = Poly._raw(dict(prev._terms)) if add._terms is prev._terms else add
+            held += len(table[p])
             if held > MAX_H_TERMS:
                 raise DomainError(
                     f"the table {family}_0..{family}_{top} exceeds the limit of "
                     f"{MAX_H_TERMS} terms"
                 )
-            table[p] = cell
     return table
 
 
@@ -93,33 +99,28 @@ def double_h(p: int, n: int, y_shift: int = 0) -> Poly:
     return _column("h", p, y_shift, y, _xs(n))[p]
 
 
-# The h and e columns of the last point _jacobi_trudi filled, by (family, shift),
-# and under "point" its key (base, labels, yspec) and value.  The determinants at
-# one point share columns, each a prefix of the same column at a larger top.
-_columns: dict = {}
+@lru_cache(maxsize=1)
+def _at(base: tuple, labels: tuple, yspec: YSpec) -> tuple:
+    # The point x_i = base_i + y_{labels_i} (or base_i) and its h, e columns by (family, shift).
+    return tuple(b + yspec.value(j) for b, j in zip(base, labels)) if labels else base, {}
 
 
 @lru_cache(maxsize=1 << 15)
 def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec: YSpec) -> Poly:
-    # At x_i = base_i + y_{labels_i}, or base_i without labels: the key holds
-    # no point, and a point is built only where it differs from the last.  The n x n
-    # matrix det[h_{lam_i-i+j}(x | tau^{shift+j-1} y)] has unit rows below
-    # l(lam), so it collapses to its top-left l(lam) x l(lam) block; the dual
-    # det[e_{lam'_i-i+j}(x | tau^{shift-j+1} y)] collapses to lam_1 x lam_1,
-    # and the smaller one is built.  Both read y_k up to k = n+lam_1-1-shift,
-    # the h side down to 2-shift-l(lam), the e side to 1-shift.  The zero
-    # rule cannot see a column's shift: one table serves.  Where a window
-    # without a tail rule lacks one, this key keeps the symbolic value, specialized.
-    if not lam:
+    # At the point _at(base, labels, yspec), the n x n det[h_{lam_i-i+j}(x | tau^{shift+j-1} y)]
+    # has unit rows below l(lam), so it collapses to its top-left l(lam) x l(lam) block;
+    # the dual det[e_{lam'_i-i+j}(x | tau^{shift-j+1} y)] collapses to lam_1 x lam_1, and
+    # the smaller one is built.  Both read y_k up to k = n+lam_1-1-shift, the h side down
+    # to 2-shift-l(lam), the e side to 1-shift.  The zero rule cannot see a column's
+    # shift: one table serves.  Where a window without a tail rule lacks one, this key
+    # keeps the symbolic value, specialized.
+    if not lam:  # kept: without it, eval --lambda 0 at 3,000 x builds the point, 2x peak RSS
         return ONE
     n, r = len(base), len(lam)
     family, step, lo = ("h", 1, 2 - shift - r) if lam.part(1) >= r else ("e", -1, 1 - shift)
     zero = yspec.kind == "zero"
     try:
-        if _columns.get("point", (None,))[0] != (base, labels, yspec):
-            point = tuple(b + yspec.value(j) for b, j in zip(base, labels)) if labels else base
-            _columns.clear()
-            _columns["point"] = (base, labels, yspec), point
+        point, store = _at(base, labels, yspec)
         # Asked for bottom up: new y get registry slots in ascending index order,
         # so the cells filled first, holding only low-index y, stay short ints.
         ys = range(lo, n + lam.part(1) - shift)
@@ -131,9 +132,9 @@ def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec:
     columns = []
     for j in range(r):  # matrix column j+1 is family_0..family_top at sequence shift s
         s, top = (0, lam.part(1) + r - 1) if zero else (shift + step * j, lam.part(1) + j)
-        if len(_columns.get((family, s), ())) <= top:
-            _columns[family, s] = _column(family, top, s, y_at, _columns["point"][1])
-        columns.append(_columns[family, s])
+        if len(store.get((family, s), ())) <= top:
+            store[family, s] = _column(family, top, s, y_at, point)
+        columns.append(store[family, s])
     return poly_det([
         [c[p] if (p := lam.part(i) + j - i) >= 0 else ZERO for j, c in enumerate(columns, 1)]
         for i in range(1, r + 1)

@@ -111,6 +111,7 @@ def test_tensor_normal_form():
     t = TensorElement([(x(1), ONE), (x(1), ONE, -1)])
     assert t.summands == []
     assert t == TensorElement()
+    assert str(t) == "0"
 
 
 def test_tensor_equality_is_bilinear():

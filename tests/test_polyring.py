@@ -184,6 +184,8 @@ def test_substitute_examples():
     assert out == x(1) + x(2) + y(-1) + y(-2)
     assert (x(1) ** 2).substitute({x(1): 0}) == ZERO
     assert y(1).substitute({x(1): 7}) == y(1)
+    p = x(1) * y(2) - Fraction(1, 3)
+    assert p.substitute({}) == p and ZERO.substitute({}) == ZERO
 
 
 def test_substitute_general_values():

@@ -317,7 +317,7 @@ def test_columns_are_shared_at_one_point_in_either_order(lams, spec, monkeypatch
     monkeypatch.setattr(schur, "_column", recording)
     for order in (lams, lams[::-1]):
         schur._jacobi_trudi.cache_clear()
-        schur._columns.clear()
+        schur._at.cache_clear()
         values = []
         for lam in order:
             fills.clear()
@@ -325,23 +325,59 @@ def test_columns_are_shared_at_one_point_in_either_order(lams, spec, monkeypatch
             if order is lams and lam is not lams[0]:
                 assert fills == [], lam
         for lam, value in zip(order, values):
-            schur._columns.clear()
+            schur._at.cache_clear()
             assert value == schur._jacobi_trudi.__wrapped__(lam, *SHIFTED_5, spec), (lam, spec)
-    schur._columns.clear()
+    schur._at.cache_clear()
 
 
 def test_column_store_holds_only_the_last_point():
     spec = YSpec.standard(0)
     schur._jacobi_trudi.cache_clear()
+    schur._at.cache_clear()
     restrict_to_fixed_point(P([2, 1]), P([3, 1]), 4, spec)
     restrict_to_fixed_point(P([2, 1]), P([2, 2]), 4, spec)
-    (key, point) = schur._columns.pop("point")
-    # delta = (2, 2) labels its rank-2 fixed point y_{delta_i - i} = y_1, y_0.
-    assert key == ((0, 0), (1, 0), spec) and point == (spec.value(1), spec.value(0))
-    assert schur._columns
-    for (family, s), held in schur._columns.items():
+    info = schur._at.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (1, 1, 2)
+    # delta = (2, 2) labels its rank-2 fixed point y_{delta_i - i} = y_1, y_0:
+    # its key is the one held, so asking for it again is a hit.
+    point, store = schur._at((0, 0), (1, 0), spec)
+    assert schur._at.cache_info().hits == info.hits + 1
+    assert point == (spec.value(1), spec.value(0))
+    assert store
+    for (family, s), held in store.items():
         assert held == schur._column(family, len(held) - 1, s, spec.value, point)
-    schur._columns.clear()
+    schur._at.cache_clear()
+
+
+def test_empty_partition_builds_no_point():
+    # s*_() = 1 returns before the point: 3,000 x values are not summed and kept.
+    xs = [Fraction(i, 7) for i in range(3000)]
+    misses = schur._at.cache_info().misses
+    assert shifted_schur_stable(Partition(), xs) == ONE
+    assert schur._at.cache_info().misses == misses
+
+
+def test_columns_are_filled_in_place_without_touching_zero_or_each_other():
+    # A written cell is its own dict; a step whose factor is 1 gets its neighbour's
+    # terms from the product, but no fill writes into ZERO or an earlier column,
+    # and a cell never written stays ZERO, so a huge top allocates no cells.
+    assert all(c is ZERO for c in schur._column("e", 10**5, 0, y, (x(1), x(2)))[3:])
+    # Under y_k = k the factor x_m - y_{m+p-1} is 1 at (m, p) = (1, 2) and (3, 2);
+    # under zero it is 1 at every step.
+    for spec, point in (
+        (YSpec.affine(1, 0), (const(3), x(2), const(5), x(4))),
+        (ZSPEC, (ONE,) * 4),
+    ):
+        first = schur._column("h", 4, 0, spec.value, point)
+        cells = [dict(c._terms) for c in first]
+        assert ZERO._terms == {} and ONE._terms == {0: 1}
+        schur._column("h", 5, 0, spec.value, point)
+        schur._column("e", 4, 0, spec.value, point)
+        assert [c._terms for c in first] == cells
+        assert ZERO._terms == {} and ONE._terms == {0: 1}
+        at = dict(zip(schur._xs(4), point))
+        for p, cell in enumerate(first):
+            assert cell == double_h(p, 4).substitute(at).specialize_y(spec), (spec.kind, p)
 
 
 def test_memo_values_match_a_fresh_build_after_a_table(monkeypatch):
@@ -359,7 +395,7 @@ def test_memo_values_match_a_fresh_build_after_a_table(monkeypatch):
     multiplication_table(3, 7, YSpec.standard(1), "expand")
     assert len(built) == jacobi_trudi.cache_info().currsize > 0
     for key, value in built.items():
-        schur._columns.clear()
+        schur._at.cache_clear()
         assert value._terms == jacobi_trudi.__wrapped__(*key)._terms, key
 
 

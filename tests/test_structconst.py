@@ -32,6 +32,8 @@ from shiftedschur import (
 from shiftedschur.structconst import (
     compute_expansion,
     dumps_canonical,
+    expansion_to_latex,
+    expansion_to_text,
     table_to_json_obj,
     table_to_latex,
     table_to_text,
@@ -439,7 +441,10 @@ def test_table_text_and_latex_render():
 
 
 def test_zero_expansion_renders_as_zero():
-    rows = [(P([1]), P([1]), SchurExpansion(n=3, yspec=STD0, coefficients={}))]
+    empty = SchurExpansion(n=3, yspec=STD0, coefficients={})
+    assert expansion_to_text(P([2]), P(), empty) == "[2] * [] -> 0"
+    assert expansion_to_latex(P([2]), P(), empty).endswith("\\varnothing} = 0$")
+    rows = [(P([1]), P([1]), empty)]
     assert table_to_text(rows) == "[1] * [1] -> 0\n"
     assert table_to_latex(rows) == "$s^{*}_{(1)} \\cdot s^{*}_{(1)} = 0$\n"
     assert table_to_json_obj(rows, 3, STD0)["rows"] == [{"lambda": [1], "mu": [1], "terms": []}]
