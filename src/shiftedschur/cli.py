@@ -145,7 +145,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_common(p):
-        p.add_argument("--y", default="symbolic", help="y-specialization rule")
+        p.add_argument("--y", type=parse_yspec, default="symbolic", help="y-specialization rule")
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--output", default=None, help="write output to this file")
 
@@ -155,20 +155,22 @@ def build_parser() -> _Parser:
         return p
 
     p = add_verb("schur", _cmd_schur, "double or shifted double Schur function")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
     p.add_argument("--method", choices=("jacobi-trudi", "det-ratio"), default="jacobi-trudi")
     p.add_argument("--shifted", action="store_true")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
 
     p = add_verb("eval", _cmd_eval, "stable shifted Schur value at given x arguments")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--x", dest="xvals", default="", help="comma-separated rationals")
+    p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
+    p.add_argument(
+        "--x", dest="xvals", type=_x_values, default="", help="comma-separated rationals"
+    )
     add_common(p)
 
     p = add_verb("multiply", _cmd_multiply, "expand a product of two basis elements")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
+    p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
+    p.add_argument("--mu", type=_partition_flag, required=True)
     p.add_argument("--method", choices=TABLE_METHODS, default="expand")
     p.add_argument("--finite-rank", action="store_true")
     add_common(p)
@@ -183,15 +185,15 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
 
     p = add_verb("molev", _cmd_molev, "hook-function structure constant")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
+    p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
+    p.add_argument("--mu", type=_partition_flag, required=True)
+    p.add_argument("--nu", type=_partition_flag, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
 
     p = add_verb("restrict", _cmd_restrict, "restriction to a torus-fixed point")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--delta", required=True)
+    p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
+    p.add_argument("--delta", type=_partition_flag, required=True)
     add_common(p)
     p.add_argument("--n", type=int, required=True)
 
@@ -227,26 +229,19 @@ def _poly_output(poly: Poly, fmt: str) -> str:
 
 
 def _cmd_schur(args) -> str:
-    lam = _partition_flag(args.lam)
-    yspec = parse_yspec(args.y)
-    method = args.method.replace("-", "_")
     schur = shifted_double_schur if args.shifted else double_schur
-    return _poly_output(schur(lam, args.n, yspec, method), args.format)
-
-
-def _cmd_eval(args) -> str:
-    lam = _partition_flag(args.lam)
-    yspec = parse_yspec(args.y)
-    poly = shifted_schur_stable(lam, _x_values(args.xvals), yspec)
+    poly = schur(args.lam, args.n, args.y, args.method.replace("-", "_"))
     return _poly_output(poly, args.format)
 
 
+def _cmd_eval(args) -> str:
+    return _poly_output(shifted_schur_stable(args.lam, args.xvals, args.y), args.format)
+
+
 def _cmd_multiply(args) -> str:
-    lam = _partition_flag(args.lam)
-    mu = _partition_flag(args.mu)
-    yspec = parse_yspec(args.y)
-    exp = compute_expansion(lam, mu, args.n, yspec, args.method, stable=not args.finite_rank)
-    rows = [(lam, mu, exp)]
+    stable = not args.finite_rank
+    exp = compute_expansion(args.lam, args.mu, args.n, args.y, args.method, stable=stable)
+    rows = [(args.lam, args.mu, exp)]
     if args.format != "json":
         return table_to_latex(rows) if args.format == "latex" else table_to_text(rows)
     # A product's JSON is its one row, with the table's n and yspec.
@@ -256,30 +251,23 @@ def _cmd_multiply(args) -> str:
 
 
 def _cmd_table(args) -> str:
-    yspec = parse_yspec(args.y)
     rows = multiplication_table(
-        args.max_weight, args.n, yspec, args.method, jobs=args.jobs, finite_rank=args.finite_rank
+        args.max_weight, args.n, args.y, args.method, jobs=args.jobs, finite_rank=args.finite_rank
     )
     if args.format == "json":
-        return dumps_canonical(table_to_json_obj(rows, args.n, yspec))
+        return dumps_canonical(table_to_json_obj(rows, args.n, args.y))
     return table_to_latex(rows) if args.format == "latex" else table_to_text(rows)
 
 
 def _cmd_molev(args) -> str:
-    value = molev_coefficient(
-        _partition_flag(args.lam), _partition_flag(args.mu), _partition_flag(args.nu)
-    )
+    value = molev_coefficient(args.lam, args.mu, args.nu)
     if args.format == "json":
         return dumps_canonical({"value": str(value)})
     return f"{value}\n"
 
 
 def _cmd_restrict(args) -> str:
-    lam = _partition_flag(args.lam)
-    delta = _partition_flag(args.delta)
-    yspec = parse_yspec(args.y)
-    poly = restrict_to_fixed_point(lam, delta, args.n, yspec)
-    return _poly_output(poly, args.format)
+    return _poly_output(restrict_to_fixed_point(args.lam, args.delta, args.n, args.y), args.format)
 
 
 def _cmd_coproduct(args) -> str:
@@ -317,18 +305,21 @@ def _cmd_verify(args) -> str:
     reports on stderr once the report is written, with exit code 3."""
     suite, n = args.suite, args.n
     reports: list[dict] = []
-    if suite in ("jacobi-trudi", "stability") and (args.max_weight < 0 or n < 1):
-        raise UsageError(
-            f"the {suite} suite needs --max-weight >= 0 and --n >= 1, "
-            f"got {args.max_weight} and {n}"
-        )
-    if suite == "jacobi-trudi":
-        lines, ok = _first_failure(
-            partitions_up_to(args.max_weight, n),
-            lambda lam: double_schur(lam, n, method="jacobi_trudi")
-            == double_schur(lam, n, method="det_ratio"),
-            lambda lam: f"FAIL at lambda={tuple(lam)}, n={n}",
-        )
+    if suite in ("jacobi-trudi", "stability"):
+        if args.max_weight < 0 or n < 1:
+            raise UsageError(
+                f"the {suite} suite needs --max-weight >= 0 and --n >= 1, "
+                f"got {args.max_weight} and {n}"
+            )
+
+        def holds(lam):
+            if suite == "jacobi-trudi":
+                return double_schur(lam, n) == double_schur(lam, n, method="det_ratio")
+            lifted = shifted_double_schur(lam, n + 1).substitute({x(n + 1): 0})
+            return lifted == shifted_double_schur(lam, n)
+
+        cases = partitions_up_to(args.max_weight, n)
+        lines, ok = _first_failure(cases, holds, lambda lam: f"FAIL at lambda={tuple(lam)}, n={n}")
     elif suite == "denominator":
         if n < 2:
             raise UsageError(f"the denominator suite needs --n >= 2, got {n}")
@@ -336,13 +327,6 @@ def _cmd_verify(args) -> str:
             range(2, n + 1),
             lambda k: alternant_denominator(k) == vandermonde(k),
             lambda k: f"FAIL at n={k}",
-        )
-    elif suite == "stability":
-        lines, ok = _first_failure(
-            partitions_up_to(args.max_weight, n),
-            lambda lam: shifted_double_schur(lam, n + 1).substitute({x(n + 1): 0})
-            == shifted_double_schur(lam, n),
-            lambda lam: f"FAIL at lambda={tuple(lam)}, n={n}",
         )
     elif suite == "primitivity":
         if args.max_k < 1 or args.max_l < 2:

@@ -93,11 +93,7 @@ def _relabel(p: Poly, parity: int) -> Poly:
             raise DomainError(
                 f"variable of index {idx} violates the parity {parity} requirement"
             )
-        if fam == FAMILY_X:
-            new = idx // 2 if parity == 0 else (idx - 1) // 2 + 1
-        else:
-            new = idx // 2 if parity == 0 else (idx - 1) // 2
-        return var_code(fam, new)
+        return var_code(fam, (idx + parity) // 2 if fam == FAMILY_X else idx // 2)
 
     return p.substitute(
         {Poly({(code, 1): 1}): Poly({(fn(code), 1): 1}) for code in sorted(p.variables())}

@@ -158,6 +158,8 @@ def test_molev_command(capsys):
     code, out, _ = invoke(capsys, "molev", "--lambda", "1", "--mu", "1", "--nu", "1")
     assert code == 0
     assert out == "1\n"
+    argv = ("molev", "--lambda", "1", "--mu", "1", "--nu", "1", "--format", "json")
+    assert invoke(capsys, *argv) == (0, '{\n  "value": "1"\n}\n', "")
 
 
 def test_molev_long_row(capsys):
@@ -376,10 +378,26 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+def test_flags_are_converted_in_command_line_order(capsys):
+    # Each flag is parsed as argparse reads it: the first malformed one is
+    # reported before a missing flag or a later bad choice, and a repeated
+    # flag is checked at every occurrence.
+    bad_part = "usage error: non-integer part 'x' in partition 'x'\n"
+    assert invoke(capsys, "multiply", "--lambda", "x") == (1, "", bad_part)
+    argv = ("multiply", "--lambda", "1", "--mu", "1", "--n", "3")
+    argv += ("--y", "bogus", "--format", "nope")
+    assert invoke(capsys, *argv) == (1, "", "usage error: unknown yspec kind 'bogus'\n")
+    argv = ("multiply", "--lambda", "x", "--lambda", "1", "--mu", "1", "--n", "3")
+    assert invoke(capsys, *argv) == (1, "", bad_part)
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = invoke(capsys, "schur", "--lambda", "2,1", "--n", "1")
     assert code == 2
     assert "error" in err
+    argv = ("restrict", "--lambda", "1,1", "--delta", "1", "--n", "1")
+    message = "error: need n >= l(lambda) = 2 and n >= l(delta) = 1, got n = 1\n"
+    assert invoke(capsys, *argv) == (2, "", message)
 
 
 @pytest.mark.parametrize(

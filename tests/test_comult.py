@@ -52,6 +52,15 @@ def test_shifted_power_sum_is_degree_one_schur():
 def test_power_sum_torus():
     assert power_sum_torus(1, 2) == x(1) + x(2) - useq(-1) - useq(-2)
     assert power_sum_torus(2, 1) == x(1) ** 2 - useq(-1) ** 2
+    for make, k, rank, message in (
+        (power_sum_torus, 0, 2, "power sum index must be >= 1, got 0"),
+        (power_sum_torus, 1, 0, "need l >= 1, got 0"),
+        (rho_pullback_power_sum, 0, 2, "power sum index must be >= 1, got 0"),
+        (rho_pullback_power_sum, 1, 1, "need l >= 2, got 1"),
+        (shifted_power_sum, 1, 0, "need n >= 1, got 0"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            make(k, rank)
 
 
 # ---- pullback and relabeling -------------------------------------------------------

@@ -400,6 +400,8 @@ def test_variable_index_range():
             y(index)
     with pytest.raises(DomainError):
         x(2**43)
+    with pytest.raises(DomainError, match="x index must be >= 1, got 0"):
+        x(0)
 
 
 def test_poly_det():
@@ -409,6 +411,8 @@ def test_poly_det():
     assert poly_det([[a]]) == a
     m = [[a, b, c], [ZERO, ONE, d], [ZERO, ZERO, ONE]]
     assert poly_det(m) == a
+    with pytest.raises(DomainError, match="non-square"):
+        poly_det([[a, b]])
 
 
 def test_hashing_and_immutability():

@@ -113,6 +113,15 @@ def test_rank_validation():
         double_schur(P([1, 1]), 1)
     with pytest.raises(RankTooSmallError):
         shifted_double_schur(P([2, 1, 1]), 2)
+    for lam, delta in ((P([1, 1]), P([1])), (P([1]), P([1, 1]))):
+        with pytest.raises(RankTooSmallError, match="got n = 1"):
+            restrict_to_fixed_point(lam, delta, 1)
+    with pytest.raises(DomainError, match="needs n >= 1, got 0"):
+        double_schur(P(), 0)
+    with pytest.raises(DomainError, match="double_h needs n >= 1, got 0"):
+        double_h(1, 0)
+    with pytest.raises(DomainError, match="unknown method 'bogus'"):
+        double_schur(P([1]), 2, method="bogus")
 
 
 # ---- shifted double Schur -----------------------------------------------------------

@@ -464,6 +464,8 @@ def test_table_molev_method_matches_expand():
 def test_molev_method_requires_standard():
     with pytest.raises(DomainError):
         compute_expansion(P([1]), P([1]), 3, SYM, method="molev")
+    with pytest.raises(DomainError, match="unknown method 'bogus'"):
+        compute_expansion(P([1]), P([1]), 3, SYM, method="bogus")
 
 
 @pytest.mark.parametrize("method", ["expand", "localize", "molev"])
