@@ -138,8 +138,8 @@ def _decode(m: int) -> tuple:
 # there.  The largest products of the inputs that complete are far below it:
 # schur --lambda 3,3,3 --n 6 has 12,422,592 pairs (232 MB peak on an x86-64
 # host), while --n 9 asks for 155,358,720 and grew past 960 MB.  The limit
-# bounds one product, not a whole computation: schur --lambda 3,2,1 --n 6
-# --method det-ratio stays under it and still peaks near 1.6 GB.
+# bounds one product, not a whole computation: verify --suite denominator
+# --n 7 stays under it and still takes about 4 s and 166 MB.
 MAX_PRODUCT_PAIRS = 50_000_000
 
 

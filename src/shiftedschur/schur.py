@@ -1,7 +1,8 @@
 """Double Schur functions, their shifted variant, and fixed-point restriction.
 
 The double Schur function in n variables is computed either as a ratio of
-two alternant determinants or through a generalized Jacobi-Trudi
+two alternant determinants, whose rows are reduced by divided differences so
+that the numerator is never expanded, or through a generalized Jacobi-Trudi
 determinant over complete double homogeneous functions h, or, when
 lambda_1 < l(lambda), the smaller dual one over elementary functions e of
 the conjugate; all are exact and must agree.  The shifted variant precomposes
@@ -141,21 +142,25 @@ def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec:
     ])
 
 
-def _alternant(lam: Partition, n: int) -> Poly:
-    """The alternant det[(x_i|y)^{lam_j+n-j}] over i, j = 1..n."""
+def _alternant_rows(lam: Partition, n: int) -> list[list[Poly]]:
+    """The rows [(x_i|y)^{lam_j+n-j}]_j, i = 1..n, of the alternant."""
     rows = []
     for i in range(1, n + 1):
         powers = _column("h", lam.part(1) + n - 1, 0, y, (x(i),))
         rows.append([powers[lam.part(j) + n - j] for j in range(1, n + 1)])
-    return poly_det(rows)
+    return rows
 
 
 def _det_ratio(lam: Partition, n: int) -> Poly:
-    quotient = _alternant(lam, n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            quotient = divide_linear(quotient, i, j)
-    return quotient
+    # Newton's divided differences: row i becomes (row_i - row_k) / (x_i - x_k) for
+    # k < i, which keeps the determinant up to prod_{k<i} (x_i - x_k), that is
+    # (-1)^{n(n-1)/2} times the denominator, so the alternant itself is never built.
+    rows = _alternant_rows(lam, n)
+    for k in range(1, n):
+        for i in range(k + 1, n + 1):
+            rows[i - 1] = [divide_linear(a - b, i, k) for a, b in zip(rows[i - 1], rows[k - 1])]
+    det = poly_det(rows)
+    return -det if n * (n - 1) // 2 % 2 else det
 
 
 def _check_args(name: str, lam: Partition, n: int, method: str) -> None:
@@ -243,4 +248,4 @@ def vandermonde(n: int) -> Poly:
 
 def alternant_denominator(n: int) -> Poly:
     """det[(x_i|y)^{n-j}], which must equal the Vandermonde product."""
-    return _alternant(Partition(), n)
+    return poly_det(_alternant_rows(Partition(), n))

@@ -64,7 +64,7 @@ def standard_tables_n7(pairs_weight_3):
 def test_criterion_01_jacobi_trudi_equals_det_ratio():
     start = time.perf_counter()
     cases = 0
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for lam in partitions_up_to(5, n):
             jt = double_schur(lam, n, method="jacobi_trudi")
             dr = double_schur(lam, n, method="det_ratio")

@@ -1089,6 +1089,19 @@ def test_schur_product_limit(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
+def test_det_ratio_never_builds_the_alternant(tmp_path):
+    # Expanding the 6 x 6 alternant before dividing by the 15 factors
+    # x_i - x_j took 31.7 s and peaked at 1.4 GB; the divided-difference
+    # rows never hold it.
+    argv = ["schur", "--lambda", "3,2,1", "--n", "6"]
+    proc, peak_kb = _run_peak_rss([*argv, "--method", "det-ratio"], tmp_path, timeout=20)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == _run([sys.executable, "-m", "shiftedschur", *argv]).stdout
+    assert peak_kb < 100 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
 @pytest.mark.parametrize("k, flags", [(20, []), (12, ["--shifted"])], ids=["20", "12-shifted"])
 def test_schur_e_table_limit(k, flags, tmp_path):
     # (1^k) is built from one column e_0..e_k; symbolic e_k has 2^k terms,

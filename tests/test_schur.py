@@ -101,6 +101,11 @@ def test_methods_agree_small():
             assert double_schur(lam, n, method="jacobi_trudi") == double_schur(
                 lam, n, method="det_ratio"
             )
+    for n in (1, 2, 3, 4):
+        for lam in partitions_up_to(4, n):
+            assert shifted_double_schur(lam, n, method="jacobi_trudi") == shifted_double_schur(
+                lam, n, method="det_ratio"
+            )
 
 
 def test_denominator_identity_small():
