@@ -43,8 +43,8 @@ from .structconst import (
     table_to_text,
 )
 
-# The start-up heap lives until exit: frozen, no later collection traces it
-# (those at exit included), and no forked child's copies its pages.
+# The start-up heap lives until exit: frozen, no later collection traces it,
+# those at exit included.
 gc.freeze()
 
 
@@ -390,7 +390,7 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else int(e.code)
-    except (DomainError, OSError) as e:  # OSError: a --jobs worker did not start or died
+    except (DomainError, OSError) as e:  # OSError: stdout closed, as by a reader that quit
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Iterator
 
@@ -93,6 +94,7 @@ class SkewShape(namedtuple("SkewShape", "outer inner")):
         return self.outer.weight - self.inner.weight
 
 
+@lru_cache(maxsize=1 << 16)  # molev's hook sums read each skew shape many times
 def count_standard_tableaux(shape: SkewShape) -> int:
     """Number of standard tableaux of the skew shape (1 for the empty shape).
 

@@ -463,8 +463,8 @@ class Poly:
         return out
 
     def __reduce__(self):
-        # Slots differ between processes (a forked worker registers
-        # variables in its own order), so a pickle carries flat monomials.
+        # Slots differ between processes (each registers variables in the
+        # order it meets them), so a pickle carries flat monomials.
         return (_unpickle_poly, (self.terms, type(self)))
 
 

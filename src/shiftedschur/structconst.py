@@ -4,9 +4,8 @@ Three independent routes to the same numbers:
 
   * multiply_schubert: multiply two basis elements and expand the product
     by peeling, for nu in descending order, the x^nu term of what is left;
-  * structure_constants_via_localization: evaluate both sides of the
-    product identity at torus-fixed points and back-substitute through the
-    triangular system given by the containment-vanishing property;
+  * structure_constants_via_localization: the equivariant Pieri recurrence
+    of Molev-Sagan, from restrictions to torus-fixed points;
   * molev_coefficient: the alternating hook-function sum, valid for the
     weight-graded specialization y_j = (j+d)u.
 """
@@ -14,8 +13,8 @@ Three independent routes to the same numbers:
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     AsymmetricInputError, DomainError, RankTooSmallError, UnresolvableIndexError
@@ -26,7 +25,6 @@ from .partitions import (
     _interval,
     _partitions_of,
     canonical_key,
-    contains,
     hook_h,
     partitions_between,
     partitions_up_to,
@@ -40,6 +38,7 @@ from .polyring import (
     YSpec,
     _decode,
     _encode,
+    _exact_quotient,
     _group,
     _int_if_integral,
     _mono_sort_key,
@@ -185,6 +184,21 @@ def _candidates(lam: Partition, mu: Partition, n: int) -> list[Partition]:
     return _interval(_union(lam, mu), (top,) * min(n, len(lam) + len(mu)), top)
 
 
+_OMEGA_KINDS = ("zero", "standard", "affine", "symbolic")
+
+
+def _omega(exp: SchurExpansion) -> SchurExpansion:
+    """The stable expansion of the conjugate pair.  The stable product commutes
+    with omega, which conjugates labels and sends y_j to -y_{-1-j}.  Omega only
+    translates zero, standard and affine values, which moves no s*_nu, so only
+    symbolic coefficients hold y to relabel; circle, torus and finite-rank
+    products have no such reading."""
+    return SchurExpansion(exp.n, exp.yspec, {
+        nu.conjugate(): c.substitute({y(j): -y(-1 - j) for j in c.y_indices()})
+        for nu, c in exp.coefficients.items()
+    })
+
+
 def multiply_schubert(
     lam, mu, n: int, yspec: YSpec = SYMBOLIC, stable: bool = True
 ) -> SchurExpansion:
@@ -198,20 +212,12 @@ def multiply_schubert(
     nu longer than l(lam)+l(mu) occurs (Molev-Sagan fill nu/mu
     column-strictly with entries at most l(lam)).  So under both readings
     the product is built and expanded at n0 = max(min(n, l(lam)+l(mu)), 1),
-    and the expansion reports the caller's n.  The stable product commutes
-    with omega, which conjugates labels and sends y_j to -y_{-1-j}; so when
-    lam_1+mu_1 < l(lam)+l(mu), the conjugate pair is expanded at rank
-    lam_1+mu_1.  Omega only translates zero, standard and affine values, which
-    moves no s*_nu; a circle, torus or finite-rank product keeps its route.
+    and the expansion reports the caller's n.  When lam_1+mu_1 < l(lam)+l(mu),
+    the conjugate pair is expanded at rank lam_1+mu_1 and read through _omega.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "expansion")
-    omega = yspec.kind in ("zero", "standard", "affine", "symbolic")
-    if stable and omega and lam.part(1) + mu.part(1) < len(lam) + len(mu):
-        dual = multiply_schubert(lam.conjugate(), mu.conjugate(), n, yspec).coefficients
-        return SchurExpansion(n, yspec, {  # only symbolic coefficients hold y to relabel
-            nu.conjugate(): c.substitute({y(j): -y(-1 - j) for j in c.y_indices()})
-            for nu, c in dual.items()
-        })
+    if stable and yspec.kind in _OMEGA_KINDS and lam.part(1) + mu.part(1) < len(lam) + len(mu):
+        return _omega(multiply_schubert(lam.conjugate(), mu.conjugate(), n, yspec))
     n0 = max(min(n, len(lam) + len(mu)), 1)
     product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
     coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients
@@ -242,38 +248,81 @@ def molev_coefficient(lam, mu, nu) -> Fraction:
     return total
 
 
+def _with_part(p: tuple, i: int, k: int) -> Partition:
+    """p with its part i (1-indexed) set to k, a partition by the caller's choice of i."""
+    return tuple.__new__(Partition, p[:i - 1] + ((k,) if k else ()) + p[i:])
+
+
 def structure_constants_via_localization(
-    lam, mu, n: int, yspec: YSpec = SYMBOLIC, stable: bool = True
+    lam, mu, n: int, yspec: YSpec = SYMBOLIC, stable: bool = True, memo: dict | None = None
 ) -> SchurExpansion:
-    """Solve for the expansion coefficients by restriction to fixed points.
+    """Solve for the coefficients by the equivariant Pieri recurrence (Molev-Sagan).
 
-    The _candidates are processed in canonical order; evaluating the
-    product identity at the fixed point delta = nu involves only
-    already-solved coefficients, so back-substitution suffices.  Vanishing
-    and triangularity hold at any rank n >= l(delta), so stable=False
-    admits any rank >= max length, as multiply_schubert does.
+    Multiplying by s*_1 adds a box: s*_1 * s*_a = s*_1|_a * s*_a + sum_{a+} s*_{a+},
+    where f|_d is f at the fixed point d.  So associativity of s*_1 * s*_a * s*_b
+    gives, for the coefficient C(a, b, nu) of s*_nu and a < nu,
+        (s*_1|_nu - s*_1|_a) C(a, b, nu)
+            = sum_{a+ <= nu} C(a+, b, nu) - sum_{a, b <= nu-} C(a, b, nu-),
+    from C(a, b, a) = s*_b|_a.  The form s*_1|_d = sum_{i <= l(d)} (y_{d_i-i} - y_{-i})
+    is read in closed form, without the y that cancel, and the boxes go to the
+    heavier factor.  Under standard and circle every y_j is an integer times u, so
+    the recurrence runs on the rational c of C = c * u^{|a|+|b|-|nu|}, an int as C
+    is an integer polynomial in the y, and under standard C(a, b, a) is Naruse's
+    hook ratio hook_h(a) / hook_h(a/b); under any other spec it runs on
+    polynomials, divided exactly.  The coefficients are those of any rank >= l(nu)
+    (see multiply_schubert), so stable=False admits any rank >= max length.  memo
+    maps a yspec to the solved C: a table passes one for all its pairs, else it
+    lives for this call.
 
-    A candidate's restriction to its own fixed point is a product of
-    differences y_a - y_b, which vanishes when the yspec equates two of them:
-    zero, an all-equal affine spec or a repeating window.  _indirect then
-    solves the pair, the first two at standard:d=0, the last symbolically.
+    Where a form vanishes (zero, an all-equal affine spec, or a window whose
+    differences sum to 0), _indirect solves the pair: the first two at
+    standard:d=0, the last symbolically.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "localization")
-    solved: dict[Partition, Poly] = {}
-    for delta in _candidates(lam, mu, n):
-        diag = restrict_to_fixed_point(delta, delta, n, yspec)
-        if not diag:
-            return _indirect(structure_constants_via_localization, lam, mu, n, yspec, stable)
-        lhs = restrict_to_fixed_point(lam, delta, n, yspec) * restrict_to_fixed_point(
-            mu, delta, n, yspec
-        )
-        for prev, c in solved.items():
-            if contains(delta, prev):
-                lhs = lhs - c * restrict_to_fixed_point(prev, delta, n, yspec)
-        coeff = divide_exact(lhs, diag)
-        if coeff:
-            solved[delta] = coeff
-    return SchurExpansion(n=n, yspec=yspec, coefficients=solved)
+    memo = {} if memo is None else memo
+    solved, scalar = memo.setdefault(yspec, {}), yspec.kind in ("standard", "circle")
+    if scalar:  # y_j = value(j) * u, and value(j) = j + d under standard
+        lookup = yspec.window.lookup if yspec.kind == "circle" else int
+        value, zero = (lambda j: lookup(j + yspec.d)), 0
+    else:
+        value, zero = yspec.value, ZERO
+
+    def coefficient(a: Partition, b: Partition, nu: Partition):
+        c = solved.get((a, b, nu))
+        if c is not None:
+            return c
+        if nu == a and yspec.kind == "standard":
+            c = _int_if_integral(hook_h(SkewShape(a)) / hook_h(SkewShape(a, b)))
+        elif nu == a:
+            c = restrict_to_fixed_point(b, a, n, yspec)
+            c = next(iter(c._terms.values()), 0) if scalar else c
+        else:  # rows 1..l(nu) of a, b and nu, with a row 0 above them all and a zero row below
+            A, B, N = ((nu[0] + 1,) + p + (0,) * (len(nu) + 1 - len(p)) for p in (a, b, nu))
+            rows = range(1, len(nu) + 1)
+            top, low = {N[i] - i for i in rows}, {A[i] - i for i in rows}
+            form = sum(map(value, top - low), zero) - sum(map(value, low - top), zero)
+            if not form:
+                raise ZeroDivisionError
+            ups = (_with_part(a, i, A[i] + 1) for i in range(1, len(a) + 2)
+                   if A[i] < min(N[i], A[i - 1]))
+            downs = (_with_part(nu, i, N[i] - 1) for i in rows
+                     if N[i] > max(N[i + 1], A[i], B[i]))
+            c = sum((coefficient(p, b, nu) for p in ups), zero) - sum(
+                (coefficient(a, b, m) for m in downs), zero)
+            c = _exact_quotient(c, form) if scalar else divide_exact(c, form)
+        solved[a, b, nu] = c
+        return c
+
+    a, b = sorted((lam, mu), key=canonical_key, reverse=True)
+    try:
+        coeffs = {nu: coefficient(a, b, nu) for nu in _candidates(lam, mu, n)}
+    except ZeroDivisionError:
+        engine = partial(structure_constants_via_localization, memo=memo)
+        return _indirect(engine, lam, mu, n, yspec, stable)
+    if scalar:
+        top = lam.weight + mu.weight
+        coeffs = {nu: const(c) * u ** (top - nu.weight) for nu, c in coeffs.items() if c}
+    return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 
 def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpansion:
@@ -312,14 +361,17 @@ TABLE_METHODS = tuple(_ENGINES)
 
 
 def compute_expansion(
-    lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True
+    lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True, memo=None
 ) -> SchurExpansion:
     """Dispatch a product expansion to one of the three algorithms: through
     _indirect under affine, and molev under zero, or where the expansion
-    reads a y_j that a window without a tail rule lacks; else directly."""
+    reads a y_j that a window without a tail rule lacks; else directly.
+    localize shares its recurrence with every call given the same memo."""
     engine = _ENGINES.get(method)
     if engine is None:
         raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
+    if method == "localize" and memo is not None:
+        engine = partial(engine, memo=memo)
     if yspec.kind == "affine" or (yspec.kind == "zero" and method == "molev"):
         return _indirect(engine, lam, mu, n, yspec, stable)
     try:
@@ -338,9 +390,10 @@ def multiplication_table(
 ) -> list[tuple[Partition, Partition, SchurExpansion]]:
     """Expansions for all unordered pairs of partitions of weight <= max_weight.
 
-    Rows are in canonical pair order; an error is the first a serial run
-    meets.  The pairs are dealt, heaviest |lam|+|mu| first, into min(jobs,
-    CPUs, pairs) shares: one for this process and one per forked child.
+    Rows are in canonical pair order; an error is the first one met.  The
+    pairs share one localize memo, and under the stable reading a pair whose
+    conjugate pair came earlier is read from that row through _omega.  Every
+    jobs value runs this one loop: forked shares would each refill the memo.
     """
     if max_weight < 0:
         raise DomainError("max_weight must be nonnegative")
@@ -350,51 +403,15 @@ def multiplication_table(
             f"got n = {n}"
         )
     parts = partitions_up_to(max_weight, n)
-    pairs = [(p, q) for a, p in enumerate(parts) for q in parts[a:]]
-
-    def share_rows(share):  # (index, expansion) up to the first error, which takes its place
-        for i in share:
-            try:
-                yield i, compute_expansion(*pairs[i], n, yspec, method, not finite_rank)
-            except Exception as e:
-                yield i, e
-                return
-
-    jobs = max(1, min(jobs, os.cpu_count() or 1, len(pairs))) if hasattr(os, "fork") else 1
-    order = sorted(range(len(pairs)), key=lambda i: -(pairs[i][0].weight + pairs[i][1].weight))
-    shares = [sorted(order[k::jobs]) for k in range(jobs)]
-    readers, pids = [], []  # the read ends of the children's pipes, and their pids
-    try:
-        for share in shares[1:]:
-            import pickle
-            import signal
-            r, w = os.pipe()
-            readers.append(open(r, "rb"))
-            with open(w, "wb") as fh:
-                pids.append(pid := os.fork())
-                if pid == 0:  # the child: send the rows, never flush inherited buffers or return
-                    try:
-                        pickle.dump(list(share_rows(share)), fh)
-                        fh.flush()
-                    finally:
-                        os._exit(0)
-        results = list(share_rows(shares[0]))
-        for fh in readers:
-            try:  # a child that died sent nothing or a truncated pickle
-                results += pickle.loads(fh.read())
-            except (pickle.UnpicklingError, EOFError):
-                raise ChildProcessError("a --jobs worker ended without a result") from None
-    finally:
-        for fh in readers:
-            fh.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    results.sort(key=lambda item: item[0])
-    for _, exp in results:  # the first error comes before any pair a share skipped
-        if isinstance(exp, Exception):
-            raise exp
-    return [(*pairs[i], exp) for i, exp in results]
+    omega = not finite_rank and yspec.kind in _OMEGA_KINDS
+    memo, rows = {}, {}
+    for a, p in enumerate(parts):
+        for q in parts[a:]:
+            dual = omega and (rows.get((q.conjugate(), p.conjugate()))
+                              or rows.get((p.conjugate(), q.conjugate())))
+            rows[p, q] = _omega(dual) if dual else compute_expansion(
+                p, q, n, yspec, method, not finite_rank, memo)
+    return [(p, q, exp) for (p, q), exp in rows.items()]
 
 
 # -- serialization ---------------------------------------------------------------

@@ -283,8 +283,7 @@ def test_output_flag(tmp_path, capsys):
 
 
 def test_jobs_byte_identical(tmp_path, capsys):
-    # Workers fork with the parent's slot registry and then register
-    # variables in their own order; results come back as flat monomials.
+    # Every --jobs value runs the same one-process loop and prints the same bytes.
     tables = (
         ("--max-weight", "1", "--n", "3", "--y", "standard:d=0"),
         ("--max-weight", "2", "--n", "5", "--y", "symbolic"),
@@ -301,6 +300,21 @@ def test_jobs_byte_identical(tmp_path, capsys):
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_jobs_never_fork(capsys, monkeypatch):
+    # Every --jobs value runs the one serial loop, which shares its memo between rows.
+    import errno
+
+    table = ("table", "--max-weight", "2", "--n", "5", "--y", "symbolic", "--method", "localize")
+    serial = invoke(capsys, *table, "--jobs", "1")
+    assert serial[0] == 0
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert invoke(capsys, *table, "--jobs", "4") == serial
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_jobs_below_one_runs_serially(capsys, jobs):
     table = ("table", "--max-weight", "1", "--n", "3")
@@ -309,60 +323,12 @@ def test_jobs_below_one_runs_serially(capsys, jobs):
     assert invoke(capsys, *table, "--jobs", jobs) == serial
 
 
-def test_jobs_same_error(capsys, monkeypatch):
-    # Each share stops at its first error and the lowest pair index wins, so
-    # --jobs 2 reports the pair a serial run fails on, not the heaviest one.
-    import shiftedschur.structconst as sc
-
-    monkeypatch.setattr(sc.os, "cpu_count", lambda: 4)
+def test_jobs_same_error(capsys):
+    # Every --jobs value reports the first pair that fails, in canonical order.
     table = ("--max-weight", "2", "--n", "5", "--y", "circle:d=0,window=0:1,2,3,4")
     want = (2, "", "error: sequence index -1 outside window [0, 3] and no tail rule\n")
     for jobs in ("1", "2", "4"):
         assert invoke(capsys, "table", *table, "--jobs", jobs, "--format", "json") == want
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs forks its workers")
-def test_jobs_worker_killed(capsys, monkeypatch):
-    # A worker killed mid-table (as by the OOM killer) sends no rows: one
-    # error line and exit 2, and every child is reaped.
-    import shiftedschur.structconst as sc
-
-    me, real, real_fork, forked = os.getpid(), sc.compute_expansion, os.fork, []
-
-    def dies_in_child(*args):
-        if os.getpid() != me:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(*args)
-
-    def fork():
-        pid = real_fork()
-        forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(sc, "compute_expansion", dies_in_child)
-    monkeypatch.setattr(sc.os, "fork", fork)
-    monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
-    code, out, err = invoke(capsys, "table", "--max-weight", "2", "--n", "5", "--jobs", "2")
-    assert (code, out, err) == (2, "", "error: a --jobs worker ended without a result\n")
-    assert len(forked) == 1
-    with pytest.raises(ChildProcessError):  # reaped, so no process is left
-        os.waitpid(forked[0], os.WNOHANG)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs forks its workers")
-def test_jobs_fork_refused(capsys, monkeypatch):
-    import errno
-
-    import shiftedschur.structconst as sc
-
-    def fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(sc.os, "fork", fork)
-    monkeypatch.setattr(sc.os, "cpu_count", lambda: 2)
-    code, out, err = invoke(capsys, "table", "--max-weight", "1", "--n", "3", "--jobs", "2")
-    assert (code, out) == (2, "")
-    assert err == f"error: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
 
 
 # ---- exit codes -----------------------------------------------------------------
@@ -947,21 +913,22 @@ def test_cli_import_freezes_the_start_up_heap():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 True True\n", "")
 
 
-# A parallel table forks its workers with os.fork: it loads no pool module.
+# A table at any --jobs runs in this one process: no fork and no pool or pipe module.
 _JOBS_PROBE = """\
 import os, sys
+forks = []
+os.fork = lambda: forks.append(1)
 import shiftedschur.cli
-import shiftedschur.structconst as sc
-sc.os.cpu_count = lambda: 2
 code = shiftedschur.cli.run(["table", "--max-weight", "2", "--n", "5", "--jobs", "2",
                              "--output", os.devnull])
-print(code, ",".join(m for m in sys.argv[1:] if m in sys.modules))
+print(code, len(forks), ",".join(m for m in sys.argv[1:] if m in sys.modules))
 """
 
 
 def test_parallel_table_loads_no_pool_module():
-    proc = _run([sys.executable, "-c", _JOBS_PROBE, "concurrent.futures", "multiprocessing"])
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 \n", "")
+    modules = ("pickle", "signal", "multiprocessing", "concurrent.futures")
+    proc = _run([sys.executable, "-c", _JOBS_PROBE, *modules])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 \n", "")
 
 
 # Runs argv[2:] and writes its peak RSS in kilobytes, read with os.wait4, to

@@ -294,7 +294,7 @@ def _build_in_worker():
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork-started workers"
 )
 def test_pickle_survives_diverged_registries():
-    ctx = multiprocessing.get_context("fork")  # table --jobs forks its workers too
+    ctx = multiprocessing.get_context("fork")  # the worker registers variables in its own order
     with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
         future = pool.submit(_build_in_worker)
         for family, index in FRESH:

@@ -5,7 +5,7 @@ the benchmark can make.  Each is run here through shiftedschur.cli.run and
 must print the same bytes, so a change to the output surfaces in the test
 suite, not first in a benchmark run.  All of them replay, the twelve
 weight-3 expand tables among them, which take a fraction of a second together,
-and each of the 29 tables replays once more in two shares (--jobs 2).
+and each of the 29 tables replays once more at --jobs 2.
 """
 
 import contextlib
@@ -38,7 +38,7 @@ def test_reference_output(key, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
-# Every reference table again in two forked shares: --jobs changes no byte.
+# Every reference table again at --jobs 2: --jobs changes no byte.
 @pytest.mark.parametrize("key, digest", _cases(" --jobs 2", "table "))
 def test_reference_table_output_in_two_shares(key, digest):
     test_reference_output(key, digest)
@@ -62,7 +62,7 @@ def test_weight_four_table_output(key, digest):
 
 
 # The symbolic weight-3 expand table, the one whose coefficients the
-# conjugate route of multiply_schubert relabels, serially and in two shares.
+# conjugate route of multiply_schubert relabels, at --jobs 1 and 2.
 SYMBOLIC_W3 = "table --max-weight 3 --n 7 --y symbolic --method expand --format json"
 
 

@@ -1,5 +1,4 @@
 import json
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,6 +22,7 @@ from shiftedschur import (
     multiplication_table,
     multiply_schubert,
     partitions_up_to,
+    restrict_to_fixed_point,
     shifted_double_schur,
     structure_constants_via_localization,
     u,
@@ -337,21 +337,13 @@ def test_localization_rejects_degenerate():
             )
 
 
-def test_all_equal_affine_localizes_at_the_standard_action(monkeypatch):
-    # Every diagonal vanishes under affine(0, 5/7).  The pair is then solved
-    # under standard:d=0 at u = 0, the constant step, not symbolically.
-    import shiftedschur.structconst as sc
-
-    restrict, kinds = sc.restrict_to_fixed_point, set()
-
-    def recording(lam, delta, n, yspec=SYM):
-        kinds.add(yspec.kind)
-        return restrict(lam, delta, n, yspec)
-
-    monkeypatch.setattr(sc, "restrict_to_fixed_point", recording)
-    spec = YSpec.affine(0, Fraction(5, 7))
-    exp = structure_constants_via_localization(P([2, 1]), P([1]), 5, spec)
-    assert "standard" in kinds and "symbolic" not in kinds
+def test_all_equal_affine_localizes_at_the_standard_action():
+    # Every Pieri form vanishes under affine(0, 5/7).  The pair is then solved
+    # under standard:d=0 at u = 0, the constant step, not symbolically: the
+    # recurrence memo holds entries for those two specs only.
+    spec, memo = YSpec.affine(0, Fraction(5, 7)), {}
+    exp = structure_constants_via_localization(P([2, 1]), P([1]), 5, spec, memo=memo)
+    assert set(memo) == {spec, STD0} and memo[STD0]
     assert exp == multiply_schubert(P([2, 1]), P([1]), 5, spec)
 
 
@@ -389,6 +381,68 @@ def test_localization_torus_spec():
     a = structure_constants_via_localization(lam, mu, 3, YSpec.torus(0))
     b = multiply_schubert(lam, mu, 3, YSpec.torus(0))
     assert a == b
+
+
+# y_j = (j+2)u outside the window [-4, -2], which holds -6, -1, -2: the y_j
+# for j in [-7, 6] are distinct, so no difference y_a - y_b of them vanishes,
+# but the Pieri form of (1,1) < (2,1,1), (y_1 + y_{-2}) - (y_0 + y_{-3}), does.
+PIERI_WINDOW = YSpec.circle(IntSeqWindow(-4, (-6, -1, -2), (1, 2)), 0)
+
+
+def test_pieri_form_vanishes_with_no_difference_vanishing(monkeypatch):
+    import shiftedschur.structconst as sc
+
+    values = [PIERI_WINDOW.value(j) for j in range(-7, 7)]
+    assert len(set(values)) == len(values)
+    lam, mu = P([2]), P([1, 1])
+    candidates = sc._candidates(lam, mu, 4)
+    assert all(restrict_to_fixed_point(nu, nu, 4, PIERI_WINDOW) for nu in candidates)
+    indirect, calls = sc._indirect, []
+
+    def recording(engine, lam, mu, n, yspec, stable):
+        calls.append(yspec.kind)
+        return indirect(engine, lam, mu, n, yspec, stable)
+
+    monkeypatch.setattr(sc, "_indirect", recording)
+    exp = structure_constants_via_localization(lam, mu, 4, PIERI_WINDOW)
+    assert calls == ["circle"]  # then solved symbolically and specialized
+    assert exp.coefficients == _direct(lam, mu, PIERI_WINDOW)
+
+
+PIERI_SPECS = (SYM, ZSPEC, YSpec.torus(2), PIERI_WINDOW, *(YSpec.standard(d) for d in range(4)))
+
+
+def test_pieri_recurrence_matches_the_direct_expansion():
+    # The recurrence against the product expanded directly, with neither the
+    # conjugate route nor a memo: every weight <= 3 pair at n = l(lam)+l(mu)+1.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.sampled_from(W3_PAIRS), st.sampled_from(PIERI_SPECS))
+    def check(pair, spec):
+        lam, mu = pair
+        exp = structure_constants_via_localization(lam, mu, len(lam) + len(mu) + 1, spec)
+        assert exp.coefficients == _direct(lam, mu, spec)
+
+    check()
+
+
+@pytest.mark.parametrize("spec", [SYM, ZSPEC, YSpec.standard(2), YSpec.affine(Fraction(1, 2), 3)],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("method", ["expand", "localize"])
+def test_table_rows_read_from_the_conjugate_row(spec, method, monkeypatch):
+    # 10 of the 28 rows at weight 3 are the conjugates of earlier rows; the
+    # table reads them through omega, and each equals the pair computed alone.
+    import shiftedschur.structconst as sc
+
+    real, calls = sc.compute_expansion, []
+    monkeypatch.setattr(sc, "compute_expansion", lambda *args: calls.append(args) or real(*args))
+    rows = multiplication_table(3, 7, spec, method)
+    monkeypatch.undo()
+    assert (len(rows), len(calls)) == (28, 18)
+    for p, q, exp in rows:
+        assert exp == compute_expansion(p, q, 7, spec, method), (p, q)
 
 
 # ---- tables and serialization -----------------------------------------------------
@@ -491,70 +545,3 @@ def test_table_jobs_parallel_identical():
     ]
 
 
-def _record_forks(monkeypatch):
-    """List the pid of every child the table forks."""
-    forked = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forked
-
-
-def test_table_jobs_capped_at_cpu_count(monkeypatch):
-    # One process per share: this one and a child for each other share, at
-    # most os.cpu_count() and at most one per pair in all.
-    seq = multiplication_table(1, 3, STD0, jobs=1)
-    forked = _record_forks(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert multiplication_table(1, 3, STD0, jobs=64) == seq
-    assert len(forked) == 1
-    with pytest.raises(ChildProcessError):  # reaped
-        os.waitpid(forked[0], os.WNOHANG)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert multiplication_table(1, 3, STD0, jobs=64) == seq
-    assert len(forked) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert multiplication_table(0, 1, STD0, jobs=8) == multiplication_table(0, 1, STD0)
-    assert len(forked) == 1  # one pair, one share
-
-
-def test_table_jobs_heaviest_pairs_first(monkeypatch, tmp_path):
-    import shiftedschur.structconst as sc
-
-    # Each process appends the pairs it computes, in its order, to one file.
-    log = tmp_path / "pairs"
-    real = sc.compute_expansion
-
-    def logged(lam, mu, *rest):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {list(lam)} {list(mu)}\n")
-        return real(lam, mu, *rest)
-
-    seq = multiplication_table(2, 5, STD0, jobs=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sc, "compute_expansion", logged)
-    assert multiplication_table(2, 5, STD0, jobs=2) == seq
-    pairs = [f"{list(lam)} {list(mu)}" for lam, mu, _ in seq]
-    by_pid = {}
-    for line in log.read_text().splitlines():
-        pid, pair = line.split(" ", 1)
-        by_pid.setdefault(int(pid), []).append(pairs.index(pair))
-    # Heaviest |lam|+|mu| first, dealt round-robin; this process takes share 0
-    # and each share is computed in canonical order.
-    order = sorted(range(len(seq)), key=lambda i: -(seq[i][0].weight + seq[i][1].weight))
-    assert seq[order[0]][0].weight + seq[order[0]][1].weight == 4
-    assert by_pid.pop(os.getpid()) == sorted(order[0::2])
-    assert list(by_pid.values()) == [sorted(order[1::2])]
-
-
-def test_table_without_fork_is_serial(monkeypatch):
-    seq = multiplication_table(1, 3, STD0, jobs=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delattr(os, "fork")
-    assert multiplication_table(1, 3, STD0, jobs=2) == seq
