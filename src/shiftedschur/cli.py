@@ -179,6 +179,7 @@ def build_parser() -> _Parser:
     p = add_verb("table", _cmd_table, "multiplication table up to a weight bound")
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--method", choices=TABLE_METHODS, default="expand")
+    # Accepted and unused: a table runs in one process at any --jobs.
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--finite-rank", action="store_true")
     add_common(p)
@@ -252,7 +253,7 @@ def _cmd_multiply(args) -> str:
 
 def _cmd_table(args) -> str:
     rows = multiplication_table(
-        args.max_weight, args.n, args.y, args.method, jobs=args.jobs, finite_rank=args.finite_rank
+        args.max_weight, args.n, args.y, args.method, finite_rank=args.finite_rank
     )
     if args.format == "json":
         return dumps_canonical(table_to_json_obj(rows, args.n, args.y))

@@ -385,15 +385,13 @@ def multiplication_table(
     n: int,
     yspec: YSpec = SYMBOLIC,
     method: str = "expand",
-    jobs: int = 1,
     finite_rank: bool = False,
 ) -> list[tuple[Partition, Partition, SchurExpansion]]:
     """Expansions for all unordered pairs of partitions of weight <= max_weight.
 
     Rows are in canonical pair order; an error is the first one met.  The
     pairs share one localize memo, and under the stable reading a pair whose
-    conjugate pair came earlier is read from that row through _omega.  Every
-    jobs value runs this one loop: forked shares would each refill the memo.
+    conjugate pair came earlier is read from that row through _omega.
     """
     if max_weight < 0:
         raise DomainError("max_weight must be nonnegative")

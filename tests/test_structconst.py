@@ -537,11 +537,3 @@ def test_every_method_applies_the_rank_guard(method):
         assert got.coefficients == want.coefficients
 
 
-def test_table_jobs_parallel_identical():
-    seq = multiplication_table(1, 3, STD0, jobs=1)
-    par = multiplication_table(1, 3, STD0, jobs=2)
-    assert [(l, m, e.coefficients) for l, m, e in seq] == [
-        (l, m, e.coefficients) for l, m, e in par
-    ]
-
-
