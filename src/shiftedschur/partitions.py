@@ -104,6 +104,8 @@ def count_standard_tableaux(shape: SkewShape) -> int:
     fraction-free elimination.
     """
     outer, inner = shape.outer, shape.inner
+    if outer.part(1) < len(outer):  # f(outer/inner) = f(outer'/inner'), with fewer rows
+        outer, inner = outer.conjugate(), inner.conjugate()
     r = len(outer)
     tops = [factorial(outer.part(i) - i + r) for i in range(1, r + 1)]
     rows = []
@@ -136,13 +138,14 @@ def _partitions_of(total: int, lower: tuple, cap: tuple, i=0, prev=0) -> Iterato
     # Yields, in descending lexicographic order, the partitions of `total`
     # with lower_i <= rho_i <= cap_i in every row (lower padded with zeros,
     # rho no longer than cap): one weight of an interval of Young's lattice.
-    # Rows 0..i-1 are placed, and prev is the last of them (0 before any).
+    # Rows 0..i-1 are placed, and prev is the last of them (0 before any).  A row
+    # takes at most what the lower bounds of the rows below it leave of total.
     if not total:
         if i >= len(lower):
             yield ()
     elif i < len(cap):
         low = lower[i] if i < len(lower) else 1
-        for first in range(min(total, cap[i], prev or total), low - 1, -1):
+        for first in range(min(total - sum(lower[i + 1:]), cap[i], prev or total), low - 1, -1):
             for rest in _partitions_of(total - first, lower, cap, i + 1, first):
                 yield (first,) + rest
 

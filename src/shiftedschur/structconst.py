@@ -216,12 +216,27 @@ def multiply_schubert(
     the conjugate pair is expanded at rank lam_1+mu_1 and read through _omega.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "expansion")
+    if yspec.kind == "affine":  # the constant step: the standard:d=0 expansion at u = a
+        exp = multiply_schubert(lam, mu, n, YSpec.standard(0), stable)
+        return SchurExpansion(n, yspec, {nu: c.substitute({u: yspec.a}) for nu, c in exp.items()})
     if stable and yspec.kind in _OMEGA_KINDS and lam.part(1) + mu.part(1) < len(lam) + len(mu):
         return _omega(multiply_schubert(lam.conjugate(), mu.conjugate(), n, yspec))
     n0 = max(min(n, len(lam) + len(mu)), 1)
     product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
     coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
+
+
+def _slope(yspec: YSpec) -> Poly | None:
+    """The t of y_j = t*j + b: u under standard, a under affine, 0 under zero, else
+    None.  A structure constant is a polynomial in the y_i - y_j = (i-j)*t (Molev-Sagan),
+    so it is c * t^(|lam|+|mu|-|nu|) there, with the rational c of standard:d=0."""
+    return {"standard": u, "affine": const(yspec.a), "zero": ZERO}.get(yspec.kind)
+
+
+def _graded(coeffs: dict, top: int, t: Poly) -> dict[Partition, Poly]:
+    """The coefficients c * t^(top-|nu|) of the rationals c of each nu."""
+    return {nu: const(c) * t ** (top - nu.weight) for nu, c in coeffs.items() if c}
 
 
 def molev_coefficient(lam, mu, nu) -> Fraction:
@@ -265,33 +280,30 @@ def structure_constants_via_localization(
             = sum_{a+ <= nu} C(a+, b, nu) - sum_{a, b <= nu-} C(a, b, nu-),
     from C(a, b, a) = s*_b|_a.  The form s*_1|_d = sum_{i <= l(d)} (y_{d_i-i} - y_{-i})
     is read in closed form, without the y that cancel, and the boxes go to the
-    heavier factor.  Under standard and circle every y_j is an integer times u, so
-    the recurrence runs on the rational c of C = c * u^{|a|+|b|-|nu|}, an int as C
-    is an integer polynomial in the y, and under standard C(a, b, a) is Naruse's
-    hook ratio hook_h(a) / hook_h(a/b); under any other spec it runs on
-    polynomials, divided exactly.  The coefficients are those of any rank >= l(nu)
-    (see multiply_schubert), so stable=False admits any rank >= max length.  memo
-    maps a yspec to the solved C: a table passes one for all its pairs, else it
-    lives for this call.
+    heavier factor.  Under a constant step t (see _slope) the form is t*(|nu|-|a|),
+    so the recurrence runs on the rational c of C = c * t^{|a|+|b|-|nu|}, from
+    Naruse's hook ratio c(a, b, a) = hook_h(a) / hook_h(a/b).  Under circle every
+    y_j is an integer times u, so it runs on the int c of C = c * u^{|a|+|b|-|nu|};
+    under any other spec on polynomials, divided exactly.  The coefficients are
+    those of any rank >= l(nu) (see multiply_schubert), so stable=False admits any
+    rank >= max length.  memo maps a yspec to the solved C: a table passes one for
+    all its pairs, else it lives for this call.
 
-    Where a form vanishes (zero, an all-equal affine spec, or a window whose
-    differences sum to 0), _indirect solves the pair: the first two at
-    standard:d=0, the last symbolically.
+    Only a circle window's form can vanish, where its differences sum to 0; the
+    pair is then solved symbolically, in the same memo, and the window put in.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "localization")
     memo = {} if memo is None else memo
-    solved, scalar = memo.setdefault(yspec, {}), yspec.kind in ("standard", "circle")
-    if scalar:  # y_j = value(j) * u, and value(j) = j + d under standard
-        lookup = yspec.window.lookup if yspec.kind == "circle" else int
-        value, zero = (lambda j: lookup(j + yspec.d)), 0
-    else:
-        value, zero = yspec.value, ZERO
+    solved, t = memo.setdefault(yspec, {}), _slope(yspec)
+    scalar = t is not None or yspec.kind == "circle"
+    zero = 0 if scalar else ZERO
+    value = (lambda j: yspec.window.lookup(j + yspec.d)) if yspec.kind == "circle" else yspec.value
 
     def coefficient(a: Partition, b: Partition, nu: Partition):
         c = solved.get((a, b, nu))
         if c is not None:
             return c
-        if nu == a and yspec.kind == "standard":
+        if nu == a and t is not None:
             c = _int_if_integral(hook_h(SkewShape(a)) / hook_h(SkewShape(a, b)))
         elif nu == a:
             c = restrict_to_fixed_point(b, a, n, yspec)
@@ -299,10 +311,11 @@ def structure_constants_via_localization(
         else:  # rows 1..l(nu) of a, b and nu, with a row 0 above them all and a zero row below
             A, B, N = ((nu[0] + 1,) + p + (0,) * (len(nu) + 1 - len(p)) for p in (a, b, nu))
             rows = range(1, len(nu) + 1)
-            top, low = {N[i] - i for i in rows}, {A[i] - i for i in rows}
-            form = sum(map(value, top - low), zero) - sum(map(value, low - top), zero)
-            if not form:
-                raise ZeroDivisionError
+            if t is not None:
+                form = sum(nu) - sum(a)
+            else:
+                top, low = {N[i] - i for i in rows}, {A[i] - i for i in rows}
+                form = sum(map(value, top - low), zero) - sum(map(value, low - top), zero)
             ups = (_with_part(a, i, A[i] + 1) for i in range(1, len(a) + 2)
                    if A[i] < min(N[i], A[i - 1]))
             downs = (_with_part(nu, i, N[i] - 1) for i in rows
@@ -316,40 +329,25 @@ def structure_constants_via_localization(
     a, b = sorted((lam, mu), key=canonical_key, reverse=True)
     try:
         coeffs = {nu: coefficient(a, b, nu) for nu in _candidates(lam, mu, n)}
-    except ZeroDivisionError:
-        engine = partial(structure_constants_via_localization, memo=memo)
-        return _indirect(engine, lam, mu, n, yspec, stable)
+    except ZeroDivisionError:  # _exact_quotient by a circle form that sums to 0
+        exp = structure_constants_via_localization(lam, mu, n, SYMBOLIC, stable, memo)
+        return exp.specialize_y(yspec)
     if scalar:
-        top = lam.weight + mu.weight
-        coeffs = {nu: const(c) * u ** (top - nu.weight) for nu, c in coeffs.items() if c}
+        coeffs = _graded(coeffs, lam.weight + mu.weight, u if t is None else t)
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
 
 
 def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpansion:
-    """molev_coefficient times the matching power of u, for each of the _candidates."""
-    if yspec.kind != "standard":
+    """molev_coefficient graded by the constant step (see _slope), for each of the _candidates."""
+    t = _slope(yspec)
+    if t is None:
         raise DomainError(
-            "the hook-function formula applies to the standard action only; "
-            f"got yspec kind {yspec.kind!r}"
+            "the hook-function formula applies to the zero, standard and affine "
+            f"actions only; got yspec kind {yspec.kind!r}"
         )
     lam, mu = _check_rank(lam, mu, n, stable, "the hook-function formula")
-    coeffs: dict[Partition, Poly] = {}
-    for nu in _candidates(lam, mu, n):
-        c = molev_coefficient(lam, mu, nu)
-        if c:
-            coeffs[nu] = const(c) * u ** (lam.weight + mu.weight - nu.weight)
-    return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
-
-
-def _indirect(engine, lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpansion:
-    """The engine's expansion under a yspec that it cannot apply directly.  Each
-    coefficient is a polynomial in the differences y_i - y_j (Molev-Sagan),
-    which are (i-j)*a under zero and affine: there it is the coefficient under
-    standard:d=0 at u = a; under any other yspec the symbolic one, specialized."""
-    if yspec.kind not in ("zero", "affine"):
-        return engine(lam, mu, n, SYMBOLIC, stable).specialize_y(yspec)
-    standard = engine(lam, mu, n, YSpec.standard(0), stable).items()
-    return SchurExpansion(n, yspec, {nu: c.substitute({u: yspec.a}) for nu, c in standard})
+    coeffs = {nu: molev_coefficient(lam, mu, nu) for nu in _candidates(lam, mu, n)}
+    return SchurExpansion(n=n, yspec=yspec, coefficients=_graded(coeffs, lam.weight + mu.weight, t))
 
 
 _ENGINES = {
@@ -363,21 +361,19 @@ TABLE_METHODS = tuple(_ENGINES)
 def compute_expansion(
     lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True, memo=None
 ) -> SchurExpansion:
-    """Dispatch a product expansion to one of the three algorithms: through
-    _indirect under affine, and molev under zero, or where the expansion
-    reads a y_j that a window without a tail rule lacks; else directly.
-    localize shares its recurrence with every call given the same memo."""
+    """Dispatch a product expansion to one of the three algorithms.  Where the
+    expansion reads a y_j that a window without a tail rule lacks, the engine
+    runs symbolically and the window is put into its result.  localize shares
+    its recurrence with every call given the same memo."""
     engine = _ENGINES.get(method)
     if engine is None:
         raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
     if method == "localize" and memo is not None:
         engine = partial(engine, memo=memo)
-    if yspec.kind == "affine" or (yspec.kind == "zero" and method == "molev"):
-        return _indirect(engine, lam, mu, n, yspec, stable)
     try:
         return engine(lam, mu, n, yspec, stable)
     except UnresolvableIndexError:
-        return _indirect(engine, lam, mu, n, yspec, stable)
+        return engine(lam, mu, n, SYMBOLIC, stable).specialize_y(yspec)
 
 
 def multiplication_table(

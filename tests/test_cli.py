@@ -570,6 +570,19 @@ def test_molev_method_needs_the_stable_rank(capsys):
     assert (code, out) == (0, "[1] * [1] -> [1]: u | [2]: 1\n")
 
 
+def test_tall_product_under_every_method(capsys):
+    # 1^60 * 1 at n = 62: the candidates prune rows the rows below cannot
+    # follow, and tableaux of a tall shape are counted on its conjugate.
+    ones = ",".join(["1"] * 59)
+    argv = ("multiply", "--lambda", f"1,{ones}", "--mu", "1", "--n", "62",
+            "--y", "standard:d=0", "--method")
+    start = time.process_time()
+    results = {invoke(capsys, *argv, method) for method in ("expand", "localize", "molev")}
+    assert time.process_time() - start < 2
+    want = f"[1,{ones}] * [1] -> [1,{ones}]: 60*u | [2,{ones}]: 1 | [1,1,{ones}]: 1\n"
+    assert results == {(0, want, "")}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

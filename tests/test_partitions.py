@@ -238,3 +238,21 @@ def test_partitions_between():
     )
     assert partitions_between(Partition([2]), Partition([1])) == []
     assert partitions_between(Partition(), Partition()) == [Partition()]
+
+
+def test_tall_interval_opens_no_row_the_rows_below_cannot_follow(monkeypatch):
+    # A row takes at most what the lower bounds of the rows below it leave, so
+    # the candidates of 1^60 * 1 at n = 62 do not enumerate the rows of 1^60.
+    import shiftedschur.partitions as pt
+    from shiftedschur.structconst import _candidates
+
+    real, calls = pt._partitions_of, []
+
+    def counting(*args):  # the generator recurses through the module's global name
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pt, "_partitions_of", counting)
+    tall = Partition([1] * 60)
+    assert _candidates(tall, Partition([1]), 62) == [tall, Partition([2] + [1] * 59), tall + (1,)]
+    assert len(calls) < 1000

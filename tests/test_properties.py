@@ -31,9 +31,11 @@ from shiftedschur import (  # noqa: E402
     canonical_key,
     canonical_string,
     contains,
+    expand_in_shifted_basis,
     parse_partition,
     partitions_between,
     partitions_up_to,
+    shifted_double_schur,
     u,
     useq,
     x,
@@ -92,8 +94,8 @@ def _symbolic_product(lam: Partition, mu: Partition, n: int, stable: bool) -> di
     st.integers(0, 1),
 )
 def test_affine_expansion_specializes_the_symbolic_one(lam, mu, a, b, stable, extra):
-    # The affine engine expands over the rationals; the result must be the
-    # symbolic expansion with y_j -> a*j + b put into each coefficient.
+    # The expansion at standard:d=0 with u = a put in must be the symbolic
+    # expansion with y_j -> a*j + b put into each coefficient.
     n = (len(lam) + len(mu) + 1 if stable else max(len(lam), len(mu), 1)) + extra
     spec = YSpec.affine(a, b)
     exp = multiply_schubert(lam, mu, n, spec, stable=stable)
@@ -113,14 +115,15 @@ def test_affine_expansion_specializes_the_symbolic_one(lam, mu, a, b, stable, ex
     st.booleans(),
 )
 def test_every_method_answers_affine_as_the_direct_expansion(lam, mu, a, b, stable):
-    # compute_expansion puts u = a into the standard:d=0 coefficients of each
-    # method; multiply_schubert called directly puts y_j -> a*j + b into the
-    # factors and expands their product over the rationals.
+    # Each method grades the rationals of standard:d=0 by the constant step a;
+    # the direct route puts y_j -> a*j + b into the factors and expands their
+    # product over the rationals, at the rank multiply_schubert builds at.
     n = len(lam) + len(mu) + 1 if stable else max(len(lam), len(mu), 1)
-    spec = YSpec.affine(a, b)
-    direct = multiply_schubert(lam, mu, n, spec, stable=stable)
+    spec, n0 = YSpec.affine(a, b), max(min(n, len(lam) + len(mu)), 1)
+    product = shifted_double_schur(lam, n0, spec) * shifted_double_schur(mu, n0, spec)
+    direct = expand_in_shifted_basis(product, n0, spec).coefficients
     for method in TABLE_METHODS:
-        assert compute_expansion(lam, mu, n, spec, method, stable) == direct, method
+        assert compute_expansion(lam, mu, n, spec, method, stable).coefficients == direct, method
 
 
 # ---- value records and text forms -------------------------------------------------

@@ -338,12 +338,13 @@ def test_localization_rejects_degenerate():
 
 
 def test_all_equal_affine_localizes_at_the_standard_action():
-    # Every Pieri form vanishes under affine(0, 5/7).  The pair is then solved
-    # under standard:d=0 at u = 0, the constant step, not symbolically: the
-    # recurrence memo holds entries for those two specs only.
+    # Every y_j is 5/7 under affine(0, 5/7), a constant step of 0: the recurrence
+    # runs on the rationals of standard:d=0 under the caller's spec, not
+    # symbolically, and puts u = 0 into them.
     spec, memo = YSpec.affine(0, Fraction(5, 7)), {}
     exp = structure_constants_via_localization(P([2, 1]), P([1]), 5, spec, memo=memo)
-    assert set(memo) == {spec, STD0} and memo[STD0]
+    assert set(memo) == {spec} and memo[spec]
+    assert all(type(c) in (int, Fraction) for c in memo[spec].values())
     assert exp == multiply_schubert(P([2, 1]), P([1]), 5, spec)
 
 
@@ -389,7 +390,7 @@ def test_localization_torus_spec():
 PIERI_WINDOW = YSpec.circle(IntSeqWindow(-4, (-6, -1, -2), (1, 2)), 0)
 
 
-def test_pieri_form_vanishes_with_no_difference_vanishing(monkeypatch):
+def test_pieri_form_vanishes_with_no_difference_vanishing():
     import shiftedschur.structconst as sc
 
     values = [PIERI_WINDOW.value(j) for j in range(-7, 7)]
@@ -397,19 +398,16 @@ def test_pieri_form_vanishes_with_no_difference_vanishing(monkeypatch):
     lam, mu = P([2]), P([1, 1])
     candidates = sc._candidates(lam, mu, 4)
     assert all(restrict_to_fixed_point(nu, nu, 4, PIERI_WINDOW) for nu in candidates)
-    indirect, calls = sc._indirect, []
-
-    def recording(engine, lam, mu, n, yspec, stable):
-        calls.append(yspec.kind)
-        return indirect(engine, lam, mu, n, yspec, stable)
-
-    monkeypatch.setattr(sc, "_indirect", recording)
-    exp = structure_constants_via_localization(lam, mu, 4, PIERI_WINDOW)
-    assert calls == ["circle"]  # then solved symbolically and specialized
+    memo = {}
+    exp = structure_constants_via_localization(lam, mu, 4, PIERI_WINDOW, memo=memo)
+    assert set(memo) == {PIERI_WINDOW, SYM}  # then solved symbolically and specialized
     assert exp.coefficients == _direct(lam, mu, PIERI_WINDOW)
 
 
-PIERI_SPECS = (SYM, ZSPEC, YSpec.torus(2), PIERI_WINDOW, *(YSpec.standard(d) for d in range(4)))
+PIERI_SPECS = (
+    SYM, ZSPEC, YSpec.torus(2), PIERI_WINDOW, *(YSpec.standard(d) for d in range(4)),
+    YSpec.affine(Fraction(1, 2), Fraction(1, 3)), YSpec.affine(0, Fraction(5, 7)),
+)
 
 
 def test_pieri_recurrence_matches_the_direct_expansion():
@@ -505,8 +503,8 @@ def test_zero_expansion_renders_as_zero():
 
 
 def test_table_molev_method_matches_expand():
-    # Under zero, molev answers through the standard action at u = 0.
-    for spec in (STD0, ZSPEC):
+    # Under zero and affine, molev grades its rationals by the constant step 0 or a.
+    for spec in (STD0, ZSPEC, YSpec.affine(Fraction(2, 3), Fraction(-1, 4))):
         rows_e = multiplication_table(2, 5, spec, method="expand")
         rows_m = multiplication_table(2, 5, spec, method="molev")
         assert len(rows_e) == len(rows_m)
