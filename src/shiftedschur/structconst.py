@@ -212,17 +212,15 @@ def multiply_schubert(
     nu longer than l(lam)+l(mu) occurs (Molev-Sagan fill nu/mu
     column-strictly with entries at most l(lam)).  So under both readings
     the product is built and expanded at n0 = max(min(n, l(lam)+l(mu)), 1),
-    and the expansion reports the caller's n.  When lam_1+mu_1 < l(lam)+l(mu),
-    the conjugate pair is expanded at rank lam_1+mu_1 and read through _omega.
-    Under affine it is the standard:d=0 expansion at u = a (see _slope): a w4 n9
-    table takes 0.26 s of CPU so on a Xeon core, and 0.46 s expanded over Q.
+    and the expansion reports the caller's n.  The pair is built as given.  Under
+    affine with a != 0 it is the standard:d=0 expansion at u = a (see _slope): a w4
+    n9 table takes 0.26 s of CPU so on a Xeon core, and 0.46 s expanded over Q; at
+    a = 0, where every y_j is b, over Q is the cheaper, 0.15 s against 0.29 s.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "expansion")
-    if yspec.kind == "affine":
+    if yspec.kind == "affine" and yspec.a:
         exp = multiply_schubert(lam, mu, n, YSpec.standard(0), stable)
         return SchurExpansion(n, yspec, {nu: c.substitute({u: yspec.a}) for nu, c in exp.items()})
-    if stable and yspec.kind in _OMEGA_KINDS and lam.part(1) + mu.part(1) < len(lam) + len(mu):
-        return _omega(multiply_schubert(lam.conjugate(), mu.conjugate(), n, yspec))
     n0 = max(min(n, len(lam) + len(mu)), 1)
     product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
     coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients
@@ -247,9 +245,7 @@ def molev_coefficient(lam, mu, nu) -> Fraction:
     The full structure constant under the standard action is this value
     times u^(|lam|+|mu|-|nu|); the sum is 0 when no admissible rho exists.
     """
-    lam = Partition(lam)
-    mu = Partition(mu)
-    nu = Partition(nu)
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     total = Fraction(0)
     for rho in partitions_between(_union(lam, mu), nu):
         sign = -1 if (nu.weight - rho.weight) % 2 else 1
@@ -346,8 +342,10 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpans
         raise DomainError("the hook-function formula applies to the zero, standard and "
                           f"affine actions only; got yspec kind {yspec.kind!r}")
     lam, mu = _check_rank(lam, mu, n, stable, "the hook-function formula")
-    coeffs = {nu: molev_coefficient(lam, mu, nu) for nu in _candidates(lam, mu, n)}
-    return SchurExpansion(n=n, yspec=yspec, coefficients=_graded(coeffs, lam.weight + mu.weight, t))
+    top = lam.weight + mu.weight
+    coeffs = {nu: molev_coefficient(lam, mu, nu) for nu in _candidates(lam, mu, n)
+              if t or nu.weight == top}  # a zero step keeps the top weight only
+    return SchurExpansion(n=n, yspec=yspec, coefficients=_graded(coeffs, top, t))
 
 
 _ENGINES = {
@@ -361,15 +359,20 @@ TABLE_METHODS = tuple(_ENGINES)
 def compute_expansion(
     lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True, memo=None
 ) -> SchurExpansion:
-    """Dispatch a product expansion to one of the three algorithms.  Where the
-    expansion reads a y_j that a window without a tail rule lacks, the engine
-    runs symbolically and the window is put into its result.  localize shares
-    its recurrence with every call given the same memo."""
+    """Dispatch a product expansion to one of the three algorithms.  Under the
+    stable reading with a spec of _OMEGA_KINDS, a pair with lam_1+mu_1 < l(lam)+l(mu) < n
+    is solved as its conjugate pair and read back through _omega (a lower n keeps the
+    rank error of the pair given).  Where the expansion reads a y_j that a window
+    without a tail rule lacks, the engine runs symbolically and the window is put
+    into its result.  localize shares its recurrence with every call given the same memo."""
     engine = _ENGINES.get(method)
     if engine is None:
         raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
     if method == "localize" and memo is not None:
         engine = partial(engine, memo=memo)
+    lam, mu = Partition(lam), Partition(mu)
+    if stable and yspec.kind in _OMEGA_KINDS and n > len(lam) + len(mu) > lam.part(1) + mu.part(1):
+        return _omega(engine(lam.conjugate(), mu.conjugate(), n, yspec, stable))
     try:
         return engine(lam, mu, n, yspec, stable)
     except UnresolvableIndexError:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -581,6 +582,17 @@ def test_tall_product_under_every_method(capsys):
     assert time.process_time() - start < 2
     want = f"[1,{ones}] * [1] -> [1,{ones}]: 60*u | [2,{ones}]: 1 | [1,1,{ones}]: 1\n"
     assert results == {(0, want, "")}
+    # 3^6 * 2^4 at n = 11 is solved as its conjugate pair 6^3 * 4^2, whose
+    # candidates are no longer than 5.  expand refuses this product: its
+    # conjugate factors at rank 5 make more term pairs than MAX_PRODUCT_PAIRS.
+    argv = ("multiply", "--lambda", "3,3,3,3,3,3", "--mu", "2,2,2,2", "--n", "11",
+            "--y", "standard:d=0", "--format", "json", "--method")
+    start = time.process_time()
+    (code, out, err), = {invoke(capsys, *argv, method) for method in ("localize", "molev")}
+    assert time.process_time() - start < 2
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8a5e8e469966b387598e449dbf87da844c128a45e46c84d7757571f6a14d61b1")
 
 
 @pytest.mark.parametrize(

@@ -62,7 +62,7 @@ def test_weight_four_table_output(key, digest):
 
 
 # The symbolic weight-3 expand table, the one whose coefficients the
-# conjugate route of multiply_schubert relabels, at --jobs 1 and 2.
+# conjugate route of compute_expansion relabels, at --jobs 1 and 2.
 SYMBOLIC_W3 = "table --max-weight 3 --n 7 --y symbolic --method expand --format json"
 
 

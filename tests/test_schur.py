@@ -298,14 +298,17 @@ def test_jacobi_trudi_memo_is_bounded():
     # The determinant memo has a finite size (the column store beside it
     # holds one point's columns).  A localization table's recurrence memo
     # keeps each restriction it reads, so the table asks for each only once
-    # (under standard it reads none: its base case is the hook formula).
+    # (under standard it reads none: its base case is the hook formula).  The
+    # three tall rows whose conjugate pair comes later, such as [2] * [1,1,1],
+    # solve that wide pair (compute_expansion's omega rule), which asks for 9
+    # more restrictions: 193 misses, against 184 with those rows solved as given.
     assert schur._jacobi_trudi.cache_info().maxsize is not None
     schur._jacobi_trudi.cache_clear()
     multiplication_table(4, 9, YSpec.standard(0), "localize")
     assert schur._jacobi_trudi.cache_info().misses == 0
     multiplication_table(4, 9, YSpec.symbolic(), "localize")
     info = schur._jacobi_trudi.cache_info()
-    assert (info.hits, info.misses) == (0, 184)
+    assert (info.hits, info.misses) == (0, 193)
 
 
 # The shifted point at rank 5: base 0 and labels -1..-5, sequence shift 6.

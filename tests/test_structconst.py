@@ -182,9 +182,11 @@ def test_multiply_matches_full_rank_expansion(spec):
 
 
 def test_multiply_build_rank(monkeypatch):
-    # Under the stable reading with STD0 the pair or its conjugate is built,
-    # whichever has the lower rank; a finite-rank product, and a circle or
-    # torus one, is built at l(lam)+l(mu), or at n when that is lower.
+    # Through compute_expansion, under the stable reading with STD0, the pair
+    # or its conjugate is built, whichever has the lower rank; multiply_schubert
+    # called directly builds the pair as given, at l(lam)+l(mu).  A finite-rank
+    # product, and a circle or torus one, is built at l(lam)+l(mu), or at n when
+    # that is lower.
     import shiftedschur.structconst as sc
 
     ranks = []
@@ -198,19 +200,20 @@ def test_multiply_build_rank(monkeypatch):
     for lam, mu in RANK_PAIRS:
         length, width = len(lam) + len(mu), lam.part(1) + mu.part(1)
         finite = (max(len(lam), len(mu)) + 1, length + 3)
-        for spec, stable, n, built in (
-            (STD0, True, length + 2, min(length, width)),
-            *((STD0, False, m, min(m, length)) for m in finite),
-            (circle, True, length + 2, length),
-            (torus, True, length + 2, length),
+        for run, spec, stable, n, built in (
+            (compute_expansion, STD0, True, length + 2, min(length, width)),
+            (multiply_schubert, STD0, True, length + 2, length),
+            *((compute_expansion, STD0, False, m, min(m, length)) for m in finite),
+            (compute_expansion, circle, True, length + 2, length),
+            (compute_expansion, torus, True, length + 2, length),
         ):
             ranks.clear()
-            exp = multiply_schubert(lam, mu, n, spec, stable=stable)
-            assert set(ranks) == {max(built, 1)}, (lam, mu, spec.kind, stable)
+            exp = run(lam, mu, n, spec, stable=stable)
+            assert set(ranks) == {max(built, 1)}, (run.__name__, lam, mu, spec.kind, stable)
             assert exp.n == n
 
 
-# What the conjugate route of multiply_schubert relies on, each side expanded
+# What the conjugate route of compute_expansion relies on, each side expanded
 # directly at rank l(lam)+l(mu), for every pair of partitions of weight <= 3.
 W3 = partitions_up_to(3, 3)
 W3_PAIRS = [(lam, mu) for a, lam in enumerate(W3) for mu in W3[a:]]
@@ -502,11 +505,18 @@ def test_zero_expansion_renders_as_zero():
     assert table_to_json_obj(rows, 3, STD0)["rows"] == [{"lambda": [1], "mu": [1], "terms": []}]
 
 
-def test_table_molev_method_matches_expand():
+def test_table_molev_method_matches_expand(monkeypatch):
     # Under zero and affine, molev grades its rationals by the constant step 0 or a.
+    # Under zero it sums only for the nu of top weight: 13 sums, not 19.
+    import shiftedschur.structconst as sc
+
+    real, calls = sc.molev_coefficient, []
+    monkeypatch.setattr(sc, "molev_coefficient", lambda *args: calls.append(args) or real(*args))
     for spec in (STD0, ZSPEC, YSpec.affine(Fraction(2, 3), Fraction(-1, 4))):
         rows_e = multiplication_table(2, 5, spec, method="expand")
+        calls.clear()
         rows_m = multiplication_table(2, 5, spec, method="molev")
+        assert spec != ZSPEC or len(calls) == 13
         assert len(rows_e) == len(rows_m)
         for (l1, m1, e1), (l2, m2, e2) in zip(rows_e, rows_m):
             assert (l1, m1) == (l2, m2)
@@ -526,6 +536,10 @@ def test_every_method_applies_the_rank_guard(method):
     # hook-function sum used to drop [1,1] from [1] * [1] silently.
     with pytest.raises(RankTooSmallError, match="uses the stable reading"):
         compute_expansion(P([1]), P([1]), 2, STD0, method)
+    # The guard is on the pair as given, not on its conjugate [3] * [2],
+    # which the stable reading admits at n = 5.
+    with pytest.raises(RankTooSmallError, match="need n > l\\(lam\\)\\+l\\(mu\\) = 5, got n = 5"):
+        compute_expansion(P([1, 1, 1]), P([1, 1]), 5, STD0, method)
     with pytest.raises(RankTooSmallError, match="need n >= max length"):
         compute_expansion(P([1, 1]), P([1]), 1, STD0, method, stable=False)
     # The finite-rank reading admits any n >= max length, and the engines agree.
@@ -533,5 +547,34 @@ def test_every_method_applies_the_rank_guard(method):
         got = compute_expansion(P([1]), P([1]), n, STD0, method, stable=False)
         want = compute_expansion(P([1]), P([1]), n, STD0, "expand", stable=False)
         assert got.coefficients == want.coefficients
+
+
+@pytest.mark.parametrize("method", ["expand", "localize", "molev"])
+def test_a_tall_pair_reaches_the_engine_as_its_conjugate(method, monkeypatch):
+    # Under the stable reading with a spec omega acts on, compute_expansion
+    # hands [1,1,1] * [1,1] to the engine as [3] * [2], in one call of its own,
+    # and reads the answer back through omega; a torus pair and a finite-rank
+    # pair reach the engine as given.  Each equals the pair expanded as given.
+    import shiftedschur.structconst as sc
+
+    engine, real, pairs, calls = sc._ENGINES[method], sc.compute_expansion, [], []
+
+    def recording(lam, mu, *args, **kwargs):
+        pairs.append((lam, mu))
+        return engine(lam, mu, *args, **kwargs)
+
+    monkeypatch.setitem(sc._ENGINES, method, recording)
+    monkeypatch.setattr(sc, "compute_expansion", lambda *args: calls.append(args) or real(*args))
+    lam, mu, n = P([1, 1, 1]), P([1, 1]), 6
+    specs = [ZSPEC, STD0, YSpec.affine(Fraction(1, 2), 3)]
+    cases = [(spec, True, (P([3]), P([2]))) for spec in specs] + [(STD0, False, (lam, mu))]
+    if method != "molev":
+        cases += [(SYM, True, (P([3]), P([2]))), (YSpec.torus(-2), True, (lam, mu))]
+    for spec, stable, built in cases:
+        pairs.clear()
+        calls.clear()
+        exp = sc.compute_expansion(lam, mu, n, spec, method, stable)
+        assert (pairs, len(calls)) == ([built], 1), (spec.kind, stable)
+        assert exp == multiply_schubert(lam, mu, n, spec, stable), (spec.kind, stable)
 
 
