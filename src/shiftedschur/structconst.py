@@ -213,12 +213,11 @@ def multiply_schubert(
     column-strictly with entries at most l(lam)).  So under both readings
     the product is built and expanded at n0 = max(min(n, l(lam)+l(mu)), 1),
     and the expansion reports the caller's n.  The pair is built as given.  Under
-    affine with a != 0 it is the standard:d=0 expansion at u = a (see _slope): a w4
-    n9 table takes 0.26 s of CPU so on a Xeon core, and 0.46 s expanded over Q; at
-    a = 0, where every y_j is b, over Q is the cheaper, 0.15 s against 0.29 s.
+    affine it is the standard:d=0 expansion at u = a (see _slope): a w4 n9 table
+    takes 0.26 s of CPU so on a Xeon core, and 0.46 s expanded over Q.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "expansion")
-    if yspec.kind == "affine" and yspec.a:
+    if yspec.kind == "affine":
         exp = multiply_schubert(lam, mu, n, YSpec.standard(0), stable)
         return SchurExpansion(n, yspec, {nu: c.substitute({u: yspec.a}) for nu, c in exp.items()})
     n0 = max(min(n, len(lam) + len(mu)), 1)
@@ -245,7 +244,9 @@ def molev_coefficient(lam, mu, nu) -> Fraction:
     The full structure constant under the standard action is this value
     times u^(|lam|+|mu|-|nu|); the sum is 0 when no admissible rho exists.
     """
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    lam = Partition(lam)
+    mu = Partition(mu)
+    nu = Partition(nu)
     total = Fraction(0)
     for rho in partitions_between(_union(lam, mu), nu):
         sign = -1 if (nu.weight - rho.weight) % 2 else 1
