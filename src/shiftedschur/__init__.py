@@ -6,8 +6,9 @@ functions, equivariant Littlewood-Richardson structure constants by three
 independent algorithms, and the coproduct on shifted power sums.
 
 The names below are exported lazily (PEP 562), so `import shiftedschur`
-loads no submodule.  The CLI imports errors, partitions, polyring, schur and
-structconst for every verb; comult loads only in the verbs that use it.
+loads no submodule.  The CLI imports errors, partitions and polyring for
+every verb; schur, structconst and comult load only in the verbs that use
+them, and structconst (with schur) in every verb that writes JSON.
 """
 
 from importlib import import_module

@@ -24,24 +24,11 @@ from .polyring import (
     x,
     y,
 )
-from .schur import (
-    alternant_denominator,
-    double_schur,
-    restrict_to_fixed_point,
-    shifted_double_schur,
-    shifted_schur_stable,
-    vandermonde,
-)
-from .structconst import (
-    TABLE_METHODS,
-    compute_expansion,
-    dumps_canonical,
-    multiplication_table,
-    molev_coefficient,
-    table_to_json_obj,
-    table_to_latex,
-    table_to_text,
-)
+# The engines (schur, structconst, comult) load inside the verbs that call
+# them, so an invocation compiles only what its verb runs.  The --method
+# choices are structconst.TABLE_METHODS, written out so that parsing loads
+# no engine.
+TABLE_METHODS = ("expand", "localize", "molev")
 
 # The start-up heap lives until exit: frozen, no later collection traces it,
 # those at exit included.
@@ -140,70 +127,84 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
+def build_parser(verb: str | None = None) -> _Parser:
+    """The command-line parser.  Given the name of a verb, it holds only that
+    verb's subparser, which parses the verb's command lines as the full
+    parser does; otherwise (help, or a missing or unknown verb) all eight."""
     parser = _Parser(prog="shiftedschur", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_common(p):
-        p.add_argument("--y", type=parse_yspec, default="symbolic", help="y-specialization rule")
-        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-        p.add_argument("--output", default=None, help="write output to this file")
-
-    def add_verb(name, command, summary):
+    for name, (summary, command, add_flags) in _VERBS.items():
+        if verb in _VERBS and name != verb:
+            continue
         p = sub.add_parser(name, help=summary)
         p.set_defaults(command=command)
-        return p
+        add_flags(p)
+    return parser
 
-    p = add_verb("schur", _cmd_schur, "double or shifted double Schur function")
+
+def _add_common(p) -> None:
+    p.add_argument("--y", type=parse_yspec, default="symbolic", help="y-specialization rule")
+    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    p.add_argument("--output", default=None, help="write output to this file")
+
+
+def _schur_flags(p) -> None:
     p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
     p.add_argument("--method", choices=("jacobi-trudi", "det-ratio"), default="jacobi-trudi")
     p.add_argument("--shifted", action="store_true")
-    add_common(p)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = add_verb("eval", _cmd_eval, "stable shifted Schur value at given x arguments")
+
+def _eval_flags(p) -> None:
     p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
     p.add_argument(
         "--x", dest="xvals", type=_x_values, default="", help="comma-separated rationals"
     )
-    add_common(p)
+    _add_common(p)
 
-    p = add_verb("multiply", _cmd_multiply, "expand a product of two basis elements")
+
+def _multiply_flags(p) -> None:
     p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
     p.add_argument("--mu", type=_partition_flag, required=True)
     p.add_argument("--method", choices=TABLE_METHODS, default="expand")
     p.add_argument("--finite-rank", action="store_true")
-    add_common(p)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = add_verb("table", _cmd_table, "multiplication table up to a weight bound")
+
+def _table_flags(p) -> None:
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--method", choices=TABLE_METHODS, default="expand")
     # Accepted and unused: a table runs in one process at any --jobs.
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--finite-rank", action="store_true")
-    add_common(p)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = add_verb("molev", _cmd_molev, "hook-function structure constant")
+
+def _molev_flags(p) -> None:
     p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
     p.add_argument("--mu", type=_partition_flag, required=True)
     p.add_argument("--nu", type=_partition_flag, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
 
-    p = add_verb("restrict", _cmd_restrict, "restriction to a torus-fixed point")
+
+def _restrict_flags(p) -> None:
     p.add_argument("--lambda", dest="lam", type=_partition_flag, required=True)
     p.add_argument("--delta", type=_partition_flag, required=True)
-    add_common(p)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = add_verb("coproduct", _cmd_coproduct, "coproduct of a power-sum polynomial")
+
+def _coproduct_flags(p) -> None:
     p.add_argument("--expr", required=True, help='e.g. "p1^2*p3 - 1/2*p2"')
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
 
-    p = add_verb("verify", _cmd_verify, "run a verification suite")
+
+def _verify_flags(p) -> None:
     p.add_argument(
         "--suite",
         choices=("jacobi-trudi", "denominator", "stability", "primitivity", "ring-axioms"),
@@ -218,11 +219,11 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
 
-    return parser
-
 
 def _poly_output(poly: Poly, fmt: str) -> str:
     if fmt == "json":
+        from .structconst import dumps_canonical
+
         return dumps_canonical(poly.to_json_obj())
     if fmt == "latex":
         return f"${poly.latex()}$\n"
@@ -230,16 +231,24 @@ def _poly_output(poly: Poly, fmt: str) -> str:
 
 
 def _cmd_schur(args) -> str:
+    from .schur import double_schur, shifted_double_schur
+
     schur = shifted_double_schur if args.shifted else double_schur
     poly = schur(args.lam, args.n, args.y, args.method.replace("-", "_"))
     return _poly_output(poly, args.format)
 
 
 def _cmd_eval(args) -> str:
+    from .schur import shifted_schur_stable
+
     return _poly_output(shifted_schur_stable(args.lam, args.xvals, args.y), args.format)
 
 
 def _cmd_multiply(args) -> str:
+    from .structconst import (
+        compute_expansion, dumps_canonical, table_to_json_obj, table_to_latex, table_to_text
+    )
+
     stable = not args.finite_rank
     exp = compute_expansion(args.lam, args.mu, args.n, args.y, args.method, stable=stable)
     rows = [(args.lam, args.mu, exp)]
@@ -252,6 +261,10 @@ def _cmd_multiply(args) -> str:
 
 
 def _cmd_table(args) -> str:
+    from .structconst import (
+        dumps_canonical, multiplication_table, table_to_json_obj, table_to_latex, table_to_text
+    )
+
     rows = multiplication_table(
         args.max_weight, args.n, args.y, args.method, finite_rank=args.finite_rank
     )
@@ -261,6 +274,8 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_molev(args) -> str:
+    from .structconst import dumps_canonical, molev_coefficient
+
     value = molev_coefficient(args.lam, args.mu, args.nu)
     if args.format == "json":
         return dumps_canonical({"value": str(value)})
@@ -268,6 +283,8 @@ def _cmd_molev(args) -> str:
 
 
 def _cmd_restrict(args) -> str:
+    from .schur import restrict_to_fixed_point
+
     return _poly_output(restrict_to_fixed_point(args.lam, args.delta, args.n, args.y), args.format)
 
 
@@ -280,6 +297,8 @@ def _cmd_coproduct(args) -> str:
         raise UsageError(f"malformed expression {args.expr!r}: {e}") from None
     tensor = coproduct_power_polynomial(expr)
     if args.format == "json":
+        from .structconst import dumps_canonical
+
         obj = {
             "summands": [
                 {"weight": str(w), "left": str(l), "right": str(r)}
@@ -312,6 +331,7 @@ def _cmd_verify(args) -> str:
                 f"the {suite} suite needs --max-weight >= 0 and --n >= 1, "
                 f"got {args.max_weight} and {n}"
             )
+        from .schur import double_schur, shifted_double_schur
 
         def holds(lam):
             if suite == "jacobi-trudi":
@@ -324,6 +344,8 @@ def _cmd_verify(args) -> str:
     elif suite == "denominator":
         if n < 2:
             raise UsageError(f"the denominator suite needs --n >= 2, got {n}")
+        from .schur import alternant_denominator, vandermonde
+
         lines, ok = _first_failure(
             range(2, n + 1),
             lambda k: alternant_denominator(k) == vandermonde(k),
@@ -372,6 +394,8 @@ def _cmd_verify(args) -> str:
     if not ok:
         args.failed = suite
     if args.format == "json":
+        from .structconst import dumps_canonical
+
         obj: dict = {"suite": suite, "passed": ok}
         if reports:
             obj["reports"] = reports
@@ -381,8 +405,22 @@ def _cmd_verify(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each verb's help line, handler and flags, in the order help lists them.
+_VERBS = {
+    "schur": ("double or shifted double Schur function", _cmd_schur, _schur_flags),
+    "eval": ("stable shifted Schur value at given x arguments", _cmd_eval, _eval_flags),
+    "multiply": ("expand a product of two basis elements", _cmd_multiply, _multiply_flags),
+    "table": ("multiplication table up to a weight bound", _cmd_table, _table_flags),
+    "molev": ("hook-function structure constant", _cmd_molev, _molev_flags),
+    "restrict": ("restriction to a torus-fixed point", _cmd_restrict, _restrict_flags),
+    "coproduct": ("coproduct of a power-sum polynomial", _cmd_coproduct, _coproduct_flags),
+    "verify": ("run a verification suite", _cmd_verify, _verify_flags),
+}
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         _emit(args, args.command(args))

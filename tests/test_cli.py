@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 import shiftedschur
-from shiftedschur import comult
+from shiftedschur import cli, comult
 from shiftedschur.cli import build_parser, parse_yspec, run
 from shiftedschur.comult import MAX_COPRODUCT_SUMMANDS
 from shiftedschur.errors import DomainError, UsageError
 from shiftedschur.polyring import MAX_EXPONENT, MAX_PRODUCT_PAIRS, IntSeqWindow, YSpec
 from shiftedschur.schur import MAX_H_TERMS
-from shiftedschur.structconst import dumps_canonical
+from shiftedschur.structconst import TABLE_METHODS, dumps_canonical
 
 
 def invoke(capsys, *argv):
@@ -790,15 +790,16 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_verify_reports_the_first_failing_case(monkeypatch, capsys, fmt):
     # A suite checked case by case stops at the first case that fails and
     # reports it; here the determinant ratio is made wrong at one lambda.
-    from shiftedschur import cli
+    # The verb imports double_schur as it runs, so it reads the patched one.
+    from shiftedschur import schur
 
-    real = cli.double_schur
+    real = schur.double_schur
 
     def wrong_at_1_1(lam, n, yspec=YSpec.symbolic(), method="jacobi_trudi"):
         value = real(lam, n, yspec, method)
         return value + 1 if method == "det_ratio" and tuple(lam) == (1, 1) else value
 
-    monkeypatch.setattr(cli, "double_schur", wrong_at_1_1)
+    monkeypatch.setattr(schur, "double_schur", wrong_at_1_1)
     code, out, err = invoke(
         capsys, "verify", "--suite", "jacobi-trudi", "--max-weight", "2", "--n", "2",
         "--format", fmt,
@@ -812,12 +813,42 @@ def test_verify_reports_the_first_failing_case(monkeypatch, capsys, fmt):
     assert code == 3
 
 
-def test_every_verb_has_a_handler():
-    parser = build_parser()
+def _verbs(parser) -> dict:
     (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert len(verbs.choices) == 8
-    for name, sub in verbs.choices.items():
+    return verbs.choices
+
+
+def test_every_verb_has_a_handler():
+    verbs = _verbs(build_parser())
+    assert len(verbs) == 8
+    for name, sub in verbs.items():
         assert callable(sub.get_default("command")), name
+        assert list(_verbs(build_parser(name))) == [name]
+    assert list(_verbs(build_parser("frobnicate"))) == list(verbs)
+    # The CLI writes the --method choices out so that parsing loads no engine.
+    assert cli.TABLE_METHODS == TABLE_METHODS
+
+
+def test_one_subparser_runs_as_all_eight(monkeypatch, capsys):
+    # The parser of a named verb holds that verb's subparser alone.  Every
+    # reference invocation, each verb's help, a missing flag, an invalid
+    # choice and a missing or unknown verb exit with the same code and write
+    # the same bytes as under the parser that holds all eight.
+    refs = json.loads((REPO / "perfbench" / "references.json").read_text())
+    argvs = [key.split(" ") for key in refs]
+    argvs += [[verb, "--help"] for verb in _verbs(build_parser())]
+    argvs += [
+        [], ["--help"], ["frobnicate"], ["molev", "--lambda", "1", "--mu", "1"],
+        ["multiply", "--lambda", "1", "--mu", "1", "--n", "3", "--method", "bogus"],
+        ["table", "--max-weight", "1", "--n", "3", "--method", "bogus"],
+        ["schur", "eval", "--lambda", "1", "--n", "2"],
+    ]
+    full_parser = cli.build_parser
+    for argv in argvs:
+        one = invoke(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda verb=None: full_parser())
+            assert invoke(capsys, *argv) == one, argv
 
 
 # ---- entry points ---------------------------------------------------------------
@@ -898,9 +929,13 @@ def test_run_as_module(module):
     assert proc.stderr == ""
 
 
-# Modules that no product verb needs: importing the CLI must not load them,
-# so that no invocation pays for them at start-up.
-_COLD_START_ABSENT = ("shiftedschur.comult", "concurrent.futures", "multiprocessing", "dataclasses")
+# Modules that importing the CLI must not load: the engines load inside the
+# verbs that run them, and nothing needs the others, so that no invocation
+# pays for them at start-up.
+_COLD_START_ABSENT = (
+    "shiftedschur.comult", "shiftedschur.schur", "shiftedschur.structconst",
+    "json", "concurrent.futures", "multiprocessing", "dataclasses",
+)
 
 _COLD_START_PROBE = """\
 import sys
@@ -919,6 +954,43 @@ def test_cold_start_imports_only_the_product_modules():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\nTrue\n"
     assert proc.stderr == ""
+
+
+# Each verb loads the engines it runs and no other, and none loads json.
+_VERB_PROBE = """\
+import contextlib, io, sys
+from shiftedschur.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1].split(" "))
+print(code, ",".join(m for m in sys.argv[2:] if m in sys.modules))
+"""
+
+_ENGINES = ("shiftedschur.schur", "shiftedschur.structconst")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ("coproduct --expr p1^2*p3", ""),
+        ("verify --suite ring-axioms --cases 3", ""),
+        ("schur --lambda 2,1 --n 3", "shiftedschur.schur"),
+        ("eval --lambda 2,1 --x=1,1/2", "shiftedschur.schur"),
+        ("restrict --lambda 1 --delta 2,1 --n 3", "shiftedschur.schur"),
+        ("verify --suite jacobi-trudi --max-weight 2 --n 2", "shiftedschur.schur"),
+        ("verify --suite denominator --n 3", "shiftedschur.schur"),
+        ("verify --suite stability --max-weight 2 --n 2", "shiftedschur.schur"),
+        # The JSON writer is structconst.dumps_canonical, which needs no json.
+        ("coproduct --expr p1^2*p3 --format json", ",".join(_ENGINES)),
+        ("schur --lambda 2,1 --n 3 --format json", ",".join(_ENGINES)),
+        ("multiply --lambda 1 --mu 1 --n 3 --format json", ",".join(_ENGINES)),
+        ("table --max-weight 1 --n 3 --method localize --format json", ",".join(_ENGINES)),
+        ("molev --lambda 1 --mu 1 --nu 1 --format json", ",".join(_ENGINES)),
+        ("verify --suite primitivity --max-k 1 --max-l 2 --format json", ",".join(_ENGINES)),
+    ],
+)
+def test_each_verb_loads_only_its_engines(argv, loaded):
+    proc = _run([sys.executable, "-c", _VERB_PROBE, argv, "json", *_ENGINES])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 {loaded}\n", "")
 
 
 # The CLI freezes the start-up heap once, at import; the library leaves the

@@ -1,5 +1,5 @@
-"""Every module-level import in the package is used in its module, and a
-call graph from the package's entry points reaches every function and method."""
+"""Every import in the package is used where it binds its name, and a call
+graph from the package's entry points reaches every function and method."""
 
 import ast
 from pathlib import Path
@@ -10,25 +10,46 @@ import shiftedschur
 
 MODULES = sorted(Path(shiftedschur.__file__).parent.glob("*.py"))
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def _unused_imports(tree: ast.Module) -> list[str]:
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    # A quoted annotation such as "YSpec" names what it uses in a string.
-    quoted = [
-        ast.parse(a.value, mode="eval")
-        for n in ast.walk(tree)
-        for a in (getattr(n, "annotation", None), getattr(n, "returns", None))
-        if isinstance(a, ast.Constant) and isinstance(a.value, str)
+    """The imports whose names are not read in their scope: the module for a
+    module-level import, the function (nested defs included) for one inside
+    a function, such as a verb's import of the engine it runs."""
+    unused = []
+    for scope in (tree, *(n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS))):
+        bound = {}
+        for node in tree.body if scope is tree else ast.walk(scope):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        # A quoted annotation such as "YSpec" names what it uses in a string.
+        quoted = [
+            ast.parse(a.value, mode="eval")
+            for n in ast.walk(scope)
+            for a in (getattr(n, "annotation", None), getattr(n, "returns", None))
+            if isinstance(a, ast.Constant) and isinstance(a.value, str)
+        ]
+        used = {n.id for t in (scope, *quoted) for n in ast.walk(t) if isinstance(n, ast.Name)}
+        unused += [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+    return unused
+
+
+def test_unused_imports_are_found_in_functions_too():
+    source = (
+        "import os\n"
+        "def verb():\n"
+        "    from .engine import run, stale\n"
+        "    import json\n"
+        "    return run()\n"
+    )
+    assert _unused_imports(ast.parse(source)) == [
+        "line 1: os", "line 3: stale", "line 4: json"
     ]
-    used = {n.id for t in (tree, *quoted) for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -41,9 +62,6 @@ UNCALLED = {
     "cli.py: _Parser.error": "argparse calls it on a malformed command line",
     "structconst.py: SchurExpansion.reconstruct": "the reference check of the tests' expansions",
 }
-
-
-_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _uses(nodes) -> tuple[set, set]:
