@@ -8,12 +8,16 @@ independent algorithms, and the coproduct on shifted power sums.
 The names below are exported lazily (PEP 562), so `import shiftedschur`
 loads no submodule.  The CLI imports errors, partitions and polyring for
 every verb; schur, structconst and comult load only in the verbs that use
-them, and structconst (with schur) in every verb that writes JSON.
+them, and structconst (with schur) and json in every verb that writes JSON.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+# The product-expansion methods, in the order structconst binds its engines to
+# them; kept here so that the CLI parses --method without loading structconst.
+TABLE_METHODS = ("expand", "localize", "molev")
 
 _EXPORTS = {
     "comult": (

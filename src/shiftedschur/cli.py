@@ -11,6 +11,7 @@ import gc
 import sys
 from fractions import Fraction
 
+from . import TABLE_METHODS
 from .errors import DomainError, InternalInconsistencyError, UsageError
 from .partitions import Partition, parse_partition, partitions_up_to
 from .polyring import (
@@ -25,10 +26,7 @@ from .polyring import (
     y,
 )
 # The engines (schur, structconst, comult) load inside the verbs that call
-# them, so an invocation compiles only what its verb runs.  The --method
-# choices are structconst.TABLE_METHODS, written out so that parsing loads
-# no engine.
-TABLE_METHODS = ("expand", "localize", "molev")
+# them, so an invocation compiles only what its verb runs.
 
 # The start-up heap lives until exit: frozen, no later collection traces it,
 # those at exit included.

@@ -12,10 +12,10 @@ Three independent routes to the same numbers:
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import partial
 
+from . import TABLE_METHODS
 from .errors import (
     AsymmetricInputError, DomainError, RankTooSmallError, UnresolvableIndexError
 )
@@ -349,12 +349,11 @@ def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpans
     return SchurExpansion(n=n, yspec=yspec, coefficients=_graded(coeffs, top, t))
 
 
-_ENGINES = {
-    "expand": multiply_schubert,
-    "localize": structure_constants_via_localization,
-    "molev": _molev_expansion,
-}
-TABLE_METHODS = tuple(_ENGINES)
+_ENGINES = dict(zip(
+    TABLE_METHODS,
+    (multiply_schubert, structure_constants_via_localization, _molev_expansion),
+    strict=True,
+))
 
 
 def compute_expansion(
@@ -435,73 +434,12 @@ def table_to_json_obj(rows, n: int, yspec: YSpec) -> dict:
 
 
 def dumps_canonical(obj) -> str:
-    """The one JSON rendering used everywhere: the bytes of
-    json.dumps(obj, indent=2, sort_keys=True) + "\\n", written without the
-    json module, which is imported only for a string that needs escaping, a
-    value of a type other than dict, list, str, int, bool and None, or
-    nesting deeper than _BREAKS.  Reparsing and re-dumping is
-    byte-identical."""
-    out: list[str] = []
-    _json_pieces(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
-
-
-# A string json.dumps writes as it is: printable ASCII without " or \.
-_plain = re.compile(r'[ !#-\[\]-~]*').fullmatch
-
-# The line breaks json.dumps(indent=2) writes at each depth, and the same
-# after an item's comma.  Every container at one depth shares them, so the
-# pieces of a large table hold few strings of their own.
-_BREAKS = tuple("\n" + "  " * depth for depth in range(32))
-_SEPARATORS = tuple("," + b for b in _BREAKS)
-
-
-def _json_pieces(value, depth: int, out: list[str]) -> None:
-    """Append to out the JSON of value, nested at depth."""
-    kind = type(value)
-    if kind is list and value and depth + 1 < len(_BREAKS):
-        out.append("[")
-        first = len(out)
-        sep = _SEPARATORS[depth + 1]
-        for item in value:
-            out.append(sep)
-            _json_pieces(item, depth + 1, out)
-        out[first] = _BREAKS[depth + 1]
-        out += (_BREAKS[depth], "]")
-    elif (
-        kind is dict and value and depth + 1 < len(_BREAKS)
-        and all(type(key) is str for key in value)
-    ):
-        out.append("{")
-        first = len(out)
-        sep = _SEPARATORS[depth + 1]
-        for key in sorted(value):
-            out.append(sep)
-            if _plain(key):
-                out += ('"', key, '": ')
-            else:
-                out += (_json_fallback(key, 0), ": ")
-            _json_pieces(value[key], depth + 1, out)
-        out[first] = _BREAKS[depth + 1]
-        out += (_BREAKS[depth], "}")
-    elif kind is str and _plain(value):
-        out += ('"', value, '"')
-    elif kind is int:
-        out.append(str(value))
-    elif value is None or kind is bool:
-        out.append("null" if value is None else "true" if value else "false")
-    elif (kind is list or kind is dict) and not value:
-        out.append("[]" if kind is list else "{}")
-    else:
-        out.append(_json_fallback(value, depth))
-
-
-def _json_fallback(value, depth: int) -> str:
+    """The one JSON rendering used everywhere; reparsing and re-dumping is
+    byte-identical.  json is imported here, so only a verb that writes JSON
+    loads it."""
     import json
 
-    text = json.dumps(value, indent=2, sort_keys=True)
-    return text.replace("\n", "\n" + "  " * depth) if depth else text
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def expansion_to_text(lam: Partition, mu: Partition, exp: SchurExpansion) -> str:

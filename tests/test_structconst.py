@@ -479,45 +479,12 @@ def test_table_rank_guard():
         multiplication_table(2, 4, SYM)
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def test_table_json_round_trip():
     rows = multiplication_table(1, 3, STD0)
     obj = table_to_json_obj(rows, 3, STD0)
     blob = dumps_canonical(obj)
-    assert blob == _json_dumps(obj)
     assert dumps_canonical(json.loads(blob)) == blob
     assert json.loads(blob)["n"] == 3
-    rows = multiplication_table(4, 9, SYM, "localize")
-    obj = table_to_json_obj(rows, 9, SYM)
-    assert dumps_canonical(obj) == _json_dumps(obj)
-
-
-def _nested(depth: int) -> list:
-    obj: list = []
-    for _ in range(depth):
-        obj = [1, {"k": obj}]
-    return obj
-
-
-# dumps_canonical writes JSON itself; json.dumps is the reference for each byte.
-@pytest.mark.parametrize(
-    "obj",
-    [
-        "", "plain ASCII ~!#[]", 'a "quote"', "back\\slash", "tab\there\nnewline",
-        "\x00\x08\x0c\x1f", "del\x7f", "Schur \u00e9 \u03bb", "astral \U0001d53d",
-        {}, [], [[]], [{}], {"a": {}, "b": [], "c": [[], {}]}, {"": ""},
-        [True, 1, False, 0, None], {"t": True, "one": 1, "f": False, "zero": 0, "none": None},
-        {"b": [1, {"d": -2, "c": [3]}], "a": "x", "\u00e9": 1, 'k"ey': [2], "\x7f": 3},
-        -(10**80), 1.5, [2.0, {"x": 0.1}], (1, [2, (3,)]), {1: "int key", 2: [3]},
-        {"outer": {3: [1, 2], 4: "four"}}, _nested(20), {"deep": _nested(40)},
-    ],
-    ids=lambda obj: repr(obj)[:40],
-)
-def test_dumps_canonical_is_json_dumps(obj):
-    assert dumps_canonical(obj) == _json_dumps(obj)
 
 
 def test_dumps_canonical_refuses_an_unprintable_int():
@@ -526,8 +493,6 @@ def test_dumps_canonical_refuses_an_unprintable_int():
     if not digits:
         pytest.skip("no limit on integer string conversion")
     for obj in (10**digits, {"coeff": [-(10**digits)]}):
-        with pytest.raises(ValueError):
-            _json_dumps(obj)
         with pytest.raises(ValueError):
             dumps_canonical(obj)
 
