@@ -208,8 +208,8 @@ def _int_if_integral(c):
 def _add_into(out: dict, terms, sign: int = 1) -> dict:
     """Add sign (1 or -1) times terms, (key, nonzero coefficient) pairs, into the
     dict out in place and return out; a key whose sum is 0 is deleted and an
-    integral Fraction sum is stored as an int.  The one accumulator of the sparse
-    core: Poly's +, - and substitute, schur._column, the tensor's table and expansion."""
+    integral Fraction sum is stored as an int.  The one accumulator of the sparse core:
+    Poly's +, - and substitute, divide_exact, schur._column, the tensor's table and expansion."""
     neg = sign < 0
     for m, c in terms:
         s = out.get(m)
@@ -566,35 +566,32 @@ def _latex_coeff(c) -> str:
 
 
 def divide_exact(p: Poly, q: Poly) -> Poly:
-    """Exact division p / q; raises InexactDivisionError if q does not divide p.
-
-    Long division in v, the variable of q with the lowest slot: each
-    coefficient of the quotient in v is an exact division by q's leading
-    coefficient in v, a polynomial in one variable fewer.  Powers of v
-    are kept as packed monomials v^k, so one step in k adds 1 << shift.
-    """
-    if not q:
-        raise DomainError("division by the zero polynomial")
-    low = reduce(or_, q._terms)
+    """Exact division p / q by q = lead*v + r, v the variable of q with the lowest slot,
+    lead a nonzero constant and r free of v: any linear form; any other q raises
+    DomainError.  From the top power of v down, the quotient's coefficient of v^(k-1) is
+    (p_k - r*Q_k) / lead, where p_k, p's coefficient of v^k, is a group of packed terms
+    that r*Q_k was subtracted from in place; a nonzero p_0 left raises InexactDivisionError."""
+    low = reduce(or_, q._terms, 0)
     if not low:
-        return p if q._terms[0] == 1 else p * (1 / Fraction(q._terms[0]))
+        raise DomainError(f"division by the constant {q}" if q else "division by zero")
     shift = _W * (((low & -low).bit_length() - 1) // _W)
     field, step = _FIELD << shift, 1 << shift
-    rem = {k: Poly._raw(t) for k, t in _group(p._terms, field).items()}
-    by_power = [(k, Poly._raw(t)) for k, t in _group(q._terms, field).items()]
-    (dq, lead), *lower = sorted(by_power, reverse=True)
-    lower = [(e - dq, -t) for e, t in lower]
+    by_power = _group(q._terms, field)
+    lead, r = by_power.pop(step, {}), by_power.pop(0, {}).items()
+    if by_power or list(lead) != [0]:
+        v = _var_str(_code_of[shift // _W], 1)
+        raise DomainError(f"divisor {q} is not of degree one in {v} with a constant coefficient")
+    inv = _int_if_integral(1 / Fraction(lead[0]))
+    groups = _group(p._terms, field)
     quotient: dict = {}
-    for k in range(max(rem, default=dq - step), dq - step, -step):
-        top = rem.pop(k, None)
-        if not top:
-            continue
-        c = divide_exact(top, lead)
+    for k in range(max(groups, default=0), 0, -step):
+        c = {m: _int_if_integral(cc * inv) for m, cc in groups.pop(k, {}).items()}
         # c lacks v, so the terms of different k share no monomial.
-        quotient.update((m + k - dq, cc) for m, cc in c._terms.items())
-        for e, t in lower:
-            rem[k + e] = c * t + rem.get(k + e, ZERO)
-    if any(rem.values()):
+        quotient.update((m + k - step, cc) for m, cc in c.items())
+        below = _add_into(groups.setdefault(k - step, {}),
+                          ((m1 + m2, c1 * c2) for m2, c2 in c.items() for m1, c1 in r), -1)
+        _check_exponents(below)
+    if groups.get(0):
         raise InexactDivisionError("nonzero remainder in exact division")
     return Poly._raw(quotient)
 

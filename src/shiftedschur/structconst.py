@@ -212,9 +212,10 @@ def multiply_schubert(
     nu longer than l(lam)+l(mu) occurs (Molev-Sagan fill nu/mu
     column-strictly with entries at most l(lam)).  So under both readings
     the product is built and expanded at n0 = max(min(n, l(lam)+l(mu)), 1),
-    and the expansion reports the caller's n.  The pair is built as given.  Under
-    affine it is the standard:d=0 expansion at u = a (see _slope): a w4 n9 table
-    takes 0.26 s of CPU so on a Xeon core, and 0.46 s expanded over Q.
+    and the expansion reports the caller's n.  The pair is built as given; the
+    omega rule and the window fallback are compute_expansion's.  Under affine it is
+    the standard:d=0 expansion at u = a (see _slope): a w4 n9 table takes 0.26 s of
+    CPU so on a Xeon core, and 0.46 s expanded over Q.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "expansion")
     if yspec.kind == "affine":
@@ -283,10 +284,11 @@ def structure_constants_via_localization(
     so the recurrence runs on the rational c of C = c * t^{|a|+|b|-|nu|}, from
     Naruse's hook ratio c(a, b, a) = hook_h(a) / hook_h(a/b).  Under circle every
     y_j is an integer times u, so it runs on the int c of C = c * u^{|a|+|b|-|nu|};
-    under any other spec on polynomials, divided exactly.  The coefficients are
-    those of any rank >= l(nu) (see multiply_schubert), so stable=False admits any
-    rank >= max length.  memo maps a yspec to the solved C: a table passes one for
-    all its pairs, else it lives for this call.
+    under any other spec on polynomials, divided by its linear form.  The
+    coefficients are those of any rank >= l(nu) (see multiply_schubert), so
+    stable=False admits any rank >= max length.  memo maps a yspec to the solved C:
+    a table passes one for all its pairs, else it lives for this call.  The pair is
+    solved as given, as in multiply_schubert.
 
     Only a circle window's form can vanish, where its differences sum to 0; the
     pair is then solved symbolically, in the same memo, and the window put in.

@@ -149,21 +149,34 @@ def test_pow_matches_sympy(a, k):
     assert same(p**k, pe**k)
 
 
+# A nonzero linear form: up to four variables with unit or other nonzero
+# coefficients, and a constant term that may be zero.
+linear_forms = st.tuples(
+    st.dictionaries(
+        st.integers(0, len(VARIABLES) - 1),
+        st.sampled_from([Fraction(1), Fraction(-1)]) | coefficients.filter(bool),
+        min_size=1,
+        max_size=4,
+    ),
+    coefficients,
+).map(lambda t: build([(c, [(k, 1)]) for k, c in t[0].items()] + [(t[1], [])]))
+
+
 @oracle
-@given(polys, polys)
+@given(polys, linear_forms)
 def test_divide_exact_matches_sympy(a, b):
     (p, pe), (q, qe) = a, b
-    if not q:
-        return
     assert divide_exact(p * q, q) == p
-    # q divides p exactly when the remainder of division by {q} vanishes.
-    divisible = sympy.rem(pe, qe, *GENS, domain="QQ") == 0
-    try:
-        quotient = divide_exact(p, q)
-    except InexactDivisionError:
-        assert not divisible
-    else:
-        assert divisible and same(quotient * q, pe)
+    # q divides a dividend exactly when the remainder of division by {q} vanishes.
+    for dividend, de in ((p, pe), (p * q, sympy.expand(pe * qe))):
+        divisible = sympy.rem(de, qe, *GENS, domain="QQ") == 0
+        try:
+            quotient = divide_exact(dividend, q)
+        except InexactDivisionError:
+            assert not divisible
+        else:
+            assert divisible and same(quotient * q, de)
+            assert ints_where_integral(quotient)
 
 
 @oracle
@@ -265,6 +278,8 @@ def test_largest_exponent_is_exact():
         lambda: (x(1) ** 20000 * y(1) ** 20000).substitute({y(1): x(1)}),
         lambda: Poly({(var_code(FAMILY_USEQ, 0), MAX_EXPONENT + 1): 1}),
         lambda: Poly({(var_code(FAMILY_USEQ, 0), 20000, var_code(FAMILY_USEQ, 0), 20000): 1}),
+        # A remainder step of a division: r * Q reaches x^(MAX_EXPONENT + 1).
+        lambda: divide_exact(x(1) * x(2) ** MAX_EXPONENT, x(1) + x(2)),
     ],
 )
 def test_exponent_past_the_field_raises(make):

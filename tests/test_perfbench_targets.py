@@ -34,3 +34,28 @@ def test_tracer_targets_resolve():
                 assert attr in vars(getattr(module, cls_name)), f"{module_name}.{name}"
             else:
                 assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_the_division_targets_see_the_divisions(monkeypatch):
+    # The divide_exact and divide_linear spans measure the division only
+    # while localize and the determinant ratio still reach them by name.
+    from shiftedschur import SYMBOLIC, compute_expansion, double_schur, schur, structconst
+
+    calls = {"divide_exact": 0, "divide_linear": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(structconst, "divide_exact")
+    counted(schur, "divide_linear")
+    exp = compute_expansion((2, 1), (1,), 5, SYMBOLIC, method="localize")
+    assert exp == compute_expansion((2, 1), (1,), 5, SYMBOLIC, method="expand")
+    assert calls["divide_exact"] > 0
+    assert double_schur((2, 1), 3, method="det_ratio") == double_schur((2, 1), 3)
+    assert calls["divide_linear"] > 0

@@ -1,7 +1,9 @@
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from oracles import brute_force_lr
@@ -589,3 +591,15 @@ def test_a_tall_pair_reaches_the_engine_as_its_conjugate(method, monkeypatch):
         assert exp == multiply_schubert(lam, mu, n, spec, stable), (spec.kind, stable)
 
 
+
+
+def test_readme_quick_tour_runs():
+    # The README's "Library quick tour" block, run as written, and the
+    # coefficients its comment gives.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tour = readme[readme.index("## Library quick tour"):]
+    block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    namespace: dict = {}
+    exec(block, namespace)
+    assert "exp.coefficients == {(2): 1, (1,1): 1, (1): u}" in block
+    assert namespace["exp"].coefficients == {(2,): 1, (1, 1): 1, (1,): u}
