@@ -276,8 +276,8 @@ def test_divide_exact():
 
 
 def test_divide_exact_by_a_localize_form():
-    # The shape of localize's Pieri form: a signed sum of distinct y_j,
-    # led by -1 in its variable of the lowest slot or by +1.
+    # The shape of localize's Pieri form, a signed sum of distinct y_j, and
+    # its negative: v's coefficient is 1 in one of them and -1 in the other.
     form = y(3) - y(0) + y(-2) - y(-4)
     p = x(1) * y(-2) - 2 * y(0) ** 2 * y(3) + Fraction(1, 3)
     for q in (form, -form):

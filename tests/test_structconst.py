@@ -591,8 +591,6 @@ def test_a_tall_pair_reaches_the_engine_as_its_conjugate(method, monkeypatch):
         assert exp == multiply_schubert(lam, mu, n, spec, stable), (spec.kind, stable)
 
 
-
-
 def test_readme_quick_tour_runs():
     # The README's "Library quick tour" block, run as written, and the
     # coefficients its comment gives.
