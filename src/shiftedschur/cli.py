@@ -20,6 +20,7 @@ from .polyring import (
     YSpec,
     canonical_string,
     const,
+    dumps_canonical,
     parse_rational,
     useq,
     x,
@@ -220,8 +221,6 @@ def _verify_flags(p) -> None:
 
 def _poly_output(poly: Poly, fmt: str) -> str:
     if fmt == "json":
-        from .structconst import dumps_canonical
-
         return dumps_canonical(poly.to_json_obj())
     if fmt == "latex":
         return f"${poly.latex()}$\n"
@@ -243,9 +242,7 @@ def _cmd_eval(args) -> str:
 
 
 def _cmd_multiply(args) -> str:
-    from .structconst import (
-        compute_expansion, dumps_canonical, table_to_json_obj, table_to_latex, table_to_text
-    )
+    from .structconst import compute_expansion, table_to_json_obj, table_to_latex, table_to_text
 
     stable = not args.finite_rank
     exp = compute_expansion(args.lam, args.mu, args.n, args.y, args.method, stable=stable)
@@ -259,9 +256,7 @@ def _cmd_multiply(args) -> str:
 
 
 def _cmd_table(args) -> str:
-    from .structconst import (
-        dumps_canonical, multiplication_table, table_to_json_obj, table_to_latex, table_to_text
-    )
+    from .structconst import multiplication_table, table_to_json_obj, table_to_latex, table_to_text
 
     rows = multiplication_table(
         args.max_weight, args.n, args.y, args.method, finite_rank=args.finite_rank
@@ -272,7 +267,7 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_molev(args) -> str:
-    from .structconst import dumps_canonical, molev_coefficient
+    from .structconst import molev_coefficient
 
     value = molev_coefficient(args.lam, args.mu, args.nu)
     if args.format == "json":
@@ -295,8 +290,6 @@ def _cmd_coproduct(args) -> str:
         raise UsageError(f"malformed expression {args.expr!r}: {e}") from None
     tensor = coproduct_power_polynomial(expr)
     if args.format == "json":
-        from .structconst import dumps_canonical
-
         obj = {
             "summands": [
                 {"weight": str(w), "left": str(l), "right": str(r)}
@@ -392,8 +385,6 @@ def _cmd_verify(args) -> str:
     if not ok:
         args.failed = suite
     if args.format == "json":
-        from .structconst import dumps_canonical
-
         obj: dict = {"suite": suite, "passed": ok}
         if reports:
             obj["reports"] = reports

@@ -19,9 +19,10 @@ variable code a slot on first use, and the exponent of slot s sits in bits
 monomial never sets, so a monomial multiply is one integer add, and an
 exponent that outgrows its field sets a guard bit instead of carrying into
 the next field.  At the boundary (Poly(terms), Poly.terms, rendering,
-JSON and pickling) a monomial is a flat tuple
-(code, exp, code, exp, ...) with codes strictly increasing and exponents
-positive.
+JSON and pickling) a monomial is a flat tuple (code, exp, code, exp, ...)
+with codes strictly increasing and exponents positive.  The JSON forms of
+Poly, YSpec and IntSeqWindow are written by dumps_canonical, the package's
+one JSON writer, kept here so that writing JSON loads no engine.
 
 The doubly infinite y sequence is never materialized: a YSpec describes a
 substitution rule finitely and is asked only for the indices a polynomial
@@ -209,7 +210,8 @@ def _add_into(out: dict, terms, sign: int = 1) -> dict:
     """Add sign (1 or -1) times terms, (key, nonzero coefficient) pairs, into the
     dict out in place and return out; a key whose sum is 0 is deleted and an
     integral Fraction sum is stored as an int.  The one accumulator of the sparse core:
-    Poly's +, - and substitute, divide_exact, schur._column, the tensor's table and expansion."""
+    Poly(terms), Poly's +, - and substitute, divide_exact, schur._column, the tensor's
+    table and expansion."""
     neg = sign < 0
     for m, c in terms:
         s = out.get(m)
@@ -256,11 +258,9 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, object] | None = None):
-        acc: dict = {}
-        for m, c in (terms or {}).items():
-            m = _encode(m)
-            acc[m] = acc.get(m, 0) + c
-        self._terms = {m: _int_if_integral(c) for m, c in acc.items() if c}
+        self._terms = _add_into(
+            {}, ((_encode(m), _int_if_integral(c)) for m, c in (terms or {}).items() if c)
+        )
 
     @classmethod
     def _raw(cls, terms: dict) -> "Poly":
@@ -748,3 +748,12 @@ class YSpec(
 
 
 SYMBOLIC = YSpec.symbolic()
+
+
+def dumps_canonical(obj) -> str:
+    """The one JSON rendering used everywhere; reparsing and re-dumping is
+    byte-identical.  json is imported here, so only a verb that writes JSON
+    loads it."""
+    import json
+
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -95,11 +95,6 @@ class SchurExpansion:
     def specialize_y(self, spec: YSpec) -> "SchurExpansion":
         return SchurExpansion(self.n, spec, {nu: c.specialize_y(spec) for nu, c in self.items()})
 
-    def to_json_terms(self) -> list[dict]:
-        return [
-            {"nu": list(nu), "coeff": canonical_string(c)} for nu, c in self.items()
-        ]
-
 
 def _x_monomial(nu: tuple) -> int:
     """The packed monomial x_1^nu_1 x_2^nu_2 ..."""
@@ -428,20 +423,15 @@ def table_to_json_obj(rows, n: int, yspec: YSpec) -> dict:
             {
                 "lambda": list(lam),
                 "mu": list(mu),
-                "terms": exp.to_json_terms(),
+                "terms": [{"nu": list(nu), "coeff": canonical_string(c)} for nu, c in exp.items()],
             }
             for lam, mu, exp in rows
         ],
     }
 
 
-def dumps_canonical(obj) -> str:
-    """The one JSON rendering used everywhere; reparsing and re-dumping is
-    byte-identical.  json is imported here, so only a verb that writes JSON
-    loads it."""
-    import json
-
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+# The writer lives in polyring; perfbench's tracer and the tests still name it here.
+dumps_canonical = polyring.dumps_canonical
 
 
 def expansion_to_text(lam: Partition, mu: Partition, exp: SchurExpansion) -> str:

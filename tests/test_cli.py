@@ -15,7 +15,7 @@ import shiftedschur
 from shiftedschur import cli, comult
 from shiftedschur.cli import build_parser, parse_yspec, run
 from shiftedschur.comult import MAX_COPRODUCT_SUMMANDS
-from shiftedschur.errors import DomainError, UsageError
+from shiftedschur.errors import DomainError, InexactDivisionError, UsageError
 from shiftedschur.polyring import MAX_EXPONENT, MAX_PRODUCT_PAIRS, IntSeqWindow, YSpec
 from shiftedschur.schur import MAX_H_TERMS
 from shiftedschur.structconst import dumps_canonical
@@ -356,6 +356,13 @@ def test_flags_are_converted_in_command_line_order(capsys):
     assert invoke(capsys, *argv) == (1, "", "usage error: unknown yspec kind 'bogus'\n")
     argv = ("multiply", "--lambda", "x", "--lambda", "1", "--mu", "1", "--n", "3")
     assert invoke(capsys, *argv) == (1, "", bad_part)
+
+
+def test_interior_zero_part_is_usage_error(capsys):
+    argv = ("multiply", "--lambda", "2,0,1", "--mu", "1", "--n", "5")
+    assert invoke(capsys, *argv) == (
+        1, "", "usage error: interior zero part in partition (2, 0, 1)\n"
+    )
 
 
 def test_domain_error_exit_code(capsys):
@@ -786,6 +793,20 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert err == "internal inconsistency: the primitivity suite failed\n"
 
 
+def test_engine_inconsistency_exit_code(monkeypatch, capsys):
+    # An identity that fails inside an engine, not in a verify suite, also
+    # exits 3 with one line; here the determinant ratio's exact division.
+    from shiftedschur import schur
+
+    def inexact(p, xi, xj):
+        raise InexactDivisionError(f"x{xi} - x{xj} does not divide")
+
+    monkeypatch.setattr(schur, "divide_linear", inexact)
+    code, out, err = invoke(capsys, "schur", "--lambda", "2,1", "--n", "3", "--method", "det-ratio")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal inconsistency: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_reports_the_first_failing_case(monkeypatch, capsys, fmt):
     # A suite checked case by case stops at the first case that fails and
@@ -979,13 +1000,16 @@ _JSON_WRITER = ",".join(("json", *_ENGINES))
         ("verify --suite jacobi-trudi --max-weight 2 --n 2", "shiftedschur.schur"),
         ("verify --suite denominator --n 3", "shiftedschur.schur"),
         ("verify --suite stability --max-weight 2 --n 2", "shiftedschur.schur"),
-        # The JSON writer is structconst.dumps_canonical, which imports json.
-        ("coproduct --expr p1^2*p3 --format json", _JSON_WRITER),
-        ("schur --lambda 2,1 --n 3 --format json", _JSON_WRITER),
+        # The JSON writer is polyring.dumps_canonical, which imports json
+        # and no engine: a JSON verb loads json beside the engines it runs.
+        ("coproduct --expr p1^2*p3 --format json", "json"),
+        ("verify --suite primitivity --max-k 1 --max-l 2 --format json", "json"),
+        ("schur --lambda 2,1 --n 3 --format json", "json,shiftedschur.schur"),
+        ("eval --lambda 2,1 --x=1,1/2 --format json", "json,shiftedschur.schur"),
+        ("restrict --lambda 1 --delta 2,1 --n 3 --format json", "json,shiftedschur.schur"),
         ("multiply --lambda 1 --mu 1 --n 3 --format json", _JSON_WRITER),
         ("table --max-weight 1 --n 3 --method localize --format json", _JSON_WRITER),
         ("molev --lambda 1 --mu 1 --nu 1 --format json", _JSON_WRITER),
-        ("verify --suite primitivity --max-k 1 --max-l 2 --format json", _JSON_WRITER),
     ],
 )
 def test_each_verb_loads_only_its_engines(argv, loaded):

@@ -104,6 +104,13 @@ def test_parse_rejects(bad):
         parse_partition(bad)
 
 
+def test_parse_rejects_an_interior_zero():
+    # Trailing zeros are dropped; a zero before a positive part is refused.
+    with pytest.raises(DomainError) as excinfo:
+        parse_partition("2,0,1")
+    assert str(excinfo.value) == "interior zero part in partition (2, 0, 1)"
+
+
 def test_contains_examples():
     assert contains(Partition([2, 1]), Partition([1]))
     assert not contains(Partition([2, 1]), Partition([2, 2]))
