@@ -8,7 +8,7 @@ independent algorithms, and the coproduct on shifted power sums.
 The names below are exported lazily (PEP 562), so `import shiftedschur`
 loads no submodule.  The CLI imports errors, partitions and polyring for
 every verb; schur, structconst and comult load only in the verbs that use
-them, and structconst (with schur) and json in every verb that writes JSON.
+them, and a verb that writes JSON loads json besides, and no other engine.
 """
 
 from importlib import import_module

@@ -3,7 +3,7 @@
 The CLI maps these onto exit codes: usage errors exit 1, mathematical
 domain errors exit 2, internal inconsistencies (identities that must hold
 by theorem failing to hold) exit 3.  A y-specialization is an error only
-where a value reads a y_j that a window without a tail rule lacks.
+where a window cannot serve the computation directly (UnresolvableIndexError).
 """
 
 
@@ -20,7 +20,7 @@ class AsymmetricInputError(DomainError):
 
 
 class UnresolvableIndexError(DomainError):
-    """A sequence index fell outside a window with no tail rule."""
+    """A window cannot serve the computation directly: it lacks an index, or a Pieri form is 0."""
 
 
 class InternalInconsistencyError(RuntimeError):

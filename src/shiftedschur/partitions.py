@@ -126,7 +126,12 @@ def count_standard_tableaux(shape: SkewShape) -> int:
 
 def hook_h(shape: SkewShape) -> Fraction:
     """|shape|! divided by the number of standard tableaux of the shape."""
-    return Fraction(factorial(shape.size), count_standard_tableaux(shape))
+    try:
+        return Fraction(factorial(shape.size), count_standard_tableaux(shape))
+    except OverflowError:  # factorial takes no argument past sys.maxsize
+        outer, inner = (",".join(map(str, p)) for p in shape)
+        raise DomainError(f"the skew shape ({outer})/({inner}) is too large for the "
+                          "hook function's factorials") from None
 
 
 def canonical_key(p: Partition) -> tuple:

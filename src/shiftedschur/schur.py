@@ -17,6 +17,8 @@ from functools import lru_cache
 from .errors import DomainError, RankTooSmallError, UnresolvableIndexError
 from .partitions import Partition
 from .polyring import (
+    FAMILY_X,
+    FAMILY_Y,
     ONE,
     SYMBOLIC,
     ZERO,
@@ -25,6 +27,7 @@ from .polyring import (
     _add_into,
     divide_linear,
     poly_det,
+    var_code,
     x,
     y,
 )
@@ -84,6 +87,7 @@ def _column(family: str, top: int, s: int, y_at, point: tuple) -> list[Poly]:
 
 
 def _xs(n: int) -> tuple:
+    var_code(FAMILY_X, n)  # an index past the field is refused before x_1.. are built
     return tuple(x(i) for i in range(1, n + 1))
 
 
@@ -119,6 +123,7 @@ def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec:
         return ONE
     n, r = len(base), len(lam)
     family, step, lo = ("h", 1, 2 - shift - r) if lam.part(1) >= r else ("e", -1, 1 - shift)
+    var_code(FAMILY_Y, n + lam.part(1) - 1 - shift)  # likewise the highest y read, before y_lo..
     zero = yspec.kind == "zero"
     try:
         point, store = _at(base, labels, yspec)
@@ -144,9 +149,10 @@ def _jacobi_trudi(lam: Partition, base: tuple, labels: tuple, shift: int, yspec:
 
 def _alternant_rows(lam: Partition, n: int) -> list[list[Poly]]:
     """The rows [(x_i|y)^{lam_j+n-j}]_j, i = 1..n, of the alternant."""
+    var_code(FAMILY_Y, lam.part(1) + n - 1)  # the highest y read, refused before y_1..
     rows = []
-    for i in range(1, n + 1):
-        powers = _column("h", lam.part(1) + n - 1, 0, y, (x(i),))
+    for xi in _xs(n):
+        powers = _column("h", lam.part(1) + n - 1, 0, y, (xi,))
         rows.append([powers[lam.part(j) + n - j] for j in range(1, n + 1)])
     return rows
 

@@ -283,10 +283,8 @@ def structure_constants_via_localization(
     coefficients are those of any rank >= l(nu) (see multiply_schubert), so
     stable=False admits any rank >= max length.  memo maps a yspec to the solved C:
     a table passes one for all its pairs, else it lives for this call.  The pair is
-    solved as given, as in multiply_schubert.
-
-    Only a circle window's form can vanish, where its differences sum to 0; the
-    pair is then solved symbolically, in the same memo, and the window put in.
+    solved as given, as in multiply_schubert.  Only a circle window's form can
+    vanish, where its differences sum to 0: that raises UnresolvableIndexError.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "localization")
     memo = {} if memo is None else memo
@@ -312,6 +310,9 @@ def structure_constants_via_localization(
             else:
                 top, low = {N[i] - i for i in rows}, {A[i] - i for i in rows}
                 form = sum(map(value, top - low), zero) - sum(map(value, low - top), zero)
+                if not form:
+                    raise UnresolvableIndexError(
+                        f"a Pieri form of {tuple(lam)} * {tuple(mu)} vanishes in this window")
             ups = (_with_part(a, i, A[i] + 1) for i in range(1, len(a) + 2)
                    if A[i] < min(N[i], A[i - 1]))
             downs = (_with_part(nu, i, N[i] - 1) for i in rows
@@ -323,11 +324,7 @@ def structure_constants_via_localization(
         return c
 
     a, b = sorted((lam, mu), key=canonical_key, reverse=True)
-    try:
-        coeffs = {nu: coefficient(a, b, nu) for nu in _candidates(lam, mu, n)}
-    except ZeroDivisionError:  # _exact_quotient by a circle form that sums to 0
-        exp = structure_constants_via_localization(lam, mu, n, SYMBOLIC, stable, memo)
-        return exp.specialize_y(yspec)
+    coeffs = {nu: coefficient(a, b, nu) for nu in _candidates(lam, mu, n)}
     if scalar:
         coeffs = _graded(coeffs, lam.weight + mu.weight, u if t is None else t)
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
@@ -359,9 +356,9 @@ def compute_expansion(
     """Dispatch a product expansion to one of the three algorithms.  Under the
     stable reading with a spec of _OMEGA_KINDS, a pair with lam_1+mu_1 < l(lam)+l(mu) < n
     is solved as its conjugate pair and read back through _omega (a lower n keeps the
-    rank error of the pair given).  Where the expansion reads a y_j that a window
-    without a tail rule lacks, the engine runs symbolically and the window is put
-    into its result.  localize shares its recurrence with every call given the same memo."""
+    rank error of the pair given).  Where a window cannot serve the engine directly (see
+    UnresolvableIndexError), it runs symbolically and the window is put into its result.
+    localize shares its recurrence with every call given the same memo."""
     engine = _ENGINES.get(method)
     if engine is None:
         raise DomainError(f"unknown method {method!r}; choose from {TABLE_METHODS}")
@@ -430,7 +427,7 @@ def table_to_json_obj(rows, n: int, yspec: YSpec) -> dict:
     }
 
 
-# The writer lives in polyring; perfbench's tracer and the tests still name it here.
+# The writer lives in polyring; only perfbench's tracer TARGETS still name it here.
 dumps_canonical = polyring.dumps_canonical
 
 

@@ -16,9 +16,10 @@ from shiftedschur import cli, comult
 from shiftedschur.cli import build_parser, parse_yspec, run
 from shiftedschur.comult import MAX_COPRODUCT_SUMMANDS
 from shiftedschur.errors import DomainError, InexactDivisionError, UsageError
-from shiftedschur.polyring import MAX_EXPONENT, MAX_PRODUCT_PAIRS, IntSeqWindow, YSpec
+from shiftedschur.polyring import (
+    MAX_EXPONENT, MAX_PRODUCT_PAIRS, IntSeqWindow, YSpec, dumps_canonical
+)
 from shiftedschur.schur import MAX_H_TERMS
-from shiftedschur.structconst import dumps_canonical
 
 
 def invoke(capsys, *argv):
@@ -461,6 +462,39 @@ def test_variable_index_past_the_field(capsys, argv, index):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: variable index {index} outside [-2^43, 2^43)\n"
+
+
+_HUGE = "99999999999999999999"
+_PAST_THE_FIELD = "error: variable index {} outside [-2^43, 2^43)\n"
+_PAST_THE_FACTORIAL = (
+    f"error: the skew shape ({_HUGE})/() is too large for the hook function's factorials\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # The column [ZERO] * top once overflowed here, with a traceback.
+        (["schur", "--lambda", _HUGE, "--n", "1", "--y", "zero"], _PAST_THE_FIELD.format(_HUGE)),
+        (["eval", "--lambda", _HUGE, "--x=1", "--y", "zero"],
+         _PAST_THE_FIELD.format(int(_HUGE) - 2)),
+        # math.factorial in hook_h once overflowed, with a traceback.
+        (["molev", "--lambda", _HUGE, "--mu", "1", "--nu", f"{_HUGE},1"], _PAST_THE_FACTORIAL),
+        (["multiply", "--lambda", _HUGE, "--mu", "1", "--n", "3", "--y", "standard:d=0",
+          "--method", "molev"], _PAST_THE_FACTORIAL),
+        # These once built every variable below the index before refusing it.
+        (["schur", "--lambda", "1", "--n", _HUGE], _PAST_THE_FIELD.format(_HUGE)),
+        (["schur", "--lambda", _HUGE, "--n", "1"], _PAST_THE_FIELD.format(_HUGE)),
+        (["restrict", "--lambda", _HUGE, "--delta", "1", "--n", "1"],
+         _PAST_THE_FIELD.format(int(_HUGE) - 2)),
+    ],
+    ids=["schur-zero", "eval-zero", "molev", "multiply-molev", "schur-rank", "schur-part",
+         "restrict-part"],
+)
+def test_huge_part_or_rank_refused_quickly(argv, err):
+    # A subprocess, so that a hang is cut off by the timeout.
+    proc = _run([sys.executable, "-m", "shiftedschur", *argv], timeout=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
 
 _UNDER_ADDRESS_LIMIT = """\
