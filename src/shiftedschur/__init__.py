@@ -6,9 +6,9 @@ functions, equivariant Littlewood-Richardson structure constants by three
 independent algorithms, and the coproduct on shifted power sums.
 
 The names below are exported lazily (PEP 562), so `import shiftedschur`
-loads no submodule.  The CLI imports errors, partitions and polyring for
-every verb; schur, structconst and comult load only in the verbs that use
-them, and a verb that writes JSON loads json besides, and no other engine.
+loads no submodule.  The CLI imports errors, partitions (molev's hook sum
+included) and polyring for every verb; schur, structconst and comult load
+only in the verbs that run them, and a JSON verb loads json besides.
 """
 
 from importlib import import_module
@@ -47,6 +47,7 @@ _EXPORTS = {
         "contains",
         "count_standard_tableaux",
         "hook_h",
+        "molev_coefficient",
         "parse_partition",
         "partitions_between",
         "partitions_up_to",
@@ -81,7 +82,6 @@ _EXPORTS = {
         "SchurExpansion",
         "compute_expansion",
         "expand_in_shifted_basis",
-        "molev_coefficient",
         "multiplication_table",
         "multiply_schubert",
         "structure_constants_via_localization",

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import TABLE_METHODS
 from .errors import DomainError, InternalInconsistencyError, UsageError
-from .partitions import Partition, parse_partition, partitions_up_to
+from .partitions import Partition, molev_coefficient, parse_partition, partitions_up_to
 from .polyring import (
     IntSeqWindow,
     Poly,
@@ -267,8 +267,6 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_molev(args) -> str:
-    from .structconst import molev_coefficient
-
     value = molev_coefficient(args.lam, args.mu, args.nu)
     if args.format == "json":
         return dumps_canonical({"value": str(value)})

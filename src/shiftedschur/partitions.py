@@ -1,4 +1,4 @@
-"""Partitions, skew shapes and standard-tableau counting.
+"""Partitions, skew shapes, standard-tableau counting and Molev's hook-function sum.
 
 Partitions are stored without trailing zeros, so structural equality and
 hashing coincide with mathematical equality.  The canonical total order
@@ -95,19 +95,24 @@ class SkewShape(namedtuple("SkewShape", "outer inner")):
 
 
 @lru_cache(maxsize=1 << 16)  # molev's hook sums read each skew shape many times
-def count_standard_tableaux(shape: SkewShape) -> int:
-    """Number of standard tableaux of the skew shape (1 for the empty shape).
+def hook_h(shape: SkewShape) -> Fraction:
+    """|shape|! divided by the number of standard tableaux of the shape (1 for the empty shape).
 
-    Aitken's determinant |shape|! * det[1/(outer_i - inner_j - i + j)!]
-    (1/k! = 0 for k < 0).  Row i is scaled by (outer_i - i + r)! to make
-    the entries integers, and the determinant is taken by Bareiss's
-    fraction-free elimination.
+    By Aitken's determinant the count is |shape|! * det[1/(outer_i - inner_j - i + j)!]
+    (1/k! = 0 for k < 0), so hook_h is 1/det; count_standard_tableaux reads it.  Row i is
+    scaled by (outer_i - i + r)! to make the entries integers, the determinant is taken by
+    Bareiss's fraction-free elimination, and hook_h is the product of the scales over it.
     """
     outer, inner = shape.outer, shape.inner
-    if outer.part(1) < len(outer):  # f(outer/inner) = f(outer'/inner'), with fewer rows
+    if outer.part(1) < len(outer):  # h(outer/inner) = h(outer'/inner'), with fewer rows
         outer, inner = outer.conjugate(), inner.conjugate()
     r = len(outer)
-    tops = [factorial(outer.part(i) - i + r) for i in range(1, r + 1)]
+    try:
+        tops = [factorial(outer.part(i) - i + r) for i in range(1, r + 1)]
+    except OverflowError:  # factorial takes no argument past sys.maxsize
+        outer, inner = (",".join(map(str, p)) for p in shape)
+        raise DomainError(f"the skew shape ({outer})/({inner}) is too large for the "
+                          "hook function's factorials") from None
     rows = []
     for i in range(1, r + 1):
         ks = [outer.part(i) - inner.part(j) - i + j for j in range(1, r + 1)]
@@ -121,17 +126,42 @@ def count_standard_tableaux(shape: SkewShape) -> int:
             row = rows[k]
             rows[k] = [(row[j] * head[c] - row[c] * head[j]) // prev for j in range(r)]
         prev = head[c]
-    return factorial(shape.size) * prev // prod(tops)
+    return Fraction(prod(tops), prev)
 
 
-def hook_h(shape: SkewShape) -> Fraction:
-    """|shape|! divided by the number of standard tableaux of the shape."""
-    try:
-        return Fraction(factorial(shape.size), count_standard_tableaux(shape))
-    except OverflowError:  # factorial takes no argument past sys.maxsize
-        outer, inner = (",".join(map(str, p)) for p in shape)
-        raise DomainError(f"the skew shape ({outer})/({inner}) is too large for the "
-                          "hook function's factorials") from None
+def count_standard_tableaux(shape: SkewShape) -> int:
+    """Number of standard tableaux of the skew shape: |shape|! divided by hook_h(shape)."""
+    h = hook_h(shape)
+    return factorial(shape.size) * h.denominator // h.numerator
+
+
+def _union(lam: Partition, mu: Partition) -> Partition:
+    """lam ∪ mu, the smallest partition containing both."""
+    return Partition(max(lam.part(i), mu.part(i)) for i in range(1, max(len(lam), len(mu)) + 1))
+
+
+def molev_coefficient(lam, mu, nu) -> Fraction:
+    """The hook-function alternating sum over lam,mu <= rho <= nu (Molev-Sagan).
+
+    The full structure constant under the standard action is this value
+    times u^(|lam|+|mu|-|nu|); the sum is 0 when no admissible rho exists.
+    """
+    lam = Partition(lam)
+    mu = Partition(mu)
+    nu = Partition(nu)
+    total = Fraction(0)
+    for rho in partitions_between(_union(lam, mu), nu):
+        sign = -1 if (nu.weight - rho.weight) % 2 else 1
+        total += (
+            sign
+            * hook_h(SkewShape(rho))
+            / (
+                hook_h(SkewShape(nu, rho))
+                * hook_h(SkewShape(rho, lam))
+                * hook_h(SkewShape(rho, mu))
+            )
+        )
+    return total
 
 
 def canonical_key(p: Partition) -> tuple:

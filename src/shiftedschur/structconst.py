@@ -6,13 +6,12 @@ Three independent routes to the same numbers:
     by peeling, for nu in descending order, the x^nu term of what is left;
   * structure_constants_via_localization: the equivariant Pieri recurrence
     of Molev-Sagan, from restrictions to torus-fixed points;
-  * molev_coefficient: the alternating hook-function sum, valid for the
-    weight-graded specialization y_j = (j+d)u.
+  * _molev_expansion: partitions.molev_coefficient, the alternating
+    hook-function sum, graded for the specialization y_j = (j+d)u.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 
 from . import TABLE_METHODS
@@ -24,9 +23,10 @@ from .partitions import (
     SkewShape,
     _interval,
     _partitions_of,
+    _union,
     canonical_key,
     hook_h,
-    partitions_between,
+    molev_coefficient,
     partitions_up_to,
 )
 from . import polyring
@@ -166,11 +166,6 @@ def _check_rank(lam, mu, n: int, stable: bool, engine: str) -> tuple[Partition, 
     return lam, mu
 
 
-def _union(lam: Partition, mu: Partition) -> Partition:
-    """lam ∪ mu, the smallest partition containing both."""
-    return Partition(max(lam.part(i), mu.part(i)) for i in range(1, max(len(lam), len(mu)) + 1))
-
-
 def _candidates(lam: Partition, mu: Partition, n: int) -> list[Partition]:
     """The nu that may occur in s*_lam * s*_mu at rank n, canonically ordered:
     nu contains lam and mu, |nu| <= |lam|+|mu| and l(nu) <= min(n, l(lam)+l(mu))
@@ -232,30 +227,6 @@ def _slope(yspec: YSpec) -> Poly | None:
 def _graded(coeffs: dict, top: int, t: Poly) -> dict[Partition, Poly]:
     """The coefficients c * t^(top-|nu|) of the rationals c of each nu."""
     return {nu: const(c) * t ** (top - nu.weight) for nu, c in coeffs.items() if c}
-
-
-def molev_coefficient(lam, mu, nu) -> Fraction:
-    """The hook-function alternating sum over lam,mu <= rho <= nu.
-
-    The full structure constant under the standard action is this value
-    times u^(|lam|+|mu|-|nu|); the sum is 0 when no admissible rho exists.
-    """
-    lam = Partition(lam)
-    mu = Partition(mu)
-    nu = Partition(nu)
-    total = Fraction(0)
-    for rho in partitions_between(_union(lam, mu), nu):
-        sign = -1 if (nu.weight - rho.weight) % 2 else 1
-        total += (
-            sign
-            * hook_h(SkewShape(rho))
-            / (
-                hook_h(SkewShape(nu, rho))
-                * hook_h(SkewShape(rho, lam))
-                * hook_h(SkewShape(rho, mu))
-            )
-        )
-    return total
 
 
 def _with_part(p: tuple, i: int, k: int) -> Partition:

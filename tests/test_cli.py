@@ -1043,7 +1043,9 @@ _JSON_WRITER = ",".join(("json", *_ENGINES))
         ("restrict --lambda 1 --delta 2,1 --n 3 --format json", "json,shiftedschur.schur"),
         ("multiply --lambda 1 --mu 1 --n 3 --format json", _JSON_WRITER),
         ("table --max-weight 1 --n 3 --method localize --format json", _JSON_WRITER),
-        ("molev --lambda 1 --mu 1 --nu 1 --format json", _JSON_WRITER),
+        # molev's hook-function sum is in partitions, which every verb loads.
+        ("molev --lambda 1 --mu 1 --nu 1", ""),
+        ("molev --lambda 1 --mu 1 --nu 1 --format json", "json"),
     ],
 )
 def test_each_verb_loads_only_its_engines(argv, loaded):
@@ -1052,11 +1054,14 @@ def test_each_verb_loads_only_its_engines(argv, loaded):
 
 
 # The CLI freezes the start-up heap once, at import; the library leaves the
-# collector alone, and it stays enabled for what a verb allocates.
+# collector alone, and it stays enabled for what a verb allocates.  Some
+# interpreters (CPython 3.12) start with objects frozen already, so the library's
+# share is counted against the interpreter's own.
 _FREEZE_PROBE = """\
 import gc
+interpreter_frozen = gc.get_freeze_count()
 import shiftedschur
-library_frozen = gc.get_freeze_count()
+library_frozen = gc.get_freeze_count() - interpreter_frozen
 tracked = len(gc.get_objects())
 import shiftedschur.cli
 print(library_frozen, gc.get_freeze_count() >= tracked, gc.isenabled())

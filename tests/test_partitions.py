@@ -174,9 +174,13 @@ def test_skew_count_matches_oracles():
         ((3, 3, 2), (2, 1)),
     ]
     for outer, inner in cases:
-        got = count_standard_tableaux(SkewShape(Partition(outer), Partition(inner)))
+        shape = SkewShape(Partition(outer), Partition(inner))
+        got = count_standard_tableaux(shape)
         assert got == permutation_filter_count(outer, inner)
-        assert got == generated_filling_count(outer, inner)
+        filled = generated_filling_count(outer, inner)
+        assert got == filled
+        # hook_h is computed directly, and count_standard_tableaux reads it.
+        assert hook_h(shape) == Fraction(factorial(shape.size), filled)
 
 
 def test_single_row_and_column_counts():
