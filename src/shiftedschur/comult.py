@@ -266,23 +266,23 @@ def coproduct_power_polynomial(expr) -> TensorElement:
     # str() refuses a weight too long to print, before any summand is built.
     for m, c in terms.items():
         str(c * prod(comb(e, e // 2) for e in m[1::2]))
-    summands = []
+    tensor = TensorElement()
     for m, c in terms.items():
-        # The summands (prod p_k^j_k, prod p_k^(e_k - j_k), c * prod C(e_k, j_k)),
-        # monomials packed, one generator at a time; each binomial is taken
-        # from the one before it, not from a fresh comb().
-        partial = [(0, 0, c)]
+        # The summands (prod p_k^j_k, prod p_k^(e_k - j_k), c * prod C(e_k, j_k)), each
+        # binomial taken from the one before it.  The j run through their grid in lex
+        # order and the e - j run through it backwards, so each left side, encoded once,
+        # is the right side of the mirrored summand.  No pair repeats, as l * r is m.
+        partial = [((), c)]
         for k, e in zip(m[::2], m[1::2]):
             row, b = [], 1
             for j in range(e + 1):
                 if j:
                     b = b * (e - j + 1) // j
-                row.append((_encode((k, j)), _encode((k, e - j)), b))
-            partial = [(l + lj, r + rj, w * bj) for l, r, w in partial for lj, rj, bj in row]
-        summands += (
-            (PowerPolynomial._raw({l: 1}), PowerPolynomial._raw({r: 1}), w) for l, r, w in partial
-        )
-    return TensorElement(summands)
+                row.append(((k, j), b))
+            partial = [(l + lj, w * bj) for l, w in partial for lj, bj in row]
+        sides = [PowerPolynomial._raw({_encode(l): 1}) for l, _ in partial]
+        tensor._table.update(((l, r), w) for l, r, (_, w) in zip(sides, reversed(sides), partial))
+    return tensor
 
 
 PrimitivityReport = namedtuple(

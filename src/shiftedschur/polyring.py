@@ -20,9 +20,11 @@ monomial never sets, so a monomial multiply is one integer add, and an
 exponent that outgrows its field sets a guard bit instead of carrying into
 the next field.  At the boundary (Poly(terms), Poly.terms, rendering,
 JSON and pickling) a monomial is a flat tuple (code, exp, code, exp, ...)
-with codes strictly increasing and exponents positive.  The JSON forms of
-Poly, YSpec and IntSeqWindow are written by dumps_canonical, the package's
-one JSON writer, kept here so that writing JSON loads no engine.
+with codes strictly increasing and exponents positive.  No other module
+reads or adds packed monomials; they pass through only as opaque keys.
+The JSON forms of Poly, YSpec and IntSeqWindow are written by
+dumps_canonical, the package's one JSON writer, kept here so that
+writing JSON loads no engine.
 
 The doubly infinite y sequence is never materialized: a YSpec describes a
 substitution rule finitely and is asked only for the indices a polynomial
@@ -169,13 +171,9 @@ def _flat_sort_key(flat: tuple):
     return (-sum(flat[1::2]), tuple(lex))
 
 
-def _mono_sort_key(m: int):
-    return _flat_sort_key(_decode(m))
-
-
 def _group(terms: dict, mask: int) -> dict[int, dict]:
     """Packed terms grouped as {part: {rest: coefficient}}, part = m & mask and
-    rest = m - part: the peel groups by x part, exact division by the field
+    rest = m - part: peel_x groups by x part, exact division by the field
     of one variable and substitution by the fields it replaces."""
     groups: dict[int, dict] = {}
     for m, c in terms.items():
@@ -309,7 +307,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        t = self._terms  # a constant equals its value, so it hashes as that (ZERO as 0)
+        return hash(frozenset(t.items())) if any(t) else hash(t.get(0, 0))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -596,6 +595,37 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
     return Poly._raw(quotient)
 
 
+def peel_x(p: Poly, exponents, basis) -> tuple[dict, tuple | None]:
+    """Peel p against a basis: exponents yields x-exponent tuples e in peel order, and
+    basis(e) is monic at x_1^e_1 x_2^e_2 ... with its other x-monomials later in that
+    order.  For each e whose x-monomial is left, its x-free coefficient c is kept and
+    c * basis(e) subtracted.  Returns {e: c} and the flat leading x-monomial of what
+    is left, None if nothing is."""
+    coeffs: dict = {}
+    # What is left, as {x part: {rest: coefficient}}, a group dropped when it empties;
+    # _X_MASK grows as basis(e) registers x slots, so it is read at each step.
+    parts = _group(p._terms, _X_MASK)
+    for e in exponents:
+        if not parts:  # kept: without it, zero w5 n11 expand took about 5 % longer
+            break
+        x_e = _encode(tuple(v for i, k in enumerate(e, 1) for v in (var_code(FAMILY_X, i), k)))
+        rests = parts.get(x_e)
+        if rests:
+            coeffs[e] = c = Poly._raw(dict(rests))  # a copy: the group changes below
+            terms, mask = (c * basis(e))._terms, _X_MASK
+            for m, v in terms.items():
+                part = m & mask
+                group, rest = parts.setdefault(part, {}), m ^ part
+                v = group.get(rest, 0) - v
+                if v:
+                    group[rest] = _int_if_integral(v)
+                elif len(group) > 1:
+                    del group[rest]
+                else:
+                    del parts[part]
+    return coeffs, min(map(_decode, parts), key=_flat_sort_key, default=None)
+
+
 def divide_linear(p: Poly, xi: int, xj: int) -> Poly:
     """Exact division of p by (x_xi - x_xj)."""
     return divide_exact(p, x(xi) - x(xj))
@@ -651,7 +681,7 @@ class IntSeqWindow(namedtuple("IntSeqWindow", "lo values tail")):
         # too, so a pickled window is checked again.
         if not values and tail is None:
             raise DomainError("window must be nonempty or have a tail rule")
-        return super().__new__(cls, lo, values, tail)
+        return super().__new__(cls, lo, tuple(values), tail if tail is None else tuple(tail))
 
     @property
     def hi(self) -> int:

@@ -31,22 +31,17 @@ from .partitions import (
 )
 from . import polyring
 from .polyring import (
-    FAMILY_X,
     SYMBOLIC,
     ZERO,
     Poly,
     YSpec,
-    _decode,
-    _encode,
     _exact_quotient,
-    _group,
     _int_if_integral,
-    _mono_sort_key,
     canonical_string,
     const,
     divide_exact,
+    peel_x,
     u,
-    var_code,
     var_index,
     y,
 )
@@ -96,11 +91,6 @@ class SchurExpansion:
         return SchurExpansion(self.n, spec, {nu: c.specialize_y(spec) for nu, c in self.items()})
 
 
-def _x_monomial(nu: tuple) -> int:
-    """The packed monomial x_1^nu_1 x_2^nu_2 ..."""
-    return _encode(tuple(v for i, e in enumerate(nu, 1) for v in (var_code(FAMILY_X, i), e)))
-
-
 def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurExpansion:
     """Expand p in the shifted double Schur basis at rank n.
 
@@ -114,33 +104,12 @@ def expand_in_shifted_basis(p: Poly, n: int, yspec: YSpec = SYMBOLIC) -> SchurEx
     degree or lex smaller, so the coefficient of nu is the non-x part of the
     x^nu term of what is left.
     """
-    coeffs: dict[Partition, Poly] = {}
-    # What is left, as {x part: {rest: coefficient}}; c * s*_nu is subtracted
-    # from the groups its terms fall in, and a group that empties is dropped.
-    # The x mask grows as x slots register, so it is read here, not imported.
-    parts = _group(p._terms, polyring._X_MASK)
-    for nu in (nu for w in range(p.x_degree(), -1, -1) for nu in _partitions_of(w, (), (w,) * n)):
-        if not parts:  # kept: without it, zero w5 n11 expand took about 5 % longer
-            break
-        rests = parts.get(_x_monomial(nu))
-        if rests:
-            nu = Partition(nu)
-            coeffs[nu] = c = Poly._raw(dict(rests))  # a copy: the group changes below
-            terms, mask = (c * shifted_double_schur(nu, n, yspec))._terms, polyring._X_MASK
-            for m, v in terms.items():
-                part = m & mask
-                group, rest = parts.setdefault(part, {}), m ^ part
-                v = group.get(rest, 0) - v
-                if v:
-                    group[rest] = _int_if_integral(v)
-                elif len(group) > 1:
-                    del group[rest]
-                else:
-                    del parts[part]
-    if parts:
+    order = (nu for w in range(p.x_degree(), -1, -1) for nu in _partitions_of(w, (), (w,) * n))
+    coeffs, left = peel_x(p, order, lambda nu: shifted_double_schur(Partition(nu), n, yspec))
+    if left is not None:
         # What is left comes after every partition of length <= n in the peel
         # order, so its leading x-monomial is too long or not a partition.
-        top = var_index(_decode(min(parts, key=_mono_sort_key))[-2])
+        top = var_index(left[-2])
         if top > n:
             raise RankTooSmallError(
                 f"expansion needs a partition of length {top} but rank is {n}"

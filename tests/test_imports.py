@@ -134,3 +134,43 @@ def test_every_definition_is_used_in_the_package():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
     assert _unreached(trees, UNCALLED) == []
     assert set(UNCALLED) <= set(_unreached(trees))
+
+
+# The packed monomial's layout: field width, masks, slot registry and the helpers
+# that read fields.  _encode, _add_into and Poly._raw stay open to every module,
+# since they take or return a monomial only as an opaque key.
+PACKED_LAYOUT = {
+    "_W", "_FIELD", "_GUARD", "_X_MASK", "_slot", "_fields", "_decode", "_group",
+    "_check_exponents",
+}
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    return {n.name for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)}
+
+
+def test_only_polyring_reads_the_packed_layout():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    for name, tree in trees.items():
+        if name == "polyring.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert not {a.name for a in node.names} & PACKED_LAYOUT, (name, node.lineno)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read = node.value.id == "polyring" and node.attr in PACKED_LAYOUT
+                assert not read, (name, node.lineno)
+    # The peel's x-part elimination and its leftover's order live in polyring.
+    assert "_x_monomial" not in _defined(trees["structconst.py"])
+    assert "_mono_sort_key" not in _defined(trees["polyring.py"])
+
+
+def test_the_coproduct_adds_no_packed_monomials():
+    # Each monomial it encodes goes straight into a term dict as its key.
+    tree = ast.parse((Path(shiftedschur.__file__).parent / "comult.py").read_text(encoding="utf-8"))
+    (fn,) = (n for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef) and n.name == "coproduct_power_polynomial")
+    keys = [k for n in ast.walk(fn) if isinstance(n, ast.Dict) for k in n.keys]
+    encodes = [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+               and isinstance(n.func, ast.Name) and n.func.id == "_encode"]
+    assert encodes and all(any(call is k for k in keys) for call in encodes)

@@ -386,6 +386,18 @@ def test_hashing_and_immutability():
     assert d[q] == 1
 
 
+def test_constant_polynomials_hash_as_their_value():
+    # Python requires equal objects to hash equal, and a constant equals its value.
+    for value in (2, -7, Fraction(1, 2), Fraction(-3, 4)):
+        for p in (const(value), PowerPolynomial.parse(str(value))):
+            assert p == value and hash(p) == hash(value) and len({value, p}) == 1
+    assert ZERO == 0 and hash(ZERO) == hash(0) and len({0, ZERO}) == 1
+    assert len({1, ONE, PowerPolynomial.parse("1")}) == 1
+    # Every other polynomial keeps the hash of its term set.
+    for p in (x(1), x(1) * y(-2) + Fraction(1, 3), PowerPolynomial.parse("p1^2 - 3")):
+        assert hash(p) == hash(frozenset(p._terms.items()))
+
+
 def test_window_validation():
     with pytest.raises(DomainError):
         IntSeqWindow(lo=0, values=(), tail=None)

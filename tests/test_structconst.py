@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -411,6 +412,20 @@ def test_pieri_form_vanishes_with_no_difference_vanishing():
     exp = compute_expansion(lam, mu, 4, PIERI_WINDOW, "localize", memo=memo)
     assert set(memo) == {PIERI_WINDOW, SYM}  # then solved symbolically and specialized
     assert exp.coefficients == _direct(lam, mu, PIERI_WINDOW)
+
+
+def test_window_built_from_lists_computes_as_the_tuple_built_one():
+    # The memo keys hash the window field by field, so it stores tuples.
+    listed = YSpec.circle(IntSeqWindow(-2, [1, 2, 3], [1, 0]), 1)
+    spec = YSpec.circle(IntSeqWindow(-2, (1, 2, 3), (1, 0)), 1)
+    assert listed == spec and hash(listed) == hash(spec)
+    assert listed.window.values == (1, 2, 3) and listed.window.tail == (1, 0)
+    assert IntSeqWindow(0, [4, 5]).values == (4, 5)
+    assert pickle.loads(pickle.dumps(listed)) == spec
+    assert shifted_double_schur((2, 1), 3, listed) == shifted_double_schur((2, 1), 3, spec)
+    localized = compute_expansion((1,), (1,), 3, listed, "localize")
+    assert localized == compute_expansion((1,), (1,), 3, spec, "localize")
+    assert localized.coefficients == _direct(P([1]), P([1]), spec)
 
 
 PIERI_SPECS = (
