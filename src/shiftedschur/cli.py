@@ -15,7 +15,6 @@ from . import TABLE_METHODS
 from .errors import DomainError, InternalInconsistencyError, UsageError
 from .partitions import Partition, molev_coefficient, parse_partition, partitions_up_to
 from .polyring import (
-    IntSeqWindow,
     Poly,
     YSpec,
     canonical_string,
@@ -32,76 +31,6 @@ from .polyring import (
 # The start-up heap lives until exit: frozen, no later collection traces it,
 # those at exit included.
 gc.freeze()
-
-
-def parse_yspec(text: str) -> YSpec:
-    """Parse the --y flag grammar.
-
-    symbolic | zero | affine:a=<rat>,b=<rat> | standard:d=<int>
-    | circle:d=<int>,window=<j0>:<v0>,<v1>,...;tail=a,b | torus:shift=<int>
-    """
-    text = text.strip()
-    kind, sep, rest = text.partition(":")
-    try:
-        if kind in ("symbolic", "zero"):
-            if sep:
-                raise ValueError(f"{kind} takes no parameters")
-            return YSpec.symbolic() if kind == "symbolic" else YSpec.zero()
-        if kind == "affine":
-            opts = _parse_options(rest.split(","), ("a", "b"))
-            return YSpec.affine(parse_rational(opts["a"]), parse_rational(opts["b"]))
-        if kind == "standard":
-            opts = _parse_options(rest.split(","), ("d",))
-            return YSpec.standard(int(opts["d"]))
-        if kind == "torus":
-            opts = _parse_options(rest.split(","), ("shift",))
-            return YSpec.torus(int(opts["shift"]))
-        if kind == "circle":
-            return _parse_circle(rest)
-    except (KeyError, ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"malformed yspec {text!r}: {e}") from None
-    raise UsageError(f"unknown yspec kind {kind!r}")
-
-
-def _parse_options(tokens, keys: tuple[str, ...]) -> dict[str, str]:
-    """key=value tokens (empty ones skipped); each key once, from keys."""
-    opts: dict[str, str] = {}
-    for token in filter(None, tokens):
-        key, _, value = token.partition("=")
-        if key not in keys:
-            raise ValueError(f"unknown option {key!r}")
-        if not value:
-            raise ValueError(f"expected key=value, got {token!r}")
-        if key in opts:
-            raise ValueError(f"repeated option {key!r}")
-        opts[key] = value
-    return opts
-
-
-def _parse_circle(rest: str) -> YSpec:
-    # The window and tail values hold commas: each is one token.
-    tokens = []
-    for segment in rest.split(";"):
-        if segment.startswith("tail="):
-            tokens.append(segment)
-            continue
-        segment, found, window_text = segment.partition("window=")
-        tokens += segment.split(",")
-        if found:
-            tokens.append("window=" + window_text)
-    opts = _parse_options(tokens, ("d", "window", "tail"))
-    tail = None
-    if "tail" in opts:
-        values = opts["tail"].split(",")
-        if len(values) != 2:
-            raise ValueError(f"expected tail=<a>,<b>, got 'tail={opts['tail']}'")
-        tail = tuple(map(int, values))
-    lo, values = 0, ()
-    if "window" in opts:
-        j0_text, _, values_text = opts["window"].partition(":")
-        lo = int(j0_text)
-        values = tuple(int(t) for t in filter(None, values_text.split(",")))
-    return YSpec.circle(IntSeqWindow(lo=lo, values=values, tail=tail), d=int(opts.get("d", 0)))
 
 
 def _partition_flag(text: str) -> Partition:
@@ -142,7 +71,7 @@ def build_parser(verb: str | None = None) -> _Parser:
 
 
 def _add_common(p) -> None:
-    p.add_argument("--y", type=parse_yspec, default="symbolic", help="y-specialization rule")
+    p.add_argument("--y", type=YSpec.parse, default="symbolic", help="y-specialization rule")
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p.add_argument("--output", default=None, help="write output to this file")
 
@@ -290,8 +219,8 @@ def _cmd_coproduct(args) -> str:
     if args.format == "json":
         obj = {
             "summands": [
-                {"weight": str(w), "left": str(l), "right": str(r)}
-                for l, r, w in tensor.summands
+                {"weight": str(w), "left": l, "right": r}
+                for l, r, _, _, w in tensor.named_summands()
             ]
         }
         return dumps_canonical(obj)

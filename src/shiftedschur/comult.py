@@ -121,12 +121,16 @@ class TensorElement:
         entries = (entry if len(entry) == 3 else (*entry, 1) for entry in summands)
         self._table = _add_into({}, (((l, r), w) for l, r, w in entries if l and r and w))
 
+    def named_summands(self) -> list:
+        """(str(left), str(right), left, right, w) for each summand, ordered by the
+        two strings; each distinct side is rendered once."""
+        names = {s: str(s) for s in dict.fromkeys(s for pair in self._table for s in pair)}
+        summands = ((names[l], names[r], l, r, w) for (l, r), w in self._table.items())
+        return sorted(summands, key=lambda s: s[:2])
+
     @property
     def summands(self) -> list:
-        return sorted(
-            [(left, right, w) for (left, right), w in self._table.items()],
-            key=lambda s: (str(s[0]), str(s[1])),
-        )
+        return [s[2:] for s in self.named_summands()]
 
     def _expanded(self) -> dict:
         return _add_into({}, (
@@ -155,7 +159,7 @@ class TensorElement:
 
     def __str__(self) -> str:
         chunks = []
-        for left, right, w in self.summands:
+        for left, right, _, _, w in self.named_summands():
             body = f"({left}) (x) ({right})"
             if w != 1:
                 body = f"{w}*{body}"

@@ -46,6 +46,7 @@ from .errors import (
     DomainError,
     InexactDivisionError,
     UnresolvableIndexError,
+    UsageError,
 )
 
 FAMILY_U = 0
@@ -719,6 +720,62 @@ class YSpec(
     """
 
     __slots__ = ()
+    # The options of each kind's --y text.
+    _KEYS = {"symbolic": (), "zero": (), "affine": ("a", "b"), "standard": ("d",),
+             "torus": ("shift",), "circle": ("d", "window", "tail")}
+
+    @classmethod
+    def parse(cls, text: str) -> "YSpec":
+        """The spec a --y text names; UsageError if it is malformed.
+
+        symbolic | zero | affine:a=<rat>,b=<rat> | standard:d=<int>
+        | circle:d=<int>,window=<j0>:<v0>,<v1>,...;tail=a,b | torus:shift=<int>
+        """
+        text = text.strip()
+        kind, sep, rest = text.partition(":")
+        keys = cls._KEYS.get(kind)
+        if keys is None:
+            raise UsageError(f"unknown yspec kind {kind!r}")
+        tokens = rest.split(",")
+        if kind == "circle":  # the window and tail values hold commas: each is one token
+            tokens = []
+            for segment in rest.split(";"):
+                head, found, value = segment.partition(
+                    "tail=" if segment.startswith("tail=") else "window=")
+                tokens += head.split(",") + ([found + value] if found else [])
+        try:
+            if not keys:
+                if sep:
+                    raise ValueError(f"{kind} takes no parameters")
+                return cls.zero() if kind == "zero" else cls.symbolic()
+            opts: dict[str, str] = {}
+            for token in filter(None, tokens):  # key=value, each key once
+                key, _, value = token.partition("=")
+                if key not in keys:
+                    raise ValueError(f"unknown option {key!r}")
+                if not value:
+                    raise ValueError(f"expected key=value, got {token!r}")
+                if key in opts:
+                    raise ValueError(f"repeated option {key!r}")
+                opts[key] = value
+            if kind == "affine":
+                return cls.affine(parse_rational(opts["a"]), parse_rational(opts["b"]))
+            if kind == "standard":
+                return cls.standard(int(opts["d"]))
+            if kind == "torus":
+                return cls.torus(int(opts["shift"]))
+            tail = None
+            if "tail" in opts:
+                values = opts["tail"].split(",")
+                if len(values) != 2:
+                    raise ValueError(f"expected tail=<a>,<b>, got 'tail={opts['tail']}'")
+                tail = tuple(map(int, values))
+            j0_text, _, values_text = opts.get("window", "0:").partition(":")
+            values = tuple(int(t) for t in filter(None, values_text.split(",")))
+            window = IntSeqWindow(lo=int(j0_text), values=values, tail=tail)
+            return cls.circle(window, d=int(opts.get("d", 0)))
+        except (KeyError, ValueError, ZeroDivisionError) as e:
+            raise UsageError(f"malformed yspec {text!r}: {e}") from None
 
     @classmethod
     def symbolic(cls) -> "YSpec":
@@ -746,6 +803,17 @@ class YSpec(
     def torus(cls, shift: int) -> "YSpec":
         return cls(kind="torus", shift=shift)
 
+    @property
+    def step(self) -> Poly | None:
+        """The t of y_j -> t*j + b: u under standard, a under affine, 0 under zero,
+        None under the other kinds.  A structure constant is a polynomial in the
+        y_i - y_j (Molev-Sagan), so under a step t it is c * t^k for a rational c."""
+        return {"standard": u, "affine": const(self.a), "zero": ZERO}.get(self.kind)
+
+    def u_multiple(self, j: int) -> int:
+        """The integer k of y_j -> k*u, under standard and circle."""
+        return j + self.d if self.kind == "standard" else self.window.lookup(j + self.d)
+
     def value(self, j: int) -> Poly:
         """The polynomial substituted for y_j."""
         if self.kind == "symbolic":
@@ -754,9 +822,8 @@ class YSpec(
             return ZERO
         if self.kind == "affine":
             return const(self.a * j + self.b)
-        if self.kind in ("standard", "circle"):
-            k = j + self.d if self.kind == "standard" else self.window.lookup(j + self.d)
-            # k*u as one term, without a product.
+        if self.kind in ("standard", "circle"):  # k*u as one term, without a product
+            k = self.u_multiple(j)
             return Poly._raw(dict.fromkeys(u._terms, k) if k else {})
         if self.kind == "torus":
             return useq(j + self.shift)
@@ -765,15 +832,13 @@ class YSpec(
     def to_json_obj(self) -> dict:
         obj: dict = {"kind": self.kind}
         if self.kind == "affine":
-            obj["a"] = str(self.a)
-            obj["b"] = str(self.b)
-        elif self.kind == "standard":
-            obj["d"] = self.d
-        elif self.kind == "circle":
-            obj["d"] = self.d
-            obj["window"] = self.window.to_json_obj()
+            obj.update(a=str(self.a), b=str(self.b))
         elif self.kind == "torus":
             obj["shift"] = self.shift
+        elif self.kind in ("standard", "circle"):
+            obj["d"] = self.d
+        if self.kind == "circle":
+            obj["window"] = self.window.to_json_obj()
         return obj
 
 

@@ -143,13 +143,15 @@ def _candidates(lam: Partition, mu: Partition, n: int) -> list[Partition]:
     return _interval(_union(lam, mu), (top,) * min(n, len(lam) + len(mu)), top)
 
 
-_OMEGA_KINDS = ("zero", "standard", "affine", "symbolic")
+def _has_omega(yspec: YSpec, stable: bool) -> bool:
+    """Whether _omega reads a product: a stable one under a constant step or symbolic."""
+    return stable and (yspec.step is not None or yspec.kind == "symbolic")
 
 
 def _omega(exp: SchurExpansion) -> SchurExpansion:
     """The stable expansion of the conjugate pair.  The stable product commutes
     with omega, which conjugates labels and sends y_j to -y_{-1-j}.  Omega only
-    translates zero, standard and affine values, which moves no s*_nu, so only
+    translates y under a constant step (YSpec.step), which moves no s*_nu, so only
     symbolic coefficients hold y to relabel; circle, torus and finite-rank
     products have no such reading."""
     return SchurExpansion(exp.n, exp.yspec, {
@@ -173,7 +175,7 @@ def multiply_schubert(
     the product is built and expanded at n0 = max(min(n, l(lam)+l(mu)), 1),
     and the expansion reports the caller's n.  The pair is built as given; the
     omega rule and the window fallback are compute_expansion's.  Under affine it is
-    the standard:d=0 expansion at u = a (see _slope): a w4 n9 table takes 0.26 s of
+    the standard:d=0 expansion at u = a (see YSpec.step): a w4 n9 table takes 0.26 s of
     CPU so on a Xeon core, and 0.46 s expanded over Q.
     """
     lam, mu = _check_rank(lam, mu, n, stable, "expansion")
@@ -184,13 +186,6 @@ def multiply_schubert(
     product = shifted_double_schur(lam, n0, yspec) * shifted_double_schur(mu, n0, yspec)
     coeffs = expand_in_shifted_basis(product, n0, yspec).coefficients
     return SchurExpansion(n=n, yspec=yspec, coefficients=coeffs)
-
-
-def _slope(yspec: YSpec) -> Poly | None:
-    """The t of y_j = t*j + b: u under standard, a under affine, 0 under zero, else
-    None.  A structure constant is a polynomial in the y_i - y_j = (i-j)*t (Molev-Sagan),
-    so it is c * t^(|lam|+|mu|-|nu|) there, with the rational c of standard:d=0."""
-    return {"standard": u, "affine": const(yspec.a), "zero": ZERO}.get(yspec.kind)
 
 
 def _graded(coeffs: dict, top: int, t: Poly) -> dict[Partition, Poly]:
@@ -215,7 +210,7 @@ def structure_constants_via_localization(
             = sum_{a+ <= nu} C(a+, b, nu) - sum_{a, b <= nu-} C(a, b, nu-),
     from C(a, b, a) = s*_b|_a.  The form s*_1|_d = sum_{i <= l(d)} (y_{d_i-i} - y_{-i})
     is read in closed form, without the y that cancel, and the boxes go to the
-    heavier factor.  Under a constant step t (see _slope) the form is t*(|nu|-|a|),
+    heavier factor.  Under a constant step t (YSpec.step) the form is t*(|nu|-|a|),
     so the recurrence runs on the rational c of C = c * t^{|a|+|b|-|nu|}, from
     Naruse's hook ratio c(a, b, a) = hook_h(a) / hook_h(a/b).  Under circle every
     y_j is an integer times u, so it runs on the int c of C = c * u^{|a|+|b|-|nu|};
@@ -228,10 +223,10 @@ def structure_constants_via_localization(
     """
     lam, mu = _check_rank(lam, mu, n, stable, "localization")
     memo = {} if memo is None else memo
-    solved, t = memo.setdefault(yspec, {}), _slope(yspec)
+    solved, t = memo.setdefault(yspec, {}), yspec.step
     scalar = t is not None or yspec.kind == "circle"
     zero = 0 if scalar else ZERO
-    value = (lambda j: yspec.window.lookup(j + yspec.d)) if yspec.kind == "circle" else yspec.value
+    value = yspec.u_multiple if yspec.kind == "circle" else yspec.value
 
     def coefficient(a: Partition, b: Partition, nu: Partition):
         c = solved.get((a, b, nu))
@@ -271,8 +266,8 @@ def structure_constants_via_localization(
 
 
 def _molev_expansion(lam, mu, n: int, yspec: YSpec, stable: bool) -> SchurExpansion:
-    """molev_coefficient graded by the constant step (see _slope), for each of the _candidates."""
-    t = _slope(yspec)
+    """molev_coefficient graded by the constant step (YSpec.step), for each of the _candidates."""
+    t = yspec.step
     if t is None:
         raise DomainError("the hook-function formula applies to the zero, standard and "
                           f"affine actions only; got yspec kind {yspec.kind!r}")
@@ -293,8 +288,8 @@ _ENGINES = dict(zip(
 def compute_expansion(
     lam, mu, n: int, yspec: YSpec, method: str = "expand", stable: bool = True, memo=None
 ) -> SchurExpansion:
-    """Dispatch a product expansion to one of the three algorithms.  Under the
-    stable reading with a spec of _OMEGA_KINDS, a pair with lam_1+mu_1 < l(lam)+l(mu) < n
+    """Dispatch a product expansion to one of the three algorithms.  Where
+    _has_omega, a pair with lam_1+mu_1 < l(lam)+l(mu) < n
     is solved as its conjugate pair and read back through _omega (a lower n keeps the
     rank error of the pair given).  Where a window cannot serve the engine directly (see
     UnresolvableIndexError), it runs symbolically and the window is put into its result.
@@ -305,7 +300,7 @@ def compute_expansion(
     if method == "localize" and memo is not None:
         engine = partial(engine, memo=memo)
     lam, mu = Partition(lam), Partition(mu)
-    if stable and yspec.kind in _OMEGA_KINDS and n > len(lam) + len(mu) > lam.part(1) + mu.part(1):
+    if _has_omega(yspec, stable) and n > len(lam) + len(mu) > lam.part(1) + mu.part(1):
         return _omega(engine(lam.conjugate(), mu.conjugate(), n, yspec, stable))
     try:
         return engine(lam, mu, n, yspec, stable)
@@ -334,7 +329,7 @@ def multiplication_table(
             f"got n = {n}"
         )
     parts = partitions_up_to(max_weight, n)
-    omega = not finite_rank and yspec.kind in _OMEGA_KINDS
+    omega = _has_omega(yspec, not finite_rank)
     memo, rows = {}, {}
     for a, p in enumerate(parts):
         for q in parts[a:]:

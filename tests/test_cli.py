@@ -13,7 +13,7 @@ import pytest
 
 import shiftedschur
 from shiftedschur import cli, comult
-from shiftedschur.cli import build_parser, parse_yspec, run
+from shiftedschur.cli import build_parser, run
 from shiftedschur.comult import MAX_COPRODUCT_SUMMANDS
 from shiftedschur.errors import DomainError, InexactDivisionError, UsageError
 from shiftedschur.polyring import (
@@ -32,14 +32,14 @@ def invoke(capsys, *argv):
 
 
 def test_parse_yspec_grammar():
-    assert parse_yspec("symbolic") == YSpec.symbolic()
-    assert parse_yspec("zero") == YSpec.zero()
-    assert parse_yspec("affine:a=1/2,b=-3") == YSpec.affine("1/2", -3)
-    assert parse_yspec("standard:d=-1") == YSpec.standard(-1)
-    assert parse_yspec("torus:shift=4") == YSpec.torus(4)
-    spec = parse_yspec("circle:d=2,window=-1:5,0,7;tail=1,0")
+    assert YSpec.parse("symbolic") == YSpec.symbolic()
+    assert YSpec.parse("zero") == YSpec.zero()
+    assert YSpec.parse("affine:a=1/2,b=-3") == YSpec.affine("1/2", -3)
+    assert YSpec.parse("standard:d=-1") == YSpec.standard(-1)
+    assert YSpec.parse("torus:shift=4") == YSpec.torus(4)
+    spec = YSpec.parse("circle:d=2,window=-1:5,0,7;tail=1,0")
     assert spec == YSpec.circle(IntSeqWindow(lo=-1, values=(5, 0, 7), tail=(1, 0)), d=2)
-    spec = parse_yspec("circle:d=0;tail=1,0")
+    spec = YSpec.parse("circle:d=0;tail=1,0")
     assert spec == YSpec.circle(IntSeqWindow(lo=0, values=(), tail=(1, 0)), d=0)
 
 
@@ -56,7 +56,49 @@ def test_parse_yspec_grammar():
 )
 def test_parse_yspec_rejects(bad):
     with pytest.raises(UsageError):
-        parse_yspec(bad)
+        YSpec.parse(bad)
+
+
+def test_parse_yspec_reads_what_the_factories_build():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(-50, 50)
+    rationals = st.fractions(max_denominator=12).filter(lambda q: abs(q) < 100)
+    windows = st.tuples(ints, st.lists(ints, max_size=5), st.none() | st.tuples(ints, ints))
+    specs = st.one_of(
+        st.just(("symbolic", YSpec.symbolic())),
+        st.just(("zero", YSpec.zero())),
+        st.tuples(rationals, rationals).map(
+            lambda ab: (f"affine:a={ab[0]},b={ab[1]}", YSpec.affine(*ab))),
+        ints.map(lambda d: (f"standard:d={d}", YSpec.standard(d))),
+        ints.map(lambda k: (f"torus:shift={k}", YSpec.torus(k))),
+        st.tuples(ints, windows).filter(lambda c: c[1][1] or c[1][2]).map(_circle_case),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(specs)
+    def check(case):
+        text, spec = case
+        assert YSpec.parse(text) == spec
+        if spec.kind in ("zero", "standard", "affine"):
+            steps = {spec.value(j + 1) - spec.value(j) for j in range(-20, 21)}
+            assert steps == {spec.step}
+        else:
+            assert spec.step is None
+
+    check()
+
+
+def _circle_case(case):
+    """A circle --y text and its spec, the window's values and tail given when present."""
+    d, (lo, values, tail) = case
+    text = f"circle:d={d}"
+    if values:
+        text += f",window={lo}:" + ",".join(map(str, values))
+    if tail:
+        text += f";tail={tail[0]},{tail[1]}"
+    window = IntSeqWindow(lo=lo if values else 0, values=tuple(values), tail=tail)
+    return text, YSpec.circle(window, d=d)
 
 
 def test_yspec_key_without_value_is_usage_error(capsys):
@@ -480,6 +522,9 @@ _PAST_THE_FACTORIAL = (
          _PAST_THE_FIELD.format(int(_HUGE) - 2)),
         # math.factorial in hook_h once overflowed, with a traceback.
         (["molev", "--lambda", _HUGE, "--mu", "1", "--nu", f"{_HUGE},1"], _PAST_THE_FACTORIAL),
+        # A part past MAX_HOOK_FACTORIAL once ran for more than 8 s.
+        (["molev", "--lambda", "1000000", "--mu", "1", "--nu", "1000000,1"],
+         _PAST_THE_FACTORIAL.replace(_HUGE, "1000000")),
         (["multiply", "--lambda", _HUGE, "--mu", "1", "--n", "3", "--y", "standard:d=0",
           "--method", "molev"], _PAST_THE_FACTORIAL),
         # These once built every variable below the index before refusing it.
@@ -488,8 +533,8 @@ _PAST_THE_FACTORIAL = (
         (["restrict", "--lambda", _HUGE, "--delta", "1", "--n", "1"],
          _PAST_THE_FIELD.format(int(_HUGE) - 2)),
     ],
-    ids=["schur-zero", "eval-zero", "molev", "multiply-molev", "schur-rank", "schur-part",
-         "restrict-part"],
+    ids=["schur-zero", "eval-zero", "molev", "molev-million", "multiply-molev", "schur-rank",
+         "schur-part", "restrict-part"],
 )
 def test_huge_part_or_rank_refused_quickly(argv, err):
     # A subprocess, so that a hang is cut off by the timeout.

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import prod
@@ -24,6 +25,7 @@ from shiftedschur import (
     x,
     y,
 )
+from shiftedschur.cli import run
 
 PP = PowerPolynomial
 
@@ -323,6 +325,34 @@ def test_coproduct_counit_compatibility():
     for left, right, w in delta.summands:
         recovered = recovered + right * (left.terms.get((), 0) * w)
     assert recovered == expr
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coproduct_renders_each_side_once(monkeypatch, capsys, fmt):
+    # Each summand once rendered both sides twice: to sort, then to print.
+    # Here p1 is a side of several summands, as left and as right.
+    expr = "p1^19*p2^21 + 2*p1^2 - p1"
+    delta = coproduct_power_polynomial(PP.parse(expr))
+    expected = [(str(l), str(r), str(w)) for l, r, w in delta.summands]
+    sides = {side for l, r, _ in delta.summands for side in (l, r)}
+    calls = []
+    render = PP.__str__
+    monkeypatch.setattr(PP, "__str__", lambda self: calls.append(self) or render(self))
+    assert run(["coproduct", "--expr", expr, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert len(expected) > len(sides) >= len(calls)
+    if fmt == "json":
+        got = [(s["left"], s["right"], s["weight"]) for s in json.loads(out)["summands"]]
+    else:
+        got = [tuple(reversed(_summand_text(chunk))) for chunk in out[:-1].split(" + ")]
+    assert got == expected
+
+
+def _summand_text(chunk: str) -> tuple:
+    """(weight, right, left) of one summand of TensorElement's text form."""
+    weight, _, body = chunk.rpartition("*(") if chunk[0] != "(" else ("1", "", chunk[1:])
+    left, right = body[:-1].split(") (x) (")
+    return weight, right, left
 
 
 # ---- primitivity -----------------------------------------------------------------
