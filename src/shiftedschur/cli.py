@@ -171,28 +171,20 @@ def _cmd_eval(args) -> str:
 
 
 def _cmd_multiply(args) -> str:
-    from .structconst import compute_expansion, table_to_json_obj, table_to_latex, table_to_text
+    from .structconst import compute_expansion, render
 
     stable = not args.finite_rank
     exp = compute_expansion(args.lam, args.mu, args.n, args.y, args.method, stable=stable)
-    rows = [(args.lam, args.mu, exp)]
-    if args.format != "json":
-        return table_to_latex(rows) if args.format == "latex" else table_to_text(rows)
-    # A product's JSON is its one row, with the table's n and yspec.
-    obj = table_to_json_obj(rows, exp.n, exp.yspec)
-    obj.update(obj.pop("rows")[0])
-    return dumps_canonical(obj)
+    return render([(args.lam, args.mu, exp)], args.format, args.n, args.y, product=True)
 
 
 def _cmd_table(args) -> str:
-    from .structconst import multiplication_table, table_to_json_obj, table_to_latex, table_to_text
+    from .structconst import multiplication_table, render
 
     rows = multiplication_table(
         args.max_weight, args.n, args.y, args.method, finite_rank=args.finite_rank
     )
-    if args.format == "json":
-        return dumps_canonical(table_to_json_obj(rows, args.n, args.y))
-    return table_to_latex(rows) if args.format == "latex" else table_to_text(rows)
+    return render(rows, args.format, args.n, args.y)
 
 
 def _cmd_molev(args) -> str:
@@ -217,13 +209,7 @@ def _cmd_coproduct(args) -> str:
         raise UsageError(f"malformed expression {args.expr!r}: {e}") from None
     tensor = coproduct_power_polynomial(expr)
     if args.format == "json":
-        obj = {
-            "summands": [
-                {"weight": str(w), "left": l, "right": r}
-                for l, r, _, _, w in tensor.named_summands()
-            ]
-        }
-        return dumps_canonical(obj)
+        return dumps_canonical(tensor.to_json_obj())
     return f"{tensor}\n"
 
 
@@ -278,14 +264,14 @@ def _cmd_verify(args) -> str:
         from .comult import verify_primitivity
 
         lines, ok = [], True
-        fields = ("passed", "even_rank", "odd_rank", "lhs", "rhs")
         for k in range(1, args.max_k + 1):
             for l in range(2, args.max_l + 1):
                 report = verify_primitivity(k, l)
                 ok = ok and report.passed
                 status = "pass" if report.passed else "FAIL"
                 lines.append(f"k={k} l={l} {status} {report.seconds:.3f}s")
-                reports.append({"k": k, "l": l, **{f: getattr(report, f) for f in fields}})
+                # seconds stays out, so that the JSON bytes are deterministic.
+                reports.append({f: v for f, v in report._asdict().items() if f != "seconds"})
         lines.append("PASS" if ok else "FAIL")
     else:  # ring-axioms
         if args.cases < 1:

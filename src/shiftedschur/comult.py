@@ -157,6 +157,10 @@ class TensorElement:
                 out.append((l1 * l2, r1 * r2, w1 * w2))
         return TensorElement(out)
 
+    def to_json_obj(self) -> dict:
+        return {"summands": [{"weight": str(w), "left": l, "right": r}
+                             for l, r, _, _, w in self.named_summands()]}
+
     def __str__(self) -> str:
         chunks = []
         for left, right, _, _, w in self.named_summands():

@@ -101,6 +101,15 @@ class SkewShape(namedtuple("SkewShape", "outer inner")):
 MAX_HOOK_FACTORIAL = 150_000
 
 
+def _check_hook_size(shape: SkewShape) -> None:
+    """Refuse a shape whose hook function needs a factorial past MAX_HOOK_FACTORIAL.
+    outer_1 - 1 + l(outer) is the same for the conjugate shape."""
+    if shape.outer.part(1) - 1 + len(shape.outer) > MAX_HOOK_FACTORIAL:
+        outer, inner = (",".join(map(str, p)) for p in shape)
+        raise DomainError(f"the skew shape ({outer})/({inner}) is too large for the "
+                          "hook function's factorials")
+
+
 @lru_cache(maxsize=1 << 16)  # molev's hook sums read each skew shape many times
 def hook_h(shape: SkewShape) -> Fraction:
     """|shape|! divided by the number of standard tableaux of the shape (1 for the empty shape).
@@ -110,14 +119,11 @@ def hook_h(shape: SkewShape) -> Fraction:
     scaled by (outer_i - i + r)! to make the entries integers, the determinant is taken by
     Bareiss's fraction-free elimination, and hook_h is the product of the scales over it.
     """
+    _check_hook_size(shape)
     outer, inner = shape.outer, shape.inner
     if outer.part(1) < len(outer):  # h(outer/inner) = h(outer'/inner'), with fewer rows
         outer, inner = outer.conjugate(), inner.conjugate()
     r = len(outer)
-    if outer.part(1) - 1 + r > MAX_HOOK_FACTORIAL:
-        outer, inner = (",".join(map(str, p)) for p in shape)
-        raise DomainError(f"the skew shape ({outer})/({inner}) is too large for the "
-                          "hook function's factorials")
     tops = [factorial(outer.part(i) - i + r) for i in range(1, r + 1)]
     rows = []
     for i in range(1, r + 1):
@@ -155,8 +161,14 @@ def molev_coefficient(lam, mu, nu) -> Fraction:
     lam = Partition(lam)
     mu = Partition(mu)
     nu = Partition(nu)
+    low = _union(lam, mu)
+    if contains(nu, low):
+        # Every shape of the sum lies in nu, so these two, in the loop's order, refuse
+        # whatever the loop would, and before any factorial.
+        _check_hook_size(SkewShape(low))
+        _check_hook_size(SkewShape(nu, low))
     total = Fraction(0)
-    for rho in partitions_between(_union(lam, mu), nu):
+    for rho in partitions_between(low, nu):
         sign = -1 if (nu.weight - rho.weight) % 2 else 1
         total += (
             sign

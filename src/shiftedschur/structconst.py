@@ -29,7 +29,6 @@ from .partitions import (
     molev_coefficient,
     partitions_up_to,
 )
-from . import polyring
 from .polyring import (
     SYMBOLIC,
     ZERO,
@@ -40,6 +39,7 @@ from .polyring import (
     canonical_string,
     const,
     divide_exact,
+    dumps_canonical,
     peel_x,
     u,
     var_index,
@@ -362,10 +362,6 @@ def table_to_json_obj(rows, n: int, yspec: YSpec) -> dict:
     }
 
 
-# The writer lives in polyring; only perfbench's tracer TARGETS still name it here.
-dumps_canonical = polyring.dumps_canonical
-
-
 def expansion_to_text(lam: Partition, mu: Partition, exp: SchurExpansion) -> str:
     body = " | ".join(
         f"{_partition_text(nu)}: {canonical_string(c)}" for nu, c in exp.items()
@@ -382,12 +378,12 @@ def _partition_latex(p: Partition) -> str:
 
 
 def _coeff_latex(c: Poly) -> str:
-    s = c.latex()
-    if s == "1":
+    """c as a factor before s*_nu: bracketed if it has several terms or a negative one."""
+    if c == 1:
         return ""
-    if " + " in s or " - " in s or s.startswith("-"):
-        return f"\\left({s}\\right) \\, "
-    return f"{s} \\, "
+    if len(c) > 1 or next(iter(c._terms.values()), 0) < 0:
+        return f"\\left({c.latex()}\\right) \\, "
+    return f"{c.latex()} \\, "
 
 
 def expansion_to_latex(lam: Partition, mu: Partition, exp: SchurExpansion) -> str:
@@ -400,3 +396,16 @@ def expansion_to_latex(lam: Partition, mu: Partition, exp: SchurExpansion) -> st
 
 def table_to_latex(rows) -> str:
     return "\n".join(expansion_to_latex(lam, mu, exp) for lam, mu, exp in rows) + "\n"
+
+
+def render(rows, fmt: str, n: int, yspec: YSpec, product: bool = False) -> str:
+    """The rows as "text", "json" or "latex".  A product's JSON (product=True)
+    is its one row, moved up beside the table's n and yspec."""
+    if fmt == "text":
+        return table_to_text(rows)
+    if fmt == "latex":
+        return table_to_latex(rows)
+    obj = table_to_json_obj(rows, n, yspec)
+    if product:
+        obj.update(obj.pop("rows")[0])
+    return dumps_canonical(obj)

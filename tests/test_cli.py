@@ -856,14 +856,11 @@ def test_restrict_is_rank_independent(capsys, lam, delta, spec, code):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    class FakeReport:
-        passed = False
-        seconds = 0.0
-        even_rank = odd_rank = 1
-        lhs = rhs = "?"
+    def failed(k, l):
+        return comult.PrimitivityReport(k, l, False, "?", "?", 1, 1, 0.0)
 
     # The CLI imports the suite from comult when the suite runs.
-    monkeypatch.setattr(comult, "verify_primitivity", lambda k, l: FakeReport())
+    monkeypatch.setattr(comult, "verify_primitivity", failed)
     code, out, err = invoke(
         capsys, "verify", "--suite", "primitivity", "--max-k", "1", "--max-l", "2"
     )

@@ -137,6 +137,22 @@ def test_every_definition_is_used_in_the_package():
     assert set(UNCALLED) <= set(_unreached(trees))
 
 
+def test_cli_reads_structconst_only_through_its_engines_and_render():
+    # The product and table formats are structconst.render's; cli parses and emits.
+    tree = ast.parse((Path(shiftedschur.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "structconst"
+        for alias in node.names
+    }
+    assert imported == {"compute_expansion", "multiplication_table", "render"}
+    assert not any(
+        isinstance(node, ast.ImportFrom) and "structconst" in {a.name for a in node.names}
+        for node in ast.walk(tree)
+    )
+
+
 # The packed monomial's layout: field width, masks, slot registry and the helpers
 # that read fields.  _encode, _add_into and Poly._raw stay open to every module,
 # since they take or return a monomial only as an opaque key.

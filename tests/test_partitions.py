@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import shiftedschur.partitions as partitions
 from shiftedschur import (
     DomainError,
     Partition,
@@ -12,6 +13,7 @@ from shiftedschur import (
     contains,
     count_standard_tableaux,
     hook_h,
+    molev_coefficient,
     parse_partition,
     partitions_between,
     partitions_up_to,
@@ -219,6 +221,20 @@ def test_hook_h_skew_value():
     shape = SkewShape(Partition([3, 1]), Partition([1]))
     assert count_standard_tableaux(shape) == permutation_filter_count((3, 1), (1,))
     assert hook_h(shape) == Fraction(6, count_standard_tableaux(shape))
+
+
+def test_an_oversized_molev_sum_is_refused_before_any_factorial(monkeypatch):
+    # The first shape of the sum, (150000), is at MAX_HOOK_FACTORIAL and its
+    # nu/(150000) past it: the sum refuses the second before it computes the first.
+    calls = []
+    monkeypatch.setattr(partitions, "factorial", lambda k: calls.append(k) or factorial(k))
+    hook_h.cache_clear()
+    with pytest.raises(DomainError) as err:
+        molev_coefficient((150000,), (1,), (150000, 1))
+    assert str(err.value) == (
+        "the skew shape (150000,1)/(150000) is too large for the hook function's factorials"
+    )
+    assert calls == []
 
 
 # ---- enumeration ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from math import prod
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shiftedschur import (  # noqa: E402
@@ -45,6 +45,7 @@ from shiftedschur import (  # noqa: E402
 from shiftedschur.structconst import (  # noqa: E402
     TABLE_METHODS,
     _candidates,
+    _coeff_latex,
     compute_expansion,
     multiply_schubert,
     structure_constants_via_localization,
@@ -297,3 +298,38 @@ def test_canonical_string_is_injective(terms_a, terms_b, rebuild):
     a = _poly(terms_a)
     b = _poly([(c, f[::-1]) for c, f in reversed(terms_a)] if rebuild else terms_b)
     assert (canonical_string(a) == canonical_string(b)) == (a == b)
+
+
+def _coeff_latex_by_text(c: Poly) -> str:
+    """The bracket rule that read the rendered coefficient, kept as the oracle."""
+    s = c.latex()
+    if s == "1":
+        return ""
+    if " + " in s or " - " in s or s.startswith("-"):
+        return f"\\left({s}\\right) \\, "
+    return f"{s} \\, "
+
+
+coefficient_terms = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(-5, 5),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        ),
+        st.lists(st.integers(0, len(GENERATORS) - 1), max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_terms)
+@example([(1, [])])
+@example([(-1, [])])
+@example([(Fraction(-1, 2), [5])])
+@example([(Fraction(2, 3), [3, 5])])
+@example([(1, [3]), (-2, [5])])
+def test_latex_coefficients_are_bracketed_as_their_text_reads(terms):
+    c = _poly(terms)
+    assert _coeff_latex(c) == _coeff_latex_by_text(c)
